@@ -51,6 +51,24 @@ def _instance_for(system: str, profile: Profile, k: int):
     return make_monroe(profile, k) if system == "monroe" else make_cc(profile, k)
 
 
+def _read_profile(path: str) -> Profile:
+    """Profile of a file; refuses general-instance blocks, which the Monroe
+    and CC restrictions would silently drop."""
+    with open(path) as handle:
+        parsed = parse_instance(handle.read())
+    ignored = [
+        f"{block}:"
+        for block in ("costs", "caps", "budget", "weights")
+        if getattr(parsed, block) is not None
+    ]
+    if ignored:
+        raise CLIError(
+            f"{path} carries {' '.join(ignored)} block(s), which --system "
+            "monroe/cc would ignore; remove them to solve the bare profile"
+        )
+    return parsed.profile
+
+
 def _check_solve_flags(args) -> None:
     randomized = args.algorithm in ("sample", "combined")
     if randomized and args.seed is None:
@@ -184,8 +202,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_solve_flags(args)
-    with open(args.path) as handle:
-        profile = parse_instance(handle.read()).profile
+    profile = _read_profile(args.path)
     if not 1 <= args.k <= profile.m:
         raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
     report = _run_algorithm(
@@ -229,8 +246,7 @@ def cmd_ratio(args) -> int:
     base_profile = None
     descriptor = None
     if args.path is not None:
-        with open(args.path) as handle:
-            base_profile = parse_instance(handle.read()).profile
+        base_profile = _read_profile(args.path)
         descriptor = args.path
     elif args.gen == "identical":
         base_profile = gen_identical(args.n, args.m)

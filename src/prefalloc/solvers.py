@@ -165,6 +165,32 @@ def _batch_sizes(n: int, k: int) -> list:
     return sizes
 
 
+def _rank_buckets(prof: Profile) -> Tuple[list, list]:
+    """Rank-bucket index of a profile, built in O(n m).
+
+    ``buckets[a - 1][p - 1]`` lists the agents that rank alternative ``a`` at
+    position ``p``, in ascending agent index, so walking ``buckets[a - 1]``
+    yields agents in ``(position, agent index)`` order.  ``counts`` starts as
+    the bucket sizes; callers keep it to the unassigned agents with
+    :func:`_retire`.
+    """
+    m = prof.m
+    buckets: list = [[[] for _ in range(m)] for _ in range(m)]
+    for j, order in enumerate(prof.orders):
+        for p, alt in enumerate(order):
+            buckets[alt - 1][p].append(j)
+    counts = [[len(bucket) for bucket in row] for row in buckets]
+    return buckets, counts
+
+
+def _retire(prof: Profile, counts: list, agents: Iterable[int]) -> None:
+    """Drop newly assigned agents from the unassigned counts of every bucket."""
+    orders = prof.orders
+    for j in agents:
+        for p, alt in enumerate(orders[j]):
+            counts[alt - 1][p] -= 1
+
+
 def greedy_monroe(
     profile: Union[Profile, Instance],
     k: int,
@@ -176,8 +202,14 @@ def greedy_monroe(
     For k <= 2 the exact optimum is computed by enumeration.  Otherwise the
     committee is built in k steps: each step scores every unused alternative
     by the total satisfaction of the not-yet-assigned agents that rank it
-    best (one balanced batch worth of them) and commits the winner.  For
-    k >= 3 the total score is at least ``greedy_monroe_bound(n, m, k)``.
+    best (one balanced batch worth of them, ties toward the lower agent
+    index) and commits the first strictly best one.  For k >= 3 the total
+    score is at least ``greedy_monroe_bound(n, m, k)``.
+
+    Cost: one O(n m) rank-bucket index, then O(m) per candidate and step
+    from the unassigned counts per (alternative, position); only the
+    winning batch is read out of its buckets, in ``(position, agent index)``
+    order.
     """
     start = time.perf_counter()
     prof = _as_profile(profile)
@@ -194,26 +226,35 @@ def greedy_monroe(
             elapsed=time.perf_counter() - start,
         )
     n, m = prof.n, prof.m
-    positions = prof.positions
+    vals = [score(psf, p, m) for p in range(1, m + 1)]
+    buckets, counts = _rank_buckets(prof)
     targets = [0] * n
-    unassigned = list(range(n))
     used = set()
     for size in _batch_sizes(n, k):
         best_alt = -1
         best_score = -1
-        best_batch: list = []
         for alt in range(1, m + 1):
             if alt in used:
                 continue
-            ranked = sorted(unassigned, key=lambda j: (positions[j][alt - 1], j))
-            batch = ranked[:size]
-            total = sum(score(psf, positions[j][alt - 1], m) for j in batch)
+            need, total = size, 0
+            for p, count in enumerate(counts[alt - 1]):
+                if count >= need:
+                    total += need * vals[p]
+                    break
+                total += count * vals[p]
+                need -= count
             if total > best_score:
-                best_alt, best_score, best_batch = alt, total, batch
+                best_alt, best_score = alt, total
         used.add(best_alt)
-        for j in best_batch:
+        batch: list = []
+        for bucket in buckets[best_alt - 1]:
+            batch.extend(j for j in bucket if targets[j] == 0)
+            if len(batch) >= size:
+                break
+        del batch[size:]
+        for j in batch:
             targets[j] = best_alt
-        unassigned = [j for j in unassigned if targets[j] == 0]
+        _retire(prof, counts, batch)
     assignment = Assignment(tuple(targets))
     value = metric_l1(make_monroe(prof, k), psf, assignment)
     name = "greedy_monroe"
@@ -317,18 +358,16 @@ def combined_monroe(
     )
 
 
-def _greedy_cover(
-    prof: Profile,
-    k: int,
-    x: int,
-    psf: ScoringFunction,
-) -> Assignment:
+def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
     """Shared cover loop: k picks by descending top-x coverage of unassigned
-    agents, then leftover agents go to their best picked alternative."""
+    agents (first strictly best alternative wins), then leftover agents go
+    to their best picked alternative.  Coverage is summed from the
+    rank-bucket counts, so a pick costs O(m x) plus its newly covered
+    agents."""
     n, m = prof.n, prof.m
     positions = prof.positions
+    buckets, counts = _rank_buckets(prof)
     targets = [0] * n
-    unassigned = list(range(n))
     picked: list = []
     for _ in range(k):
         best_alt = -1
@@ -336,19 +375,19 @@ def _greedy_cover(
         for alt in range(1, m + 1):
             if alt in picked:
                 continue
-            count = sum(1 for j in unassigned if positions[j][alt - 1] <= x)
+            count = sum(counts[alt - 1][:x])
             if count > best_count:
                 best_alt, best_count = alt, count
         picked.append(best_alt)
-        still = []
-        for j in unassigned:
-            if positions[j][best_alt - 1] <= x:
-                targets[j] = best_alt
-            else:
-                still.append(j)
-        unassigned = still
-    for j in unassigned:
-        targets[j] = min(picked, key=lambda a: positions[j][a - 1])
+        covered = [
+            j for bucket in buckets[best_alt - 1][:x] for j in bucket if targets[j] == 0
+        ]
+        for j in covered:
+            targets[j] = best_alt
+        _retire(prof, counts, covered)
+    for j in range(n):
+        if targets[j] == 0:
+            targets[j] = min(picked, key=lambda a: positions[j][a - 1])
     return Assignment(tuple(targets))
 
 
@@ -362,6 +401,10 @@ def greedy_cc(
 
     The cover depth is ``x = ceil(m w(k) / k)`` with w the Lambert W
     function; the total score is at least ``greedy_cc_bound(n, m, k)``.
+
+    Cost: one O(n m) rank-bucket index, then O(m x) per pick from the
+    unassigned counts per (alternative, position).  Ties go to the lowest
+    alternative index; leftover agents go to their best picked alternative.
     """
     start = time.perf_counter()
     prof = _as_profile(profile)
@@ -369,7 +412,7 @@ def greedy_cc(
         raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
     psf = _require_borda_dec(psf, permissive)
     x = math.ceil(prof.m * lambert_w(k) / k)
-    assignment = _greedy_cover(prof, k, x, psf)
+    assignment = _greedy_cover(prof, k, x)
     value = metric_l1(make_cc(prof, k), psf, assignment)
     name = "greedy_cc"
     if psf.kind != "borda_dec":
@@ -403,7 +446,7 @@ def greedy_cc_majority(
         raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
     psf = ScoringFunction.borda_dec()
     x = min(prof.m, math.ceil(-prof.m * math.log(delta) / k))
-    assignment = _greedy_cover(prof, k, x, psf)
+    assignment = _greedy_cover(prof, k, x)
     value = metric_min_delta(make_cc(prof, k), psf, assignment, delta)
     return SolveReport(
         assignment=assignment,
@@ -441,6 +484,7 @@ def maxcover_cc_baseline(
         raise ValueError("baseline maximizes a decreasing (satisfaction) function")
     n, m = prof.n, prof.m
     positions = prof.positions
+    vals = [score(psf, p, m) for p in range(1, m + 1)]
     best_score = [-1] * n
     picked: list = []
     for _ in range(k):
@@ -451,14 +495,14 @@ def maxcover_cc_baseline(
                 continue
             gain = 0
             for j in range(n):
-                s = score(psf, positions[j][alt - 1], m)
+                s = vals[positions[j][alt - 1] - 1]
                 if s > best_score[j]:
                     gain += s - max(best_score[j], 0)
             if gain > best_gain:
                 best_alt, best_gain = alt, gain
         picked.append(best_alt)
         for j in range(n):
-            s = score(psf, positions[j][best_alt - 1], m)
+            s = vals[positions[j][best_alt - 1] - 1]
             if s > best_score[j]:
                 best_score[j] = s
     assignment = match_cc(prof, psf, picked)

@@ -3,6 +3,11 @@
 Nothing here touches the flow kernel or the greedy loops: matchings are
 checked by enumerating every feasible assignment, committees by enumerating
 every subset, and the Lambert W values by bisection.  Keep it that way.
+
+The greedy references at the end are the straightforward loops the
+rank-bucket solvers replaced (a sort or a scan of the unassigned agents per
+candidate); the differential tests hold the solvers to them at sizes brute
+force cannot reach.
 """
 
 from itertools import combinations
@@ -105,3 +110,67 @@ def lambert_w_bisect(x, tol=1e-14):
         if hi - lo < tol:
             break
     return (lo + hi) / 2.0
+
+
+def greedy_monroe_reference(profile, k, psf):
+    """Targets of the greedy Monroe loop (k >= 3), one sort per candidate.
+
+    Each step takes ``ceil(remaining / steps left)`` agents; every unused
+    alternative is scored by the best such batch of unassigned agents, sorted
+    by ``(position, agent index)``, and the first strictly best one wins.
+    """
+    n, m = profile.n, profile.m
+    positions = profile.positions
+    targets = [0] * n
+    unassigned = list(range(n))
+    used = set()
+    remaining = n
+    for step in range(k):
+        size = -(-remaining // (k - step))
+        remaining -= size
+        best_alt = -1
+        best_score = -1
+        best_batch = []
+        for alt in range(1, m + 1):
+            if alt in used:
+                continue
+            ranked = sorted(unassigned, key=lambda j: (positions[j][alt - 1], j))
+            batch = ranked[:size]
+            total = sum(score(psf, positions[j][alt - 1], m) for j in batch)
+            if total > best_score:
+                best_alt, best_score, best_batch = alt, total, batch
+        used.add(best_alt)
+        for j in best_batch:
+            targets[j] = best_alt
+        unassigned = [j for j in unassigned if targets[j] == 0]
+    return tuple(targets)
+
+
+def greedy_cover_reference(profile, k, x):
+    """Targets of the top-x cover loop, one scan of the unassigned agents per
+    candidate; leftover agents go to their best picked alternative."""
+    n, m = profile.n, profile.m
+    positions = profile.positions
+    targets = [0] * n
+    unassigned = list(range(n))
+    picked = []
+    for _ in range(k):
+        best_alt = -1
+        best_count = -1
+        for alt in range(1, m + 1):
+            if alt in picked:
+                continue
+            count = sum(1 for j in unassigned if positions[j][alt - 1] <= x)
+            if count > best_count:
+                best_alt, best_count = alt, count
+        picked.append(best_alt)
+        still = []
+        for j in unassigned:
+            if positions[j][best_alt - 1] <= x:
+                targets[j] = best_alt
+            else:
+                still.append(j)
+        unassigned = still
+    for j in unassigned:
+        targets[j] = min(picked, key=lambda a: positions[j][a - 1])
+    return tuple(targets)

@@ -1,12 +1,13 @@
 """Command-line interface: records, exit codes, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from prefalloc import gen_identical, write_instance
+from prefalloc import gen_identical, gen_impartial_culture, write_instance
 from prefalloc.cli import main
 
 
@@ -204,6 +205,73 @@ def test_solve_rejects_malformed_file(tmp_path, capsys):
     )
     assert code == 1
     assert "line 2" in err
+
+
+# SHA-256 of `solve ic_300_20.txt --k 6 --algorithm greedy` stdout on
+# gen_impartial_culture(300, 20, seed=2012), as the sort- and scan-based greedy
+# loops in tests/oracles.py print it: any drift in committees, tie order or
+# record layout fails here.
+GREEDY_STDOUT_SHA256 = {
+    "monroe": "19484f6403ee4adad73ea488ed320278d24d5485b6132defd90ac8e2ddc84c47",
+    "cc": "7d2b3b54d936e834fca4ff7c9b00c6c6df2fa0586b36e1206eda123565e5efd8",
+}
+
+
+@pytest.mark.parametrize("system", sorted(GREEDY_STDOUT_SHA256))
+def test_solve_greedy_stdout_golden(tmp_path, monkeypatch, capsys, system):
+    monkeypatch.chdir(tmp_path)  # stdout names the file, so keep the path relative
+    with open("ic_300_20.txt", "w", newline="\n") as handle:
+        handle.write(write_instance(gen_impartial_culture(300, 20, 2012)))
+    code, stdout, _ = run_cli(
+        capsys,
+        "solve",
+        "ic_300_20.txt",
+        "--system",
+        system,
+        "--k",
+        "6",
+        "--algorithm",
+        "greedy",
+    )
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GREEDY_STDOUT_SHA256[system]
+
+
+@pytest.fixture()
+def general_blocks(tmp_path):
+    path = tmp_path / "general.txt"
+    profile = gen_identical(4, 3)
+    path.write_text(write_instance(profile, costs=(5, 1, 1), budget=1), newline="\n")
+    return str(path)
+
+
+def test_solve_refuses_general_blocks(general_blocks, capsys):
+    code, stdout, err = run_cli(
+        capsys, "solve", general_blocks, "--system", "cc", "--k", "2", "--algorithm", "exact"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert "costs:" in err and "budget:" in err
+    assert "caps:" not in err and "weights:" not in err
+
+
+def test_ratio_refuses_general_blocks(general_blocks, capsys):
+    code, stdout, err = run_cli(
+        capsys,
+        "ratio",
+        general_blocks,
+        "--system",
+        "monroe",
+        "--k",
+        "2",
+        "--algorithms",
+        "exact",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert "costs:" in err and "budget:" in err
 
 
 def test_ratio_exact_vs_exact_is_one(identical_12_8, capsys):
