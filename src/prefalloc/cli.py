@@ -21,6 +21,7 @@ from .instances import gen_identical, gen_impartial_culture
 from .rng import derive_seed
 from .solvers import (
     DEFAULT_ENUMERATION_CAP,
+    OBJECTIVES,
     EnumerationCapExceeded,
     SolverConfig,
     combined_monroe,
@@ -33,22 +34,74 @@ from .solvers import (
     sample_once_monroe,
 )
 
-ALGORITHMS = ("greedy", "sample", "combined", "maxcover", "exact")
-OBJECTIVES = ("l1_dec", "l1_inc", "min_dec", "max_inc")
+RANDOMIZED = frozenset({"sample", "combined"})
 
 
 class CLIError(Exception):
     """Inconsistent or missing flags; maps to exit status 2."""
 
 
-def _psf_for(objective: str) -> ScoringFunction:
-    if objective in ("l1_dec", "min_dec"):
-        return ScoringFunction.borda_dec()
-    return ScoringFunction.borda_inc()
+def _exact(make):
+    """Solver call enumerating ``make(profile, k)`` under ``--objective``."""
+
+    def solve(args, profile: Profile, seed: Optional[int]) -> SolveReport:
+        dec = args.objective.endswith("_dec")
+        psf = ScoringFunction.borda_dec() if dec else ScoringFunction.borda_inc()
+        config = SolverConfig(enumeration_cap=args.enumeration_cap)
+        instance = make(profile, args.k)
+        return exact_enumeration(instance, psf, args.objective, config=config)
+
+    return solve
 
 
-def _instance_for(system: str, profile: Profile, k: int):
-    return make_monroe(profile, k) if system == "monroe" else make_cc(profile, k)
+def _oracle_floor(share: float):
+    return lambda profile, k, oracle: None if oracle is None else share * oracle
+
+
+def _no_floor(profile: Profile, k: int, oracle: Optional[int]) -> None:
+    return None
+
+
+# The (algorithm, system) pairs the CLI serves; a missing pair exits 2.  Each
+# entry is (solver call, floor): the call takes (args, profile, seed) and the
+# floor (profile, k, oracle) gives the proven lower bound on the l1_dec value,
+# or None when none applies (oracle is the exact optimum, when known).
+_SOLVERS = {
+    ("greedy", "monroe"): (
+        lambda args, profile, seed: greedy_monroe(profile, args.k),
+        lambda profile, k, oracle: (
+            float(greedy_monroe_bound(profile.n, profile.m, k)) if k >= 3 else None
+        ),
+    ),
+    ("greedy", "cc"): (
+        lambda args, profile, seed: greedy_cc(profile, args.k),
+        lambda profile, k, oracle: greedy_cc_bound(profile.n, profile.m, k),
+    ),
+    ("sample", "monroe"): (
+        lambda args, profile, seed: sample_once_monroe(profile, args.k, seed),
+        _no_floor,
+    ),
+    ("combined", "monroe"): (
+        lambda args, profile, seed: combined_monroe(
+            profile,
+            args.k,
+            SolverConfig(
+                epsilon=args.epsilon,
+                lambda_=args.lambda_,
+                seed=seed,
+                enumeration_cap=args.enumeration_cap,
+            ),
+        ),
+        _no_floor,
+    ),
+    ("maxcover", "cc"): (
+        lambda args, profile, seed: maxcover_cc_baseline(profile, args.k),
+        _oracle_floor(1.0 - 1.0 / math.e),
+    ),
+    ("exact", "monroe"): (_exact(make_monroe), _oracle_floor(1.0)),
+    ("exact", "cc"): (_exact(make_cc), _oracle_floor(1.0)),
+}
+ALGORITHMS = tuple(dict.fromkeys(name for name, _ in _SOLVERS))
 
 
 def _read_profile(path: str) -> Profile:
@@ -69,79 +122,22 @@ def _read_profile(path: str) -> Profile:
     return parsed.profile
 
 
-def _check_solve_flags(args) -> None:
-    randomized = args.algorithm in ("sample", "combined")
-    if randomized and args.seed is None:
-        raise CLIError(f"--algorithm {args.algorithm} requires an explicit --seed")
-    if not randomized and args.seed is not None:
-        raise CLIError(f"--seed is meaningless for --algorithm {args.algorithm}")
-    if args.algorithm == "combined":
-        if args.epsilon is None or args.lambda_ is None:
-            raise CLIError("--algorithm combined requires --epsilon and --lambda")
-    elif args.epsilon is not None or args.lambda_ is not None:
-        raise CLIError("--epsilon/--lambda apply only to --algorithm combined")
-    if args.algorithm == "maxcover" and args.system != "cc":
-        raise CLIError("--algorithm maxcover requires --system cc")
-    if args.algorithm in ("sample", "combined") and args.system != "monroe":
-        raise CLIError(f"--algorithm {args.algorithm} requires --system monroe")
-    if args.algorithm != "exact" and args.objective != "l1_dec":
-        raise CLIError(f"--algorithm {args.algorithm} supports only --objective l1_dec")
-
-
-def _run_algorithm(
-    name: str,
-    system: str,
-    profile: Profile,
-    k: int,
-    objective: str,
-    seed: Optional[int],
-    epsilon: Optional[float],
-    lambda_: Optional[float],
-    cap: int,
-) -> SolveReport:
-    if name == "exact":
-        return exact_enumeration(
-            _instance_for(system, profile, k),
-            _psf_for(objective),
-            objective,
-            config=SolverConfig(enumeration_cap=cap),
-        )
-    if system == "monroe":
-        if name == "greedy":
-            return greedy_monroe(profile, k)
-        if name == "sample":
-            assert seed is not None
-            return sample_once_monroe(profile, k, seed)
-        if name == "combined":
-            assert seed is not None and epsilon is not None and lambda_ is not None
-            return combined_monroe(
-                profile,
-                k,
-                SolverConfig(
-                    epsilon=epsilon, lambda_=lambda_, seed=seed, enumeration_cap=cap
-                ),
+def _check_algorithms(args, names) -> None:
+    """Refuse algorithms without a solver for ``--system`` and flags that the
+    listed algorithms cannot use or need but lack."""
+    for name in names:
+        if (name, args.system) not in _SOLVERS:
+            served = ", ".join(a for a, s in _SOLVERS if s == args.system)
+            raise CLIError(
+                f"no {name!r} solver for --system {args.system}; choose from {served}"
             )
-    else:
-        if name == "greedy":
-            return greedy_cc(profile, k)
-        if name == "maxcover":
-            return maxcover_cc_baseline(profile, k)
-    raise CLIError(f"algorithm {name!r} is not available for system {system!r}")
-
-
-def _bound_for(
-    name: str, system: str, n: int, m: int, k: int, oracle: Optional[int]
-) -> Optional[float]:
-    """Proven lower bound on the l1_dec value, when one applies."""
-    if name == "greedy" and system == "monroe" and k >= 3:
-        return float(greedy_monroe_bound(n, m, k))
-    if name == "greedy" and system == "cc":
-        return greedy_cc_bound(n, m, k)
-    if name == "maxcover" and oracle is not None:
-        return (1.0 - 1.0 / math.e) * oracle
-    if name == "exact" and oracle is not None:
-        return float(oracle)
-    return None
+        if name in RANDOMIZED and args.seed is None:
+            raise CLIError(f"algorithm {name!r} requires an explicit --seed")
+    if "combined" in names:
+        if args.epsilon is None or args.lambda_ is None:
+            raise CLIError("algorithm 'combined' requires --epsilon and --lambda")
+    elif args.epsilon is not None or args.lambda_ is not None:
+        raise CLIError("--epsilon/--lambda apply only to algorithm 'combined'")
 
 
 def _record_line(pairs) -> str:
@@ -201,26 +197,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_solve_flags(args)
+    _check_algorithms(args, [args.algorithm])
+    if args.algorithm not in RANDOMIZED and args.seed is not None:
+        raise CLIError(f"--seed is meaningless for --algorithm {args.algorithm}")
+    if args.algorithm != "exact" and args.objective != "l1_dec":
+        raise CLIError(f"--algorithm {args.algorithm} supports only --objective l1_dec")
     profile = _read_profile(args.path)
     if not 1 <= args.k <= profile.m:
         raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
-    report = _run_algorithm(
-        args.algorithm,
-        args.system,
-        profile,
-        args.k,
-        args.objective,
-        args.seed,
-        args.epsilon,
-        args.lambda_,
-        args.enumeration_cap,
-    )
-    bound = None
-    if args.objective == "l1_dec":
-        bound = _bound_for(
-            args.algorithm, args.system, profile.n, profile.m, args.k, None
-        )
+    solver, floor = _SOLVERS[args.algorithm, args.system]
+    report = solver(args, profile, args.seed)
+    bound = floor(profile, args.k, None) if args.objective == "l1_dec" else None
     _emit_solve(args, args.path, report, bound)
     return 0
 
@@ -230,18 +217,15 @@ def cmd_ratio(args) -> int:
         raise CLIError("ratio needs exactly one of an instance path or --gen")
     if args.gen is not None and (args.n is None or args.m is None):
         raise CLIError("ratio with --gen requires --n and --m")
-    if args.gen == "ic" or any(a in ("sample", "combined") for a in args.algorithms):
-        if args.seed is None:
-            raise CLIError("ratio with randomized inputs requires --seed")
-    seed = args.seed if args.seed is not None else 0
+    if args.gen == "ic" and args.seed is None:
+        raise CLIError("ratio --gen ic requires an explicit --seed")
     algorithms = args.algorithms
-    for name in algorithms:
-        if name in ("sample", "combined") and args.system != "monroe":
-            raise CLIError(f"algorithm {name!r} requires --system monroe")
-        if name == "maxcover" and args.system != "cc":
-            raise CLIError("algorithm 'maxcover' requires --system cc")
-    if "combined" in algorithms and (args.epsilon is None or args.lambda_ is None):
-        raise CLIError("algorithm 'combined' requires --epsilon and --lambda")
+    if len(set(algorithms)) != len(algorithms):
+        raise CLIError("--algorithms names an algorithm more than once")
+    if args.trials < 1:
+        raise CLIError("--trials must be at least 1")
+    _check_algorithms(args, algorithms)
+    seed = args.seed if args.seed is not None else 0
 
     base_profile = None
     descriptor = None
@@ -267,12 +251,7 @@ def cmd_ratio(args) -> int:
         if not 1 <= args.k <= profile.m:
             raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
         try:
-            oracle = exact_enumeration(
-                _instance_for(args.system, profile, args.k),
-                ScoringFunction.borda_dec(),
-                "l1_dec",
-                config=SolverConfig(enumeration_cap=args.enumeration_cap),
-            ).value
+            exact = _SOLVERS["exact", args.system][0](args, profile, None)
         except EnumerationCapExceeded as exc:
             failed = True
             if args.json:
@@ -280,22 +259,13 @@ def cmd_ratio(args) -> int:
             else:
                 print(f'trial={trial} error="{exc}"')
             continue
+        oracle = exact.value
         for index, name in enumerate(algorithms):
-            report = _run_algorithm(
-                name,
-                args.system,
-                profile,
-                args.k,
-                "l1_dec",
-                derive_seed(trial_seed, 1 + index),
-                args.epsilon,
-                args.lambda_,
-                args.enumeration_cap,
-            )
+            solver, floor = _SOLVERS[name, args.system]
+            run_seed = derive_seed(trial_seed, 1 + index)
+            report = exact if name == "exact" else solver(args, profile, run_seed)
             ratio = report.value / oracle if oracle else 1.0
-            bound = _bound_for(
-                name, args.system, profile.n, profile.m, args.k, oracle
-            )
+            bound = floor(profile, args.k, oracle)
             violated = bound is not None and report.value < bound - 1e-9
             if violated:
                 violations[name] += 1
@@ -402,18 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP
     )
     ratio.add_argument("--json", action="store_true")
-    ratio.set_defaults(func=cmd_ratio)
+    ratio.set_defaults(func=cmd_ratio, objective="l1_dec")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "algorithms", None):
-        unknown = [a for a in args.algorithms if a not in ALGORITHMS]
-        if unknown:
-            print(f"error: unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except CLIError as exc:

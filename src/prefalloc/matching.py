@@ -106,13 +106,12 @@ class _MinCostFlow:
         self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
         return u, len(self.graph[u]) - 1
 
-    def send(self, s: int, t: int, limit: int) -> Tuple[int, int]:
-        """Push up to ``limit`` units from s to t; returns (flow, total cost)."""
+    def send(self, s: int, t: int, limit: int) -> int:
+        """Push up to ``limit`` units from s to t; returns the flow sent."""
         n = len(self.graph)
         inf = float("inf")
         potential = [0] * n
         flow = 0
-        total_cost = 0
         while flow < limit:
             dist = [inf] * n
             dist[s] = 0
@@ -148,10 +147,9 @@ class _MinCostFlow:
                 edge = self.graph[u][idx]
                 edge[1] -= push
                 self.graph[edge[0]][edge[3]][1] += push
-                total_cost += push * edge[2]
                 v = u
             flow += push
-        return flow, total_cost
+        return flow
 
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> Tuple[int, ...]:
@@ -209,8 +207,7 @@ def _solve_bounded(
             unit_edges[(i, j)] = net.add_edge(member0 + i, agent0 + j, 1, cost)
     for j in range(n):
         net.add_edge(agent0 + j, sink, 1, 0)
-    flow, _ = net.send(source, sink, n)
-    if flow < n:
+    if net.send(source, sink, n) < n:
         return None
     targets = [0] * n
     for (i, j), (u, idx) in unit_edges.items():
@@ -219,14 +216,20 @@ def _solve_bounded(
     return tuple(targets)
 
 
-def _score_lookup(profile: Profile, psf: ScoringFunction):
+def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], int]:
+    """Nonnegative cost of serving an agent by an alternative: the score for
+    an increasing function, ``psf(1) - score`` for a decreasing one, so the
+    min-cost kernel serves both directions.  Read from one score vector."""
     m = profile.m
     positions = profile.positions
+    costs = [score(psf, p, m) for p in range(1, m + 1)]
+    if psf.is_decreasing:
+        costs = [costs[0] - c for c in costs]
 
-    def at(agent: int, alt: int) -> int:
-        return score(psf, positions[agent][alt - 1], m)
+    def cost(agent: int, alt: int) -> int:
+        return costs[positions[agent][alt - 1] - 1]
 
-    return at
+    return cost
 
 
 def match_cc(
@@ -255,25 +258,15 @@ def match_monroe_l1(
     """Optimal total-objective matching under the regime's load bounds.
 
     Maximizes the total score for a decreasing (satisfaction) function and
-    minimizes it for an increasing (dissatisfaction) one.  Decreasing
-    functions are flipped to the nonnegative cost ``psf(1) - psf(pos)`` so a
-    single min-cost kernel serves both directions; the optimum is exact.
+    minimizes it for an increasing (dissatisfaction) one: both minimize the
+    total :func:`_edge_cost`, and the optimum is exact.
     """
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, psf, members)
-    at = _score_lookup(profile, psf)
-    m = profile.m
-    if psf.is_decreasing:
-        top = score(psf, 1, m)
-
-        def edge_cost(agent: int, alt: int) -> int:
-            return top - at(agent, alt)
-
-    else:
-        edge_cost = at
-    targets = _solve_bounded(profile, members, lowers, uppers, edge_cost, None)
+    cost = _edge_cost(profile, psf)
+    targets = _solve_bounded(profile, members, lowers, uppers, cost, None)
     if targets is None:
         raise InfeasibleMatchingError("load bounds admit no complete assignment")
     return Assignment(targets)
@@ -306,50 +299,30 @@ def match_egalitarian(
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, psf, members)
-    at = _score_lookup(profile, psf)
-    m = profile.m
-    values = sorted({score(psf, p, m) for p in range(1, m + 1)})
+    cost = _edge_cost(profile, psf)
+    # Both modes minimize the largest edge cost (a satisfaction floor is a
+    # cost ceiling).  Agent 0 ranks every position, so its row holds every
+    # cost level.
+    levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
 
-    def feasible(threshold: int) -> bool:
-        if mode == "max_min_sat":
-            allowed = lambda j, a: at(j, a) >= threshold
-        else:
-            allowed = lambda j, a: at(j, a) <= threshold
+    def feasible(ceiling: int) -> bool:
+        allowed = lambda j, a: cost(j, a) <= ceiling
         return (
             _solve_bounded(profile, members, lowers, uppers, None, allowed)
             is not None
         )
 
-    if mode == "max_min_sat":
-        if not feasible(values[0]):
-            raise InfeasibleMatchingError("load bounds admit no complete assignment")
-        lo, hi = 0, len(values) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if feasible(values[mid]):
-                lo = mid
-            else:
-                hi = mid - 1
-        best = values[lo]
-        allowed = lambda j, a: at(j, a) >= best
-    else:
-        if not feasible(values[-1]):
-            raise InfeasibleMatchingError("load bounds admit no complete assignment")
-        lo, hi = 0, len(values) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(values[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        best = values[lo]
-        allowed = lambda j, a: at(j, a) <= best
-
-    if psf.is_decreasing:
-        top = score(psf, 1, m)
-        edge_cost = lambda j, a: top - at(j, a)
-    else:
-        edge_cost = at
-    targets = _solve_bounded(profile, members, lowers, uppers, edge_cost, allowed)
+    if not feasible(levels[-1]):
+        raise InfeasibleMatchingError("load bounds admit no complete assignment")
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    best = levels[lo]
+    allowed = lambda j, a: cost(j, a) <= best
+    targets = _solve_bounded(profile, members, lowers, uppers, cost, allowed)
     assert targets is not None
     return Assignment(targets)

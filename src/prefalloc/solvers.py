@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -66,7 +66,6 @@ class SolverConfig:
     lambda_: float = 0.9
     seed: int = 0
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    sampling_runs_override: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
@@ -75,8 +74,6 @@ class SolverConfig:
             raise ValueError("lambda must lie strictly inside (0, 1)")
         if self.enumeration_cap < 1:
             raise ValueError("enumeration cap must be at least 1")
-        if self.sampling_runs_override is not None and self.sampling_runs_override < 1:
-            raise ValueError("sampling runs override must be positive")
 
 
 def harmonic(k: int) -> Fraction:
@@ -133,12 +130,16 @@ def greedy_cc_bound(n: int, m: int, k: int) -> float:
     return (1.0 - 2.0 * lambert_w(k) / k) * (m - 1) * n
 
 
-def _as_profile(profile: Union[Profile, Instance]) -> Profile:
+def _as_profile(profile: Union[Profile, Instance], k: int) -> Profile:
+    """The bare profile, once the weights and the committee size are checked."""
+    prof = profile
     if isinstance(profile, Instance):
         if not profile.has_unit_weights:
             raise UnsupportedInstanceError("solvers require unit agent weights")
-        return profile.profile
-    return profile
+        prof = profile.profile
+    if not 1 <= k <= prof.m:
+        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    return prof
 
 
 def _require_borda_dec(psf: Optional[ScoringFunction], permissive: bool) -> ScoringFunction:
@@ -212,16 +213,12 @@ def greedy_monroe(
     order.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    prof = _as_profile(profile, k)
     psf = _require_borda_dec(psf, permissive)
     if k <= 2:
         inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec")
-        return SolveReport(
-            assignment=inner.assignment,
-            objective="l1_dec",
-            value=inner.value,
+        return replace(
+            inner,
             algorithm="greedy_monroe[exact:k<=2]",
             elapsed=time.perf_counter() - start,
         )
@@ -281,9 +278,7 @@ def sample_once_monroe(
     Accepts a seed or a live generator; a seed is recorded in the report.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    prof = _as_profile(profile, k)
     psf = _require_borda_dec(psf, permissive)
     seed = rng if isinstance(rng, int) else None
     gen = SplitMix64(rng) if isinstance(rng, int) else rng
@@ -314,45 +309,44 @@ def combined_monroe(
     Exact enumeration handles small committees (k <= 8, or H_k/k >= eps/2)
     and few alternatives (m <= 1 + 2/eps).  Otherwise the best of one greedy
     run and ``sampling_run_count(k, eps, lambda)`` sampling runs is returned.
-    The report's algorithm string records which branch ran.
+    When the exact branch would enumerate more than ``config.enumeration_cap``
+    committees, the greedy and sampling branch runs instead and the algorithm
+    string, which records the branch, gains ``[no-guarantee]``.
     """
     start = time.perf_counter()
     config = config or SolverConfig()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-
-    def exact(branch: str) -> SolveReport:
+    if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
+        branch: Optional[str] = "exact:small-k"
+    elif prof.m <= 1 + 2 / config.epsilon:
+        branch = "exact:small-m"
+    else:
+        branch = None
+    if branch is not None and math.comb(prof.m, k) <= config.enumeration_cap:
         inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec", config=config)
-        return SolveReport(
-            assignment=inner.assignment,
-            objective="l1_dec",
-            value=inner.value,
+        return replace(
+            inner,
             algorithm=f"combined_monroe[{branch}]",
             seed=config.seed,
             elapsed=time.perf_counter() - start,
         )
 
-    if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
-        return exact("exact:small-k")
-    if prof.m <= 1 + 2 / config.epsilon:
-        return exact("exact:small-m")
-
     best = greedy_monroe(prof, k, psf)
-    runs = config.sampling_runs_override
-    if runs is None:
-        runs = sampling_run_count(k, config.epsilon, config.lambda_)
+    runs = sampling_run_count(k, config.epsilon, config.lambda_)
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
         candidate = sample_once_monroe(prof, k, gen, psf)
         if candidate.value > best.value:
             best = candidate
+    name = f"combined_monroe[greedy+sample:{runs}]"
+    if branch is not None:
+        name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
     return SolveReport(
         assignment=best.assignment,
         objective="l1_dec",
         value=best.value,
-        algorithm=f"combined_monroe[greedy+sample:{runs}]",
+        algorithm=name,
         seed=config.seed,
         elapsed=time.perf_counter() - start,
     )
@@ -407,9 +401,7 @@ def greedy_cc(
     alternative index; leftover agents go to their best picked alternative.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    prof = _as_profile(profile, k)
     psf = _require_borda_dec(psf, permissive)
     x = math.ceil(prof.m * lambert_w(k) / k)
     assignment = _greedy_cover(prof, k, x)
@@ -439,14 +431,9 @@ def greedy_cc_majority(
     every remaining agent keeps satisfaction at least ``m - x``.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-    x = min(prof.m, math.ceil(-prof.m * math.log(delta) / k))
-    assignment = _greedy_cover(prof, k, x)
+    assignment = _greedy_cover(prof, k, cover_depth_majority(prof.m, k, delta))
     value = metric_min_delta(make_cc(prof, k), psf, assignment, delta)
     return SolveReport(
         assignment=assignment,
@@ -476,9 +463,7 @@ def maxcover_cc_baseline(
     the optimum for any decreasing scoring function.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile)
-    if not 1 <= k <= prof.m:
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
+    prof = _as_profile(profile, k)
     psf = psf or ScoringFunction.borda_dec()
     if not psf.is_decreasing:
         raise ValueError("baseline maximizes a decreasing (satisfaction) function")

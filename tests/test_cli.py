@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from prefalloc import gen_identical, gen_impartial_culture, write_instance
+from prefalloc import exact_enumeration, gen_identical, gen_impartial_culture, write_instance
 from prefalloc.cli import main
 
 
@@ -237,6 +237,79 @@ def test_solve_greedy_stdout_golden(tmp_path, monkeypatch, capsys, system):
     assert hashlib.sha256(stdout.encode()).hexdigest() == GREEDY_STDOUT_SHA256[system]
 
 
+# Byte-identity corpus: every (algorithm, system) pair of `solve` on
+# ic_20_8.txt = gen_impartial_culture(20, 8, seed=5) with k=4, in text and
+# --json form, one --objective min_dec run, and two `ratio` runs.  Digests
+# and exit codes were captured before the CLI dispatch moved to one table.
+GOLDEN_SOLVE_EXTRA = {
+    "greedy": (),
+    "sample": ("--seed", "3"),
+    "combined": ("--seed", "3", "--epsilon", "0.5", "--lambda", "0.9"),
+    "maxcover": (),
+    "exact": (),
+}
+# Pairs without a solver: exit 2 and print nothing.  Kept independent of the
+# CLI's own table on purpose.
+GOLDEN_REFUSED = {("sample", "cc"), ("combined", "cc"), ("maxcover", "monroe")}
+GOLDEN_RATIO = {
+    "ratio-cc-gen": (
+        "--gen", "ic", "--n", "9", "--m", "6", "--system", "cc", "--k", "3",
+        "--algorithms", "greedy,maxcover,exact", "--trials", "3", "--seed", "13",
+    ),
+    "ratio-monroe-file-json": (
+        "ic_20_8.txt", "--system", "monroe", "--k", "4",
+        "--algorithms", "greedy,sample,combined,exact", "--trials", "2",
+        "--seed", "7", "--epsilon", "0.5", "--lambda", "0.9", "--json",
+    ),
+}
+GOLDEN_STDOUT_SHA256 = {
+    "greedy-monroe": "c1d430c29fb2caa6330864517f809338536ac49e610ffcb242aff1851c0f768e",
+    "greedy-monroe-json": "e0686f30ac6cf67920076e1af6d0d0b17bd90cf9c0968b3b844a577ac8b9d47c",
+    "greedy-cc": "b2a0760ec1e05f5124ecb9501345a23ec8d7c139f609d32d7069c0606241a080",
+    "greedy-cc-json": "ddc9d92f510f99270e990c1e609bc45ca3e21bd332c8c3d12cac28198bb9926f",
+    "sample-monroe": "d41a16242037fe3d7626b2c671a4ae0f64587002380b724602ddc963a0469db6",
+    "sample-monroe-json": "3992d85944666cb5bc8b3e767287df5c1e283432aa7bda4d484a52d511a552b6",
+    "combined-monroe": "64aecf54d8743558fee4f9f97b30ae7b9a99c22793116b4cae8ac42c8169e3fa",
+    "combined-monroe-json": "43a7cc35ef80eec6d9cbb0ebf3666691a212fce53a49ef319f929cd862e2f05b",
+    "maxcover-cc": "469eacaabc6be9692a6981838fbdeee5c387975c981a5b48a1c1d2464a9fccc3",
+    "maxcover-cc-json": "8116f696404e732157552609238b633c4201d6b9f95dfe919963a33bee09c2fa",
+    "exact-monroe": "b6e03d3114b6dddb73cf7a2c1ac4033d34f168626f0cf4254512510cc20df8e9",
+    "exact-monroe-json": "cd41a5ad35a425393723cac8a75a16003a747175f619bdd9964d32294753bc4d",
+    "exact-cc": "0b7d6d618456f53704163cd7834cc2d889bd4d4250f64122cf1dd56a2864b47c",
+    "exact-cc-json": "e23de9cdaf381eaa765276298dc25b132e1699a6115a23d95d0b34e06f80bed6",
+    "exact-monroe-min_dec": "9da4ba932c5a650fb793befb466e384f9b0603b69f75694032238906fe9e40de",
+    "ratio-cc-gen": "110b1fb6787de28da6b1a5ea06b2a4ce1d1f5e238a70551f78cb01198c8435bd",
+    "ratio-monroe-file-json": "96c298d8de73e6328122a72b8b5db3650c16fad2f475fdae9113aee7b72c3963",
+}
+GOLDEN_CASES = [
+    f"{algorithm}-{system}{form}"
+    for algorithm in GOLDEN_SOLVE_EXTRA
+    for system in ("monroe", "cc")
+    for form in ("", "-json")
+] + ["exact-monroe-min_dec", *GOLDEN_RATIO]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_cli_stdout_golden(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)  # stdout names the file, so keep the path relative
+    with open("ic_20_8.txt", "w", newline="\n") as handle:
+        handle.write(write_instance(gen_impartial_culture(20, 8, 5)))
+    if case in GOLDEN_RATIO:
+        argv = ["ratio", *GOLDEN_RATIO[case]]
+    else:
+        algorithm, system, *flags = case.split("-")
+        argv = ["solve", "ic_20_8.txt", "--system", system, "--k", "4"]
+        argv += ["--algorithm", algorithm, *GOLDEN_SOLVE_EXTRA[algorithm]]
+        argv += ["--json"] if "json" in flags else []
+        argv += ["--objective", "min_dec"] if "min_dec" in flags else []
+        if (algorithm, system) in GOLDEN_REFUSED:
+            assert run_cli(capsys, *argv)[:2] == (2, "")
+            return
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[case]
+
+
 @pytest.fixture()
 def general_blocks(tmp_path):
     path = tmp_path / "general.txt"
@@ -462,6 +535,68 @@ def test_ratio_flag_consistency(identical_12_8, capsys):
         "1",
     )
     assert code == 2  # sample needs monroe
+    ratio = ("ratio", identical_12_8, "--system", "monroe", "--k", "3", "--seed", "1")
+    cases = [
+        ("--algorithms", "greedy", "--epsilon", "0.5", "--lambda", "0.9"),
+        ("--algorithms", "greedy,exact,greedy"),
+        ("--algorithms", "greedy", "--trials", "0"),
+    ]
+    for extra in cases:
+        code, stdout, err = run_cli(capsys, *ratio, *extra)
+        assert code == 2, extra
+        assert stdout == "" and err.startswith("error:")
+
+
+def test_ratio_reuses_oracle_for_exact(identical_12_8, capsys, monkeypatch):
+    import prefalloc.cli as cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact_enumeration(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_enumeration", counted)
+    code, _, _ = run_cli(
+        capsys,
+        "ratio",
+        identical_12_8,
+        "--system",
+        "monroe",
+        "--k",
+        "4",
+        "--algorithms",
+        "exact",
+        "--trials",
+        "2",
+    )
+    assert code == 0
+    assert len(calls) == 2  # one oracle per trial, reused for the exact row
+
+
+def test_solve_combined_over_cap_runs_sampling(identical_12_8, capsys):
+    code, stdout, _ = run_cli(
+        capsys,
+        "solve",
+        identical_12_8,
+        "--system",
+        "monroe",
+        "--k",
+        "4",
+        "--algorithm",
+        "combined",
+        "--epsilon",
+        "0.5",
+        "--lambda",
+        "0.5",
+        "--seed",
+        "1",
+        "--enumeration-cap",
+        "5",
+    )
+    assert code == 0
+    assert "algorithm=combined_monroe[greedy+sample:355][no-guarantee]" in stdout
+    assert "value=66" in stdout  # identical orders: every committee of 4 scores 66
 
 
 def test_module_entry_point(tmp_path):

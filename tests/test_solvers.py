@@ -92,8 +92,6 @@ def test_solver_config_validation():
         SolverConfig(lambda_=1.0)
     with pytest.raises(ValueError):
         SolverConfig(enumeration_cap=0)
-    with pytest.raises(ValueError):
-        SolverConfig(sampling_runs_override=0)
 
 
 # ---------------------------------------------------------- greedy (monroe)
@@ -232,21 +230,25 @@ def test_combined_small_m_forces_exact():
     assert report.value == exact_enumeration(make_monroe(prof, 3), BD, "l1_dec").value
 
 
-def test_combined_sampling_branch():
-    prof = gen_impartial_culture(11, 10, 202)
-    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=99, sampling_runs_override=12)
-    report = combined_monroe(prof, 9, config)
-    assert report.algorithm == "combined_monroe[greedy+sample:12]"
-    assert report.value >= greedy_monroe(prof, 9).value
-    again = combined_monroe(prof, 9, config)
-    assert again.assignment.targets == report.assignment.targets
-
-
 def test_combined_sampling_run_count_used():
     prof = gen_impartial_culture(10, 9, 303)
     config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=1)
     report = combined_monroe(prof, 9, config)
     assert report.algorithm == "combined_monroe[greedy+sample:81]"
+    assert report.value >= greedy_monroe(prof, 9).value
+    again = combined_monroe(prof, 9, config)
+    assert again.assignment.targets == report.assignment.targets
+
+
+def test_combined_over_cap_falls_back_to_sampling():
+    # C(9, 3) = 84 committees exceed the cap of 10, so the exact branch that
+    # k <= 8 selects gives way to greedy plus 242 sampling runs.
+    prof = gen_impartial_culture(12, 9, 404)
+    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=3, enumeration_cap=10)
+    report = combined_monroe(prof, 3, config)
+    assert report.algorithm == "combined_monroe[greedy+sample:242][no-guarantee]"
+    assert not validate_assignment(make_monroe(prof, 3), BD, report.assignment)
+    assert report.value >= greedy_monroe(prof, 3).value
 
 
 # ------------------------------------------------------------ greedy (cc)
