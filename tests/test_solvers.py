@@ -230,14 +230,21 @@ def test_combined_small_m_forces_exact():
     assert report.value == exact_enumeration(make_monroe(prof, 3), BD, "l1_dec").value
 
 
-def test_combined_sampling_run_count_used():
-    prof = gen_impartial_culture(10, 9, 303)
-    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=1)
+def test_combined_sampling_branch():
+    prof = gen_impartial_culture(11, 10, 202)
+    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=99)
     report = combined_monroe(prof, 9, config)
     assert report.algorithm == "combined_monroe[greedy+sample:81]"
     assert report.value >= greedy_monroe(prof, 9).value
     again = combined_monroe(prof, 9, config)
     assert again.assignment.targets == report.assignment.targets
+
+
+def test_combined_sampling_run_count_used():
+    prof = gen_impartial_culture(10, 9, 303)
+    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=1)
+    report = combined_monroe(prof, 9, config)
+    assert report.algorithm == "combined_monroe[greedy+sample:81]"
 
 
 def test_combined_over_cap_falls_back_to_sampling():
