@@ -212,6 +212,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _report(reports: dict, name: str, args, profile: Profile, seed) -> SolveReport:
+    """``name``'s report on ``profile``, from ``reports`` if it holds one;
+    otherwise the solver runs and, unless randomized, its report is kept."""
+    if name in reports:
+        return reports[name]
+    report = _SOLVERS[name, args.system][0](args, profile, seed)
+    if name not in RANDOMIZED:
+        reports[name] = report
+    return report
+
+
 def cmd_ratio(args) -> int:
     if (args.path is None) == (args.gen is None):
         raise CLIError("ratio needs exactly one of an instance path or --gen")
@@ -239,6 +250,8 @@ def cmd_ratio(args) -> int:
     min_ratio = {name: None for name in algorithms}
     violations = {name: 0 for name in algorithms}
     failed = False
+    # Deterministic reports by algorithm, kept while trials share a profile.
+    reports: dict = {}
     for trial in range(args.trials):
         trial_seed = derive_seed(seed, trial)
         if base_profile is not None:
@@ -248,10 +261,11 @@ def cmd_ratio(args) -> int:
             profile_seed = derive_seed(trial_seed, 0)
             profile = gen_impartial_culture(args.n, args.m, profile_seed)
             trial_descriptor = f"ic(n={args.n},m={args.m},seed={profile_seed})"
+            reports = {}
         if not 1 <= args.k <= profile.m:
             raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
         try:
-            exact = _SOLVERS["exact", args.system][0](args, profile, None)
+            exact = _report(reports, "exact", args, profile, None)
         except EnumerationCapExceeded as exc:
             failed = True
             if args.json:
@@ -261,9 +275,9 @@ def cmd_ratio(args) -> int:
             continue
         oracle = exact.value
         for index, name in enumerate(algorithms):
-            solver, floor = _SOLVERS[name, args.system]
+            floor = _SOLVERS[name, args.system][1]
             run_seed = derive_seed(trial_seed, 1 + index)
-            report = exact if name == "exact" else solver(args, profile, run_seed)
+            report = _report(reports, name, args, profile, run_seed)
             ratio = report.value / oracle if oracle else 1.0
             bound = floor(profile, args.k, oracle)
             violated = bound is not None and report.value < bound - 1e-9

@@ -288,6 +288,12 @@ def match_egalitarian(
     edges meeting the threshold and tests for a saturating b-matching.  Among
     matchings at the optimal threshold, the one with the best total score is
     returned (kernel min-cost pass), which keeps results deterministic.
+
+    Cost: about ``log2(m)`` feasibility probes plus that min-cost pass, each
+    one kernel solve.  The loosest threshold is not probed: every edge meets
+    it, so a complete assignment exists whenever the load totals admit one,
+    and the kernel raises :class:`InfeasibleMatchingError` on totals that
+    do not.
     """
     if mode not in ("max_min_sat", "min_max_dissat"):
         raise ValueError(f"unknown egalitarian mode {mode!r}")
@@ -312,8 +318,7 @@ def match_egalitarian(
             is not None
         )
 
-    if not feasible(levels[-1]):
-        raise InfeasibleMatchingError("load bounds admit no complete assignment")
+    # levels[-1] allows every edge, so the search may assume it feasible.
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -14,8 +14,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
     Assignment,
@@ -310,8 +309,9 @@ def combined_monroe(
     and few alternatives (m <= 1 + 2/eps).  Otherwise the best of one greedy
     run and ``sampling_run_count(k, eps, lambda)`` sampling runs is returned.
     When the exact branch would enumerate more than ``config.enumeration_cap``
-    committees, the greedy and sampling branch runs instead and the algorithm
-    string, which records the branch, gains ``[no-guarantee]``.
+    committees, the greedy and sampling branch runs instead, with at most
+    ``config.enumeration_cap`` sampling runs, and the algorithm string, which
+    records the branch, gains ``[no-guarantee]``.
     """
     start = time.perf_counter()
     config = config or SolverConfig()
@@ -334,6 +334,10 @@ def combined_monroe(
 
     best = greedy_monroe(prof, k, psf)
     runs = sampling_run_count(k, config.epsilon, config.lambda_)
+    if branch is not None:
+        # The run count grows as 1/(k eps^2), so it is largest exactly where
+        # the exact branch is due: do no more matchings than the enumeration.
+        runs = min(runs, config.enumeration_cap)
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
         candidate = sample_once_monroe(prof, k, gen, psf)
@@ -527,12 +531,44 @@ def _match_for_objective(
     return match_egalitarian(prof, psf, committee, regime, mode)
 
 
-def _enumerate_general(instance: Instance) -> Iterable[Tuple[int, ...]]:
-    m = instance.profile.m
-    for size in range(1, m + 1):
-        for committee in combinations(range(1, m + 1), size):
-            if sum(instance.costs[a - 1] for a in committee) <= instance.budget:
-                yield committee
+def _committees(
+    m: int,
+    sizes: Iterable[int],
+    costs: Sequence[int],
+    budget: int,
+    columns: Optional[Sequence[Sequence[int]]],
+    pick,
+) -> Iterator[Tuple[Tuple[int, ...], Optional[Sequence[int]]]]:
+    """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
+    ``budget``, by size and then lexicographically, from one DFS.
+
+    Yields ``(members, best)``.  Given score ``columns`` (``columns[a - 1][j]``
+    is agent j's score for alternative a), ``best[j]`` is the ``pick`` (max or
+    min) of agent j's scores over the members, carried down the DFS so that a
+    committee costs O(n); otherwise ``best`` is None.  Costs are positive, so
+    a prefix over the budget has no feasible extension.
+    """
+    members: list = []
+
+    def walk(start: int, spent: int, best, size: int):
+        last = len(members) + 1 == size
+        for a in range(start, m - size + len(members) + 2):
+            cost = spent + costs[a - 1]
+            if cost > budget:
+                continue
+            here = best
+            if columns is not None:
+                col = columns[a - 1]
+                here = col if best is None else list(map(pick, best, col))
+            members.append(a)
+            if last:
+                yield tuple(members), here
+            else:
+                yield from walk(a + 1, cost, here, size)
+            members.pop()
+
+    for size in sizes:
+        yield from walk(1, 0, None, size)
 
 
 def exact_enumeration(
@@ -549,7 +585,16 @@ def exact_enumeration(
     their canonical regime (balanced loads, unbounded); general instances
     enumerate every budget-feasible subset under its explicit capacities.
     Refuses with :class:`EnumerationCapExceeded` rather than hanging when the
-    committee count exceeds the cap.
+    committee count exceeds the cap.  Committees are visited by size, then
+    lexicographically; the first strictly best one wins.
+
+    Cost: one DFS carries each agent's best score over the members picked so
+    far, so an unbounded (CC) committee costs O(n) and needs no matching; any
+    other committee costs one kernel matching, its value read from the
+    targets through one n x m score table.  Only the winner is matched (CC)
+    and validated.  When the instance may reject a matching (a scoring table
+    short of ``m``, or a caller regime looser than the capacities), every
+    committee is validated instead, so the first offending one raises.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -564,58 +609,81 @@ def exact_enumeration(
         )
     cap = (config or SolverConfig()).enumeration_cap
     prof = instance.profile
-    maximizing = wants_dec
-
-    if instance.system_tag in ("monroe", "cc"):
+    n, m = prof.n, prof.m
+    general = instance.system_tag == "general"
+    if general:
+        count = 2 ** m
+        sizes: Iterable[int] = range(1, m + 1)
+        unbounded = loose = False
+    else:
         k = instance.committee_size
         assert k is not None
-        count = math.comb(prof.m, k)
-        if count > cap:
-            raise EnumerationCapExceeded(count, cap)
+        count = math.comb(m, k)
+        sizes = (k,)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
+    if not general:
         if regime is None:
             regime = (
                 CapacityRegime.monroe_balanced()
                 if instance.system_tag == "monroe"
                 else CapacityRegime.cc_unbounded()
             )
-        committees: Iterable[Tuple[int, ...]] = combinations(range(1, prof.m + 1), k)
-    else:
-        count = 2 ** prof.m
-        if count > cap:
-            raise EnumerationCapExceeded(count, cap)
-        committees = _enumerate_general(instance)
+        lowers, uppers = regime.bounds_for(k, n)
+        unbounded = all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers)
+        loose = min(max(uppers), n) > instance.capacities[0]
+    checked = loose or not psf.covers(m)
+    table: list = []
+    if not checked:
+        vals = [score(psf, p, m) for p in range(1, m + 1)]
+        table = [[vals[p - 1] for p in row] for row in prof.positions]
+    columns = list(zip(*table)) if unbounded and not checked else None
+    pick = max if psf.is_decreasing else min
+    value_of = {"l1_dec": sum, "l1_inc": sum, "min_dec": min, "max_inc": max}[objective]
 
+    best_members: Optional[Tuple[int, ...]] = None
     best_assignment: Optional[Assignment] = None
     best_value = 0
-    for committee in committees:
-        if instance.system_tag == "general":
-            caps = tuple(instance.capacities[a - 1] for a in committee)
-            if sum(caps) < prof.n:
-                continue
-            local_regime = CapacityRegime.explicit((0,) * len(committee), caps)
+    committees = _committees(m, sizes, instance.costs, instance.budget, columns, pick)
+    for members, best in committees:
+        assignment = None
+        if columns is not None:
+            value = value_of(best)
         else:
-            local_regime = regime  # type: ignore[assignment]
-        try:
-            assignment = _match_for_objective(
-                prof, psf, committee, local_regime, objective
-            )
-        except InfeasibleMatchingError:
-            continue
-        value = _objective_value(instance, psf, assignment, objective)
+            local_regime = regime
+            if general:
+                caps = tuple(instance.capacities[a - 1] for a in members)
+                if sum(caps) < n:
+                    continue
+                local_regime = CapacityRegime.explicit((0,) * len(members), caps)
+            try:
+                assignment = _match_for_objective(
+                    prof, psf, members, local_regime, objective  # type: ignore[arg-type]
+                )
+            except InfeasibleMatchingError:
+                continue
+            if checked:
+                value = _objective_value(instance, psf, assignment, objective)
+            else:
+                value = value_of(
+                    row[t - 1] for row, t in zip(table, assignment.targets)
+                )
         if (
-            best_assignment is None
-            or (maximizing and value > best_value)
-            or (not maximizing and value < best_value)
+            best_members is None
+            or (wants_dec and value > best_value)
+            or (not wants_dec and value < best_value)
         ):
-            best_assignment, best_value = assignment, value
-    if best_assignment is None:
+            best_members, best_assignment, best_value = members, assignment, value
+    if best_members is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
+    if best_assignment is None:
+        best_assignment = match_cc(prof, psf, best_members)
     return SolveReport(
         assignment=best_assignment,
         objective=objective,
-        value=best_value,
+        value=_objective_value(instance, psf, best_assignment, objective),
         algorithm="exact_enumeration",
         elapsed=time.perf_counter() - start,
     )

@@ -4,15 +4,37 @@ Nothing here touches the flow kernel or the greedy loops: matchings are
 checked by enumerating every feasible assignment, committees by enumerating
 every subset, and the Lambert W values by bisection.  Keep it that way.
 
-The greedy references at the end are the straightforward loops the
-rank-bucket solvers replaced (a sort or a scan of the unassigned agents per
-candidate); the differential tests hold the solvers to them at sizes brute
-force cannot reach.
+The references at the end are the straightforward loops that faster
+solvers replaced: the greedy loops (a sort or a scan of the unassigned agents
+per candidate), the per-committee enumeration loop (a fresh matching,
+validation and re-score for every committee) and the egalitarian threshold
+search with its first probe of the loosest threshold.  They do use the flow kernel;
+the differential tests hold the solvers to them at sizes brute force cannot
+reach.
 """
 
+import math
+import time
 from itertools import combinations
 
-from prefalloc import Profile, ScoringFunction, score
+import prefalloc.matching as matching
+from prefalloc import (
+    Assignment,
+    CapacityRegime,
+    EnumerationCapExceeded,
+    InfeasibleMatchingError,
+    Profile,
+    ScoringFunction,
+    SolveReport,
+    SolverConfig,
+    UnsupportedInstanceError,
+    match_cc,
+    match_egalitarian,
+    match_monroe_l1,
+    metric_extreme,
+    metric_l1,
+    score,
+)
 
 
 def feasible_assignments(n, committee, lowers, uppers):
@@ -174,3 +196,115 @@ def greedy_cover_reference(profile, k, x):
     for j in unassigned:
         targets[j] = min(picked, key=lambda a: positions[j][a - 1])
     return tuple(targets)
+
+
+def exact_enumeration_reference(instance, psf, objective, regime=None, config=None):
+    """The per-committee enumeration loop: every committee (by size, then
+    lexicographically, within the budget) gets its own optimal matching,
+    which is validated and re-scored; the first strictly best one wins."""
+    start = time.perf_counter()
+    if objective not in ("l1_dec", "l1_inc", "min_dec", "max_inc"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if not instance.has_unit_weights:
+        raise UnsupportedInstanceError("solvers require unit agent weights")
+    wants_dec = objective in ("l1_dec", "min_dec")
+    if wants_dec != psf.is_decreasing:
+        raise ValueError(
+            f"objective {objective} needs a "
+            f"{'decreasing' if wants_dec else 'increasing'} scoring function"
+        )
+    cap = (config or SolverConfig()).enumeration_cap
+    prof = instance.profile
+    if instance.system_tag in ("monroe", "cc"):
+        k = instance.committee_size
+        count = math.comb(prof.m, k)
+        if count > cap:
+            raise EnumerationCapExceeded(count, cap)
+        if regime is None:
+            regime = (
+                CapacityRegime.monroe_balanced()
+                if instance.system_tag == "monroe"
+                else CapacityRegime.cc_unbounded()
+            )
+        committees = combinations(range(1, prof.m + 1), k)
+    else:
+        count = 2 ** prof.m
+        if count > cap:
+            raise EnumerationCapExceeded(count, cap)
+        committees = (
+            committee
+            for size in range(1, prof.m + 1)
+            for committee in combinations(range(1, prof.m + 1), size)
+            if sum(instance.costs[a - 1] for a in committee) <= instance.budget
+        )
+
+    best_assignment = None
+    best_value = 0
+    for committee in committees:
+        if instance.system_tag == "general":
+            caps = tuple(instance.capacities[a - 1] for a in committee)
+            if sum(caps) < prof.n:
+                continue
+            local_regime = CapacityRegime.explicit((0,) * len(committee), caps)
+        else:
+            local_regime = regime
+        try:
+            if objective in ("l1_dec", "l1_inc"):
+                assignment = match_monroe_l1(prof, psf, committee, local_regime)
+            else:
+                mode = "max_min_sat" if objective == "min_dec" else "min_max_dissat"
+                assignment = match_egalitarian(prof, psf, committee, local_regime, mode)
+        except InfeasibleMatchingError:
+            continue
+        if objective in ("l1_dec", "l1_inc"):
+            value = metric_l1(instance, psf, assignment)
+        else:
+            mode = "min" if objective == "min_dec" else "max"
+            value = metric_extreme(instance, psf, assignment, mode)
+        if (
+            best_assignment is None
+            or (wants_dec and value > best_value)
+            or (not wants_dec and value < best_value)
+        ):
+            best_assignment, best_value = assignment, value
+    if best_assignment is None:
+        raise InfeasibleMatchingError(
+            "no budget-feasible committee can host all agents"
+        )
+    return SolveReport(
+        assignment=best_assignment,
+        objective=objective,
+        value=best_value,
+        algorithm="exact_enumeration",
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def match_egalitarian_reference(profile, psf, committee, regime, mode):
+    """The egalitarian matching as it was before its first probe, of the
+    loosest threshold, was dropped: that probe always succeeds once the
+    kernel has accepted the load totals.  Kernel solves go through
+    ``matching._solve_bounded`` so that tests can count them."""
+    members = tuple(sorted(committee))
+    lowers, uppers = regime.bounds_for(len(members), profile.n)
+    if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
+        return match_cc(profile, psf, members)
+    cost = matching._edge_cost(profile, psf)
+    levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
+
+    def solve(ceiling, edge_cost=None):
+        allowed = lambda j, a: cost(j, a) <= ceiling
+        return matching._solve_bounded(
+            profile, members, lowers, uppers, edge_cost, allowed
+        )
+
+    if solve(levels[-1]) is None:
+        raise InfeasibleMatchingError("load bounds admit no complete assignment")
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if solve(levels[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Assignment(solve(levels[lo], cost))

@@ -571,7 +571,62 @@ def test_ratio_reuses_oracle_for_exact(identical_12_8, capsys, monkeypatch):
         "2",
     )
     assert code == 0
-    assert len(calls) == 2  # one oracle per trial, reused for the exact row
+    assert len(calls) == 1  # one oracle for both trials of one file, reused for the exact row
+
+
+@pytest.mark.parametrize(
+    "source, greedy_calls",
+    [
+        (("FILE",), 1),
+        (("--gen", "identical", "--n", "12", "--m", "8"), 1),
+        (("--gen", "ic", "--n", "12", "--m", "8"), 3),
+    ],
+    ids=["file", "identical", "ic"],
+)
+def test_ratio_reuses_deterministic_reports(
+    identical_12_8, capsys, monkeypatch, source, greedy_calls
+):
+    import prefalloc.cli as cli
+    from prefalloc import greedy_monroe, sample_once_monroe
+
+    greedy_runs, sample_runs = [], []
+
+    def counted(runs, solver):
+        def wrapped(*args, **kwargs):
+            runs.append(args)
+            return solver(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "greedy_monroe", counted(greedy_runs, greedy_monroe))
+    monkeypatch.setattr(
+        cli, "sample_once_monroe", counted(sample_runs, sample_once_monroe)
+    )
+    source = tuple(identical_12_8 if arg == "FILE" else arg for arg in source)
+    code, stdout, _ = run_cli(
+        capsys, "ratio", *source, "--system", "monroe", "--k", "4",
+        "--algorithms", "greedy,sample,exact", "--trials", "3", "--seed", "5",
+    )
+    assert code == 0
+    assert [line.split()[0] for line in stdout.splitlines()[:9]] == [
+        f"trial={t}" for t in range(3) for _ in range(3)
+    ]
+    # Trials on one profile share the deterministic reports; --gen ic draws
+    # a profile per trial, and the randomized algorithm runs every trial.
+    assert len(greedy_runs) == greedy_calls
+    assert len(sample_runs) == 3
+
+
+def test_ratio_shared_profile_repeats_the_cap_error_per_trial(identical_12_8, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "ratio", identical_12_8, "--system", "monroe", "--k", "4",
+        "--algorithms", "greedy", "--trials", "3", "--enumeration-cap", "5",
+    )
+    assert code == 1
+    error = 'error="exact enumeration needs 70 committees, cap is 5"'
+    assert stdout.splitlines() == [f"trial={t} {error}" for t in range(3)] + [
+        "algorithm=greedy min_ratio=- bound_violations=0"
+    ]
 
 
 def test_solve_combined_over_cap_runs_sampling(identical_12_8, capsys):
@@ -595,7 +650,8 @@ def test_solve_combined_over_cap_runs_sampling(identical_12_8, capsys):
         "5",
     )
     assert code == 0
-    assert "algorithm=combined_monroe[greedy+sample:355][no-guarantee]" in stdout
+    # The run-count formula asks for 355 runs; the cap of 5 bounds them.
+    assert "algorithm=combined_monroe[greedy+sample:5][no-guarantee]" in stdout
     assert "value=66" in stdout  # identical orders: every committee of 4 scores 66
 
 

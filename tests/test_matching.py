@@ -2,6 +2,7 @@
 
 import pytest
 
+import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
     CapacityRegime,
@@ -21,7 +22,7 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import balanced_bounds, best_matching_value
+from oracles import balanced_bounds, best_matching_value, match_egalitarian_reference
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
@@ -120,6 +121,80 @@ def test_match_egalitarian_mode_psf_pairing():
         match_egalitarian(prof, BD, [1, 2], BALANCED, "min_max_dissat")
     with pytest.raises(ValueError):
         match_egalitarian(prof, BD, [1, 2], BALANCED, "nearest")
+
+
+def _count_kernel_solves(monkeypatch):
+    calls = []
+    solve = matching._solve_bounded
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_solve_bounded", counted)
+    return calls
+
+
+def test_match_egalitarian_skips_the_loosest_probe(monkeypatch):
+    calls = _count_kernel_solves(monkeypatch)
+    rng = SplitMix64(8080)
+    table = ScoringFunction.from_table_dec([9, 7, 6, 4, 3, 1, 0])
+    for trial in range(60):
+        m = 1 + rng.randrange(7)
+        k = 1 + rng.randrange(min(4, m))
+        n = k + rng.randrange(10)  # n >= k: some member has a lower bound
+        prof = gen_impartial_culture(n, m, derive_seed(8080, trial))
+        committee = sorted(a + 1 for a in sample_distinct(m, k, rng))
+        psf, mode = [(BD, "max_min_sat"), (BI, "min_max_dissat"), (table, "max_min_sat")][
+            trial % 3
+        ]
+        regime = BALANCED
+        if trial % 2:
+            lowers = [rng.randrange(2) for _ in range(k)]
+            uppers = [lo + 1 + rng.randrange(n) for lo in lowers]
+            if sum(lowers) <= n <= sum(min(hi, n) for hi in uppers) and any(
+                lo > 0 or hi < n for lo, hi in zip(lowers, uppers)
+            ):
+                regime = CapacityRegime.explicit(lowers, uppers)
+        del calls[:]
+        got = match_egalitarian(prof, psf, committee, regime, mode)
+        solves = len(calls)
+        del calls[:]
+        want = match_egalitarian_reference(prof, psf, committee, regime, mode)
+        assert got == want, (trial, regime)
+        assert solves == len(calls) - 1, (trial, regime)
+
+
+@pytest.mark.parametrize(
+    "n, m, committee, lowers, uppers, message",
+    [
+        (4, 1, [1], (0,), (3,), "member upper bounds admit only 3 agents, instance has 4"),
+        (4, 1, [1], (5,), (6,), "member lower bounds require 5 agents, instance has 4"),
+        (6, 4, [1, 3], (0, 0), (2, 3), "member upper bounds admit only 5 agents, instance has 6"),
+        (6, 4, [2, 4], (4, 3), (5, 5), "member lower bounds require 7 agents, instance has 6"),
+    ],
+)
+def test_match_egalitarian_infeasible_totals_keep_their_message(
+    n, m, committee, lowers, uppers, message
+):
+    # With m = 1 there is no threshold search: the final solve raises.
+    prof = gen_impartial_culture(n, m, 5)
+    regime = CapacityRegime.explicit(lowers, uppers)
+    for psf, mode in ((BD, "max_min_sat"), (BI, "min_max_dissat")):
+        with pytest.raises(InfeasibleMatchingError) as got:
+            match_egalitarian(prof, psf, committee, regime, mode)
+        with pytest.raises(InfeasibleMatchingError) as want:
+            match_egalitarian_reference(prof, psf, committee, regime, mode)
+        assert str(got.value) == str(want.value) == message
+
+
+def test_match_egalitarian_single_alternative(monkeypatch):
+    calls = _count_kernel_solves(monkeypatch)
+    prof = gen_identical(5, 1)
+    got = match_egalitarian(prof, BD, [1], BALANCED, "max_min_sat")
+    assert len(calls) == 1  # one level: the min-cost pass alone
+    assert got == match_egalitarian_reference(prof, BD, [1], BALANCED, "max_min_sat")
+    assert got.targets == (1,) * 5
 
 
 def _random_case(rng, trial):

@@ -249,13 +249,25 @@ def test_combined_sampling_run_count_used():
 
 def test_combined_over_cap_falls_back_to_sampling():
     # C(9, 3) = 84 committees exceed the cap of 10, so the exact branch that
-    # k <= 8 selects gives way to greedy plus 242 sampling runs.
+    # k <= 8 selects gives way to greedy plus sampling runs, as many as the
+    # cap (10) rather than the 242 the run-count formula asks for.
     prof = gen_impartial_culture(12, 9, 404)
     config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=3, enumeration_cap=10)
     report = combined_monroe(prof, 3, config)
-    assert report.algorithm == "combined_monroe[greedy+sample:242][no-guarantee]"
+    assert report.algorithm == "combined_monroe[greedy+sample:10][no-guarantee]"
     assert not validate_assignment(make_monroe(prof, 3), BD, report.assignment)
     assert report.value >= greedy_monroe(prof, 3).value
+
+
+def test_combined_over_cap_runs_at_most_cap_samples():
+    # eps = 0.1 asks for 29474 sampling runs; enumerating all C(8, 4) = 70
+    # committees is cheaper, so the fallback stops at the cap of 5 runs.
+    prof = gen_identical(12, 8)
+    config = SolverConfig(epsilon=0.1, lambda_=0.9, seed=1, enumeration_cap=5)
+    assert sampling_run_count(4, 0.1, 0.9) == 29474
+    report = combined_monroe(prof, 4, config)
+    assert report.algorithm == "combined_monroe[greedy+sample:5][no-guarantee]"
+    assert report.value == 66  # identical orders: every committee of 4 scores 66
 
 
 # ------------------------------------------------------------ greedy (cc)
