@@ -123,8 +123,9 @@ def _read_profile(path: str) -> Profile:
 
 
 def _check_algorithms(args, names) -> None:
-    """Refuse algorithms without a solver for ``--system`` and flags that the
-    listed algorithms cannot use or need but lack."""
+    """Refuse algorithms without a solver for ``--system``, flags that the
+    listed algorithms cannot use or need but lack, and flag values out of
+    range."""
     for name in names:
         if (name, args.system) not in _SOLVERS:
             served = ", ".join(a for a, s in _SOLVERS if s == args.system)
@@ -138,6 +139,11 @@ def _check_algorithms(args, names) -> None:
             raise CLIError("algorithm 'combined' requires --epsilon and --lambda")
     elif args.epsilon is not None or args.lambda_ is not None:
         raise CLIError("--epsilon/--lambda apply only to algorithm 'combined'")
+    for flag, value in (("--epsilon", args.epsilon), ("--lambda", args.lambda_)):
+        if value is not None and not 0 < value < 1:
+            raise CLIError(f"{flag} must lie strictly inside (0, 1)")
+    if args.enumeration_cap < 1:
+        raise CLIError("--enumeration-cap must be at least 1")
 
 
 def _record_line(pairs) -> str:

@@ -3,8 +3,9 @@
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching.  The total objective is solved exactly as an integer min-cost
 max-flow (successive shortest augmenting paths with potentials); the
-egalitarian objectives binary-search a score threshold and test feasibility
-with the same kernel.
+egalitarian objectives grow one network of the same kernel over ascending
+score thresholds until a complete assignment fits, then take the min-cost
+matching at that threshold.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -163,17 +164,16 @@ def _checked_committee(profile: Profile, committee: Sequence[int]) -> Tuple[int,
     return members
 
 
-def _solve_bounded(
-    profile: Profile,
-    committee: Tuple[int, ...],
-    lowers: Tuple[int, ...],
-    uppers: Tuple[int, ...],
-    edge_cost: Optional[Callable[[int, int], int]],
-    allowed: Optional[Callable[[int, int], bool]],
-) -> Optional[Tuple[int, ...]]:
-    """Min-cost saturating b-matching, or None if no full matching exists."""
-    n = profile.n
-    k = len(committee)
+def _network(n: int, lowers: Tuple[int, ...], uppers: Tuple[int, ...]) -> _MinCostFlow:
+    """The b-matching network without its member-agent edges.
+
+    Node 0 is the source and node 1 the slack pool; the ``k`` members follow
+    from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
+    The source, pool and agent-sink edges are in place.  Raises
+    :class:`InfeasibleMatchingError` when the load totals admit no complete
+    assignment.
+    """
+    k = len(lowers)
     total_lo = sum(lowers)
     total_hi = sum(min(hi, n) for hi in uppers)
     if total_hi < n:
@@ -198,16 +198,31 @@ def _solve_bounded(
             slack = min(uppers[i], n) - lowers[i]
             if slack > 0:
                 net.add_edge(pool, member0 + i, slack, 0)
+    for j in range(n):
+        net.add_edge(agent0 + j, sink, 1, 0)
+    return net
+
+
+def _solve_bounded(
+    profile: Profile,
+    committee: Tuple[int, ...],
+    lowers: Tuple[int, ...],
+    uppers: Tuple[int, ...],
+    edge_cost: Optional[Callable[[int, int], int]],
+    allowed: Optional[Callable[[int, int], bool]],
+) -> Optional[Tuple[int, ...]]:
+    """Min-cost saturating b-matching, or None if no full matching exists."""
+    n = profile.n
+    net = _network(n, lowers, uppers)
+    agent0, sink = 2 + len(committee), len(net.graph) - 1
     unit_edges = {}
     for i, alt in enumerate(committee):
         for j in range(n):
             if allowed is not None and not allowed(j, alt):
                 continue
             cost = edge_cost(j, alt) if edge_cost is not None else 0
-            unit_edges[(i, j)] = net.add_edge(member0 + i, agent0 + j, 1, cost)
-    for j in range(n):
-        net.add_edge(agent0 + j, sink, 1, 0)
-    if net.send(source, sink, n) < n:
+            unit_edges[(i, j)] = net.add_edge(2 + i, agent0 + j, 1, cost)
+    if net.send(0, sink, n) < n:
         return None
     targets = [0] * n
     for (i, j), (u, idx) in unit_edges.items():
@@ -283,17 +298,18 @@ def match_egalitarian(
 
     ``max_min_sat`` maximizes the least satisfied agent's score (decreasing
     function); ``min_max_dissat`` minimizes the most dissatisfied agent's
-    score (increasing function).  The threshold is binary-searched over the
-    at most ``m`` distinct score values; each probe keeps only agent-member
-    edges meeting the threshold and tests for a saturating b-matching.  Among
-    matchings at the optimal threshold, the one with the best total score is
+    score (increasing function).  The optimal threshold is the best of the
+    committee's score values at which a saturating b-matching exists on the
+    agent-member edges that meet it.  Among
+    matchings at that threshold, the one with the best total score is
     returned (kernel min-cost pass), which keeps results deterministic.
 
-    Cost: about ``log2(m)`` feasibility probes plus that min-cost pass, each
-    one kernel solve.  The loosest threshold is not probed: every edge meets
-    it, so a complete assignment exists whenever the load totals admit one,
-    and the kernel raises :class:`InfeasibleMatchingError` on totals that
-    do not.
+    Cost: the search adds each level's edges to one network and augments the
+    flow it already holds, so it costs about one max-flow (n augmenting
+    paths, plus one failed path search per level below the optimum); the
+    min-cost pass is one kernel solve.  Load totals that admit no complete
+    assignment raise :class:`InfeasibleMatchingError` before the search;
+    every other regime reaches a complete assignment at the loosest level.
     """
     if mode not in ("max_min_sat", "min_max_dissat"):
         raise ValueError(f"unknown egalitarian mode {mode!r}")
@@ -307,26 +323,23 @@ def match_egalitarian(
         return match_cc(profile, psf, members)
     cost = _edge_cost(profile, psf)
     # Both modes minimize the largest edge cost (a satisfaction floor is a
-    # cost ceiling).  Agent 0 ranks every position, so its row holds every
-    # cost level.
-    levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
-
-    def feasible(ceiling: int) -> bool:
-        allowed = lambda j, a: cost(j, a) <= ceiling
-        return (
-            _solve_bounded(profile, members, lowers, uppers, None, allowed)
-            is not None
-        )
-
-    # levels[-1] allows every edge, so the search may assume it feasible.
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(levels[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = levels[lo]
+    # cost ceiling).  Grow one network by ascending cost level: augmenting
+    # the flow already held yields the maximum flow of the larger network,
+    # so the first level at which the flow reaches n is the optimal ceiling.
+    n, agent0 = profile.n, 2 + len(members)
+    net = _network(n, lowers, uppers)
+    sink = len(net.graph) - 1
+    levels: dict = {}
+    for i, alt in enumerate(members):
+        for j in range(n):
+            levels.setdefault(cost(j, alt), []).append((2 + i, agent0 + j))
+    flow = 0
+    for best in sorted(levels):
+        for u, v in levels[best]:
+            net.add_edge(u, v, 1, 0)
+        flow += net.send(0, sink, n - flow)
+        if flow == n:
+            break
     allowed = lambda j, a: cost(j, a) <= best
     targets = _solve_bounded(profile, members, lowers, uppers, cost, allowed)
     assert targets is not None

@@ -47,14 +47,16 @@ class UnsupportedInstanceError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Exact enumeration would need more committees than the configured cap."""
+    """Exact enumeration would need more committees than the configured cap.
 
-    def __init__(self, required: int, cap: int):
+    ``required`` is None when the count stopped once it passed the cap.
+    """
+
+    def __init__(self, required: Optional[int], cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(
-            f"exact enumeration needs {required} committees, cap is {cap}"
-        )
+        needs = f"more than {cap}" if required is None else required
+        super().__init__(f"exact enumeration needs {needs} committees, cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -571,6 +573,40 @@ def _committees(
         yield from walk(1, 0, None, size)
 
 
+def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
+    """Nonempty subsets of the alternatives whose costs total at most
+    ``budget``, or ``limit`` if there are more.
+
+    Every subset of an affordable committee is affordable, so one of ``d``
+    members makes at least ``2 ** d - 1`` of them; below the limit that
+    keeps ``d``, and so the recursion depth, under ``log2(limit) + 1``.
+    """
+    d = spent = 0
+    for cost in sorted(costs):
+        spent += cost
+        if spent > budget:
+            break
+        d += 1
+    if (1 << d) - 1 >= limit:
+        return limit
+    memo: dict = {}
+
+    def count(i: int, left: int) -> int:
+        # Subsets of the alternatives after the first i costing at most
+        # ``left``, the empty one included, saturated at limit + 1.
+        if (i, left) not in memo:
+            total = 1
+            for j in range(i, len(costs)):
+                if total > limit:
+                    break
+                if costs[j] <= left:
+                    total += count(j + 1, left - costs[j])
+            memo[i, left] = min(total, limit + 1)
+        return memo[i, left]
+
+    return count(0, budget) - 1
+
+
 def exact_enumeration(
     instance: Instance,
     psf: ScoringFunction,
@@ -585,8 +621,10 @@ def exact_enumeration(
     their canonical regime (balanced loads, unbounded); general instances
     enumerate every budget-feasible subset under its explicit capacities.
     Refuses with :class:`EnumerationCapExceeded` rather than hanging when the
-    committee count exceeds the cap.  Committees are visited by size, then
-    lexicographically; the first strictly best one wins.
+    committee count exceeds the cap (for general instances, the count of
+    budget-feasible subsets, stopped once it passes the cap).  Committees are
+    visited by size, then lexicographically; the first strictly best one
+    wins.
 
     Cost: one DFS carries each agent's best score over the members picked so
     far, so an unbounded (CC) committee costs O(n) and needs no matching; any
@@ -612,17 +650,16 @@ def exact_enumeration(
     n, m = prof.n, prof.m
     general = instance.system_tag == "general"
     if general:
-        count = 2 ** m
+        if _budget_subsets(instance.costs, instance.budget, cap + 1) > cap:
+            raise EnumerationCapExceeded(None, cap)
         sizes: Iterable[int] = range(1, m + 1)
         unbounded = loose = False
     else:
         k = instance.committee_size
         assert k is not None
-        count = math.comb(m, k)
+        if math.comb(m, k) > cap:
+            raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    if not general:
         if regime is None:
             regime = (
                 CapacityRegime.monroe_balanced()

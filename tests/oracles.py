@@ -7,8 +7,8 @@ every subset, and the Lambert W values by bisection.  Keep it that way.
 The references at the end are the straightforward loops that faster
 solvers replaced: the greedy loops (a sort or a scan of the unassigned agents
 per candidate), the per-committee enumeration loop (a fresh matching,
-validation and re-score for every committee) and the egalitarian threshold
-search with its first probe of the loosest threshold.  They do use the flow kernel;
+validation and re-score for every committee) and the egalitarian binary
+threshold search (one cold kernel solve per probe).  They do use the flow kernel;
 the differential tests hold the solvers to them at sizes brute force cannot
 reach.
 """
@@ -228,15 +228,14 @@ def exact_enumeration_reference(instance, psf, objective, regime=None, config=No
             )
         committees = combinations(range(1, prof.m + 1), k)
     else:
-        count = 2 ** prof.m
-        if count > cap:
-            raise EnumerationCapExceeded(count, cap)
-        committees = (
+        committees = [
             committee
             for size in range(1, prof.m + 1)
             for committee in combinations(range(1, prof.m + 1), size)
             if sum(instance.costs[a - 1] for a in committee) <= instance.budget
-        )
+        ]
+        if len(committees) > cap:
+            raise EnumerationCapExceeded(None, cap)
 
     best_assignment = None
     best_value = 0
@@ -281,10 +280,11 @@ def exact_enumeration_reference(instance, psf, objective, regime=None, config=No
 
 
 def match_egalitarian_reference(profile, psf, committee, regime, mode):
-    """The egalitarian matching as it was before its first probe, of the
-    loosest threshold, was dropped: that probe always succeeds once the
-    kernel has accepted the load totals.  Kernel solves go through
-    ``matching._solve_bounded`` so that tests can count them."""
+    """The egalitarian matching as a binary threshold search: one cold
+    feasibility solve of the loosest threshold, about ``log2(m)`` more for
+    the search, then the min-cost pass at the optimal threshold.  Kernel
+    solves go through ``matching._solve_bounded`` so that tests can count
+    them."""
     members = tuple(sorted(committee))
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import prefalloc
 from prefalloc import exact_enumeration, gen_identical, gen_impartial_culture, write_instance
 from prefalloc.cli import main
 
@@ -170,13 +172,20 @@ def test_solve_flag_consistency(identical_12_8, capsys):
         ("--algorithm", "greedy", "--epsilon", "0.1"),  # epsilon without combined
         ("--algorithm", "combined", "--seed", "4"),  # missing epsilon/lambda
         ("--algorithm", "maxcover"),  # maxcover needs cc
+        # Out-of-range values.
+        ("--algorithm", "exact", "--enumeration-cap", "0"),
+        ("--algorithm", "greedy", "--enumeration-cap", "-4"),
+        ("--algorithm", "combined", "--seed", "4", "--epsilon", "1", "--lambda", "0.5"),
+        ("--algorithm", "combined", "--seed", "4", "--epsilon", "0.5", "--lambda", "0"),
+        ("--algorithm", "combined", "--seed", "4", "--epsilon", "-0.5", "--lambda", "0.5"),
+        ("--algorithm", "combined", "--seed", "4", "--epsilon", "0.5", "--lambda", "nan"),
     ]
     for extra in cases:
-        code, _, err = run_cli(
+        code, stdout, err = run_cli(
             capsys, "solve", identical_12_8, "--system", "monroe", "--k", "3", *extra
         )
         assert code == 2, extra
-        assert err.startswith("error:")
+        assert stdout == "" and err.startswith("error:")
 
 
 def test_solve_cap_error_surfaces_verbatim(identical_12_8, capsys):
@@ -540,6 +549,10 @@ def test_ratio_flag_consistency(identical_12_8, capsys):
         ("--algorithms", "greedy", "--epsilon", "0.5", "--lambda", "0.9"),
         ("--algorithms", "greedy,exact,greedy"),
         ("--algorithms", "greedy", "--trials", "0"),
+        ("--algorithms", "greedy", "--enumeration-cap", "0"),
+        ("--algorithms", "exact", "--enumeration-cap", "-1"),
+        ("--algorithms", "combined", "--epsilon", "1.5", "--lambda", "0.9"),
+        ("--algorithms", "greedy,combined", "--epsilon", "0.5", "--lambda", "1"),
     ]
     for extra in cases:
         code, stdout, err = run_cli(capsys, *ratio, *extra)
@@ -657,6 +670,9 @@ def test_solve_combined_over_cap_runs_sampling(identical_12_8, capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "ep.txt"
+    # The child imports the package under test, installed or not.
+    src = os.path.dirname(os.path.dirname(prefalloc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -673,6 +689,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert out.read_text() == "3 2\n1 2\n1 2\n1 2\n"

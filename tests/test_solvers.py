@@ -34,7 +34,7 @@ from prefalloc import (
     sampling_run_count,
     validate_assignment,
 )
-from prefalloc.solvers import cover_depth_majority
+from prefalloc.solvers import _budget_subsets, cover_depth_majority
 from prefalloc.rng import SplitMix64, derive_seed
 
 from oracles import best_committee_value, best_matching_value, lambert_w_bisect
@@ -469,6 +469,42 @@ def test_exact_enumeration_cap():
         exact_enumeration(make_monroe(prof, 4), BD, "l1_dec", config=config)
     assert info.value.required == math.comb(8, 4)
     assert info.value.cap == 10
+
+
+def test_exact_enumeration_caps_general_by_affordable_committees():
+    # 21 alternatives, but unit costs and budget 1 leave 21 committees, far
+    # under the default cap (2 ** 21 subsets would exceed it).
+    prof = gen_impartial_culture(3, 21, 5)
+    inst = Instance(
+        profile=prof, weights=(1,) * 3, costs=(1,) * 21, capacities=(3,) * 21, budget=1
+    )
+    report = exact_enumeration(inst, BD, "l1_dec")
+    assert report.value == max(
+        metric_l1(inst, BD, Assignment((a,) * 3)) for a in range(1, 22)
+    )
+    assert exact_enumeration(inst, BD, "l1_dec", config=SolverConfig(enumeration_cap=21))
+    with pytest.raises(EnumerationCapExceeded) as info:
+        exact_enumeration(inst, BD, "l1_dec", config=SolverConfig(enumeration_cap=20))
+    assert str(info.value) == "exact enumeration needs more than 20 committees, cap is 20"
+    assert info.value.required is None
+
+
+def test_budget_subsets_counts_affordable_committees_up_to_the_limit():
+    rng = SplitMix64(5151)
+    for _ in range(300):
+        m = 1 + rng.randrange(9)
+        costs = [1 + rng.randrange(5) for _ in range(m)]
+        budget = 1 + rng.randrange(3 * m + 2)
+        limit = 1 + rng.randrange(2 ** m + 2)
+        affordable = sum(
+            1
+            for size in range(1, m + 1)
+            for subset in combinations(costs, size)
+            if sum(subset) <= budget
+        )
+        assert _budget_subsets(costs, budget, limit) == min(affordable, limit)
+    # Wide instances are refused without walking their subsets.
+    assert _budget_subsets((1,) * 1500, 1400, 2_000_001) == 2_000_001
 
 
 def test_exact_objective_psf_pairing():
