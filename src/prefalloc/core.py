@@ -144,6 +144,12 @@ class ScoringFunction:
             return True
         return len(self.table) >= m
 
+    def values(self, m: int) -> Tuple[int, ...]:
+        """Score vector among ``m`` alternatives: ``values(m)[p - 1]`` is
+        ``score(self, p, m)``; raises its ``ValueError`` when a table does
+        not cover ``m``."""
+        return tuple(score(self, p, m) for p in range(1, m + 1))
+
 
 def score(psf: ScoringFunction, position: int, m: int) -> int:
     """Value of ``psf`` at a 1-based ``position`` among ``m`` alternatives."""
@@ -313,9 +319,9 @@ def _checked_scores(
     if violations:
         raise ValidationError(violations)
     profile = instance.profile
+    vals = psf.values(profile.m)
     return [
-        score(psf, profile.position(i, assignment.targets[i]), profile.m)
-        for i in range(profile.n)
+        vals[row[t - 1] - 1] for row, t in zip(profile.positions, assignment.targets)
     ]
 
 

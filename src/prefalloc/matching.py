@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .core import Assignment, Profile, ScoringFunction, score
+from .core import Assignment, Profile, ScoringFunction
 
 REGIME_KINDS = ("monroe_balanced", "cc_unbounded", "explicit")
 
@@ -208,7 +208,7 @@ def _solve_bounded(
     committee: Tuple[int, ...],
     lowers: Tuple[int, ...],
     uppers: Tuple[int, ...],
-    edge_cost: Optional[Callable[[int, int], int]],
+    edge_cost: Callable[[int, int], int],
     allowed: Optional[Callable[[int, int], bool]],
 ) -> Optional[Tuple[int, ...]]:
     """Min-cost saturating b-matching, or None if no full matching exists."""
@@ -220,8 +220,7 @@ def _solve_bounded(
         for j in range(n):
             if allowed is not None and not allowed(j, alt):
                 continue
-            cost = edge_cost(j, alt) if edge_cost is not None else 0
-            unit_edges[(i, j)] = net.add_edge(2 + i, agent0 + j, 1, cost)
+            unit_edges[(i, j)] = net.add_edge(2 + i, agent0 + j, 1, edge_cost(j, alt))
     if net.send(0, sink, n) < n:
         return None
     targets = [0] * n
@@ -235,11 +234,10 @@ def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], i
     """Nonnegative cost of serving an agent by an alternative: the score for
     an increasing function, ``psf(1) - score`` for a decreasing one, so the
     min-cost kernel serves both directions.  Read from one score vector."""
-    m = profile.m
     positions = profile.positions
-    costs = [score(psf, p, m) for p in range(1, m + 1)]
+    costs = psf.values(profile.m)
     if psf.is_decreasing:
-        costs = [costs[0] - c for c in costs]
+        costs = tuple(costs[0] - c for c in costs)
 
     def cost(agent: int, alt: int) -> int:
         return costs[positions[agent][alt - 1] - 1]

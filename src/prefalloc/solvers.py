@@ -25,7 +25,6 @@ from .core import (
     metric_extreme,
     metric_l1,
     metric_min_delta,
-    score,
 )
 from .instances import make_cc, make_monroe
 from .matching import (
@@ -201,11 +200,13 @@ def greedy_monroe(
 ) -> SolveReport:
     """Greedy balanced-committee solver for the Monroe restriction.
 
-    For k <= 2 the exact optimum is computed by enumeration.  Otherwise the
-    committee is built in k steps: each step scores every unused alternative
-    by the total satisfaction of the not-yet-assigned agents that rank it
-    best (one balanced batch worth of them, ties toward the lower agent
-    index) and commits the first strictly best one.  For k >= 3 the total
+    For k <= 2 the exact optimum is computed by enumeration, which raises
+    :class:`EnumerationCapExceeded` once ``C(m, k)`` exceeds
+    ``DEFAULT_ENUMERATION_CAP``.  Otherwise the committee is built in k
+    steps: each step scores every unused alternative by the total
+    satisfaction of the not-yet-assigned agents that rank it best (one
+    balanced batch worth of them, ties toward the lower agent index) and
+    commits the first strictly best one.  For k >= 3 the total
     score is at least ``greedy_monroe_bound(n, m, k)``.
 
     Cost: one O(n m) rank-bucket index, then O(m) per candidate and step
@@ -224,7 +225,7 @@ def greedy_monroe(
             elapsed=time.perf_counter() - start,
         )
     n, m = prof.n, prof.m
-    vals = [score(psf, p, m) for p in range(1, m + 1)]
+    vals = psf.values(m)
     buckets, counts = _rank_buckets(prof)
     targets = [0] * n
     used = set()
@@ -313,7 +314,9 @@ def combined_monroe(
     When the exact branch would enumerate more than ``config.enumeration_cap``
     committees, the greedy and sampling branch runs instead, with at most
     ``config.enumeration_cap`` sampling runs, and the algorithm string, which
-    records the branch, gains ``[no-guarantee]``.
+    records the branch, gains ``[no-guarantee]``.  At k <= 2 that fallback
+    runs the sampling alone (``combined_monroe[sample:R][no-guarantee]``),
+    since the greedy pass there is the refused enumeration itself.
     """
     start = time.perf_counter()
     config = config or SolverConfig()
@@ -334,7 +337,8 @@ def combined_monroe(
             elapsed=time.perf_counter() - start,
         )
 
-    best = greedy_monroe(prof, k, psf)
+    # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
+    best = greedy_monroe(prof, k, psf) if k > 2 else None
     runs = sampling_run_count(k, config.epsilon, config.lambda_)
     if branch is not None:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
@@ -343,9 +347,10 @@ def combined_monroe(
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
         candidate = sample_once_monroe(prof, k, gen, psf)
-        if candidate.value > best.value:
+        if best is None or candidate.value > best.value:
             best = candidate
-    name = f"combined_monroe[greedy+sample:{runs}]"
+    assert best is not None
+    name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
     if branch is not None:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
     return SolveReport(
@@ -475,7 +480,7 @@ def maxcover_cc_baseline(
         raise ValueError("baseline maximizes a decreasing (satisfaction) function")
     n, m = prof.n, prof.m
     positions = prof.positions
-    vals = [score(psf, p, m) for p in range(1, m + 1)]
+    vals = psf.values(m)
     best_score = [-1] * n
     picked: list = []
     for _ in range(k):
@@ -611,28 +616,27 @@ def exact_enumeration(
     instance: Instance,
     psf: ScoringFunction,
     objective: str,
-    regime: Optional[CapacityRegime] = None,
     config: Optional[SolverConfig] = None,
 ) -> SolveReport:
     """Brute-force oracle: enumerate budget-feasible committees, match each
     optimally, return the best.
 
-    Monroe and CC instances enumerate the ``C(m, K)`` size-K committees under
-    their canonical regime (balanced loads, unbounded); general instances
-    enumerate every budget-feasible subset under its explicit capacities.
-    Refuses with :class:`EnumerationCapExceeded` rather than hanging when the
-    committee count exceeds the cap (for general instances, the count of
-    budget-feasible subsets, stopped once it passes the cap).  Committees are
-    visited by size, then lexicographically; the first strictly best one
-    wins.
+    The loads come from the instance: Monroe and CC instances enumerate the
+    ``C(m, K)`` size-K committees under balanced loads and no loads
+    respectively; general instances enumerate every budget-feasible subset
+    under its explicit capacities.  Refuses with
+    :class:`EnumerationCapExceeded` rather than hanging when the committee
+    count exceeds the cap (for general instances, the count of
+    budget-feasible subsets, stopped once it passes the cap); a scoring table
+    short of ``m`` raises its ``ValueError`` before any committee.
+    Committees are visited by size, then lexicographically; the first
+    strictly best one wins.
 
     Cost: one DFS carries each agent's best score over the members picked so
-    far, so an unbounded (CC) committee costs O(n) and needs no matching; any
-    other committee costs one kernel matching, its value read from the
-    targets through one n x m score table.  Only the winner is matched (CC)
-    and validated.  When the instance may reject a matching (a scoring table
-    short of ``m``, or a caller regime looser than the capacities), every
-    committee is validated instead, so the first offending one raises.
+    far, so a CC committee costs O(n) and needs no matching; any other
+    committee costs one kernel matching, its value read from the targets
+    through one n x m score table.  Only the winner is matched (CC) and
+    validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -653,28 +657,16 @@ def exact_enumeration(
         if _budget_subsets(instance.costs, instance.budget, cap + 1) > cap:
             raise EnumerationCapExceeded(None, cap)
         sizes: Iterable[int] = range(1, m + 1)
-        unbounded = loose = False
     else:
         k = instance.committee_size
         assert k is not None
         if math.comb(m, k) > cap:
             raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-        if regime is None:
-            regime = (
-                CapacityRegime.monroe_balanced()
-                if instance.system_tag == "monroe"
-                else CapacityRegime.cc_unbounded()
-            )
-        lowers, uppers = regime.bounds_for(k, n)
-        unbounded = all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers)
-        loose = min(max(uppers), n) > instance.capacities[0]
-    checked = loose or not psf.covers(m)
-    table: list = []
-    if not checked:
-        vals = [score(psf, p, m) for p in range(1, m + 1)]
-        table = [[vals[p - 1] for p in row] for row in prof.positions]
-    columns = list(zip(*table)) if unbounded and not checked else None
+    vals = psf.values(m)
+    table = [[vals[p - 1] for p in row] for row in prof.positions]
+    columns = list(zip(*table)) if instance.system_tag == "cc" else None
+    regime = CapacityRegime.monroe_balanced()
     pick = max if psf.is_decreasing else min
     value_of = {"l1_dec": sum, "l1_inc": sum, "min_dec": min, "max_inc": max}[objective]
 
@@ -687,24 +679,16 @@ def exact_enumeration(
         if columns is not None:
             value = value_of(best)
         else:
-            local_regime = regime
             if general:
                 caps = tuple(instance.capacities[a - 1] for a in members)
                 if sum(caps) < n:
                     continue
-                local_regime = CapacityRegime.explicit((0,) * len(members), caps)
+                regime = CapacityRegime.explicit((0,) * len(members), caps)
             try:
-                assignment = _match_for_objective(
-                    prof, psf, members, local_regime, objective  # type: ignore[arg-type]
-                )
+                assignment = _match_for_objective(prof, psf, members, regime, objective)
             except InfeasibleMatchingError:
                 continue
-            if checked:
-                value = _objective_value(instance, psf, assignment, objective)
-            else:
-                value = value_of(
-                    row[t - 1] for row, t in zip(table, assignment.targets)
-                )
+            value = value_of(row[t - 1] for row, t in zip(table, assignment.targets))
         if (
             best_members is None
             or (wants_dec and value > best_value)

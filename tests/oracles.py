@@ -198,10 +198,11 @@ def greedy_cover_reference(profile, k, x):
     return tuple(targets)
 
 
-def exact_enumeration_reference(instance, psf, objective, regime=None, config=None):
+def exact_enumeration_reference(instance, psf, objective, config=None):
     """The per-committee enumeration loop: every committee (by size, then
-    lexicographically, within the budget) gets its own optimal matching,
-    which is validated and re-scored; the first strictly best one wins."""
+    lexicographically, within the budget) gets its own optimal matching
+    under the instance's loads, which is validated and re-scored; the first
+    strictly best one wins."""
     start = time.perf_counter()
     if objective not in ("l1_dec", "l1_inc", "min_dec", "max_inc"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -220,12 +221,11 @@ def exact_enumeration_reference(instance, psf, objective, regime=None, config=No
         count = math.comb(prof.m, k)
         if count > cap:
             raise EnumerationCapExceeded(count, cap)
-        if regime is None:
-            regime = (
-                CapacityRegime.monroe_balanced()
-                if instance.system_tag == "monroe"
-                else CapacityRegime.cc_unbounded()
-            )
+        regime = (
+            CapacityRegime.monroe_balanced()
+            if instance.system_tag == "monroe"
+            else CapacityRegime.cc_unbounded()
+        )
         committees = combinations(range(1, prof.m + 1), k)
     else:
         committees = [
@@ -292,7 +292,7 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
     cost = matching._edge_cost(profile, psf)
     levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
 
-    def solve(ceiling, edge_cost=None):
+    def solve(ceiling, edge_cost=lambda j, a: 0):
         allowed = lambda j, a: cost(j, a) <= ceiling
         return matching._solve_bounded(
             profile, members, lowers, uppers, edge_cost, allowed

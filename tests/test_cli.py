@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ def test_gen_ic_writes_profile(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.startswith(f"path={out} sha256=")
-    lines = [l for l in open(out).read().splitlines() if l.strip()]
+    lines = [l for l in Path(out).read_text().splitlines() if l.strip()]
     assert lines[0] == "10 5"
     assert len(lines) == 11
 
@@ -54,7 +55,7 @@ def test_gen_identical_content(tmp_path, capsys):
     out = str(tmp_path / "id.txt")
     code, _, _ = run_cli(capsys, "gen", "identical", "--n", "4", "--m", "3", "--out", out)
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines == ["4 3", "1 2 3", "1 2 3", "1 2 3", "1 2 3"]
 
 

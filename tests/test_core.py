@@ -61,10 +61,13 @@ def test_table_families_extend_by_prepending_and_appending():
     dec = ScoringFunction.from_table_dec([9, 4, 2, 1, 0])
     assert [score(dec, p, 5) for p in range(1, 6)] == [9, 4, 2, 1, 0]
     assert [score(dec, p, 3) for p in range(1, 4)] == [2, 1, 0]
+    assert dec.values(5) == (9, 4, 2, 1, 0) and dec.values(3) == (2, 1, 0)
     # increasing: values append, so smaller m reads the top
     inc = ScoringFunction.from_table_inc([0, 1, 3, 8, 20])
     assert [score(inc, p, 5) for p in range(1, 6)] == [0, 1, 3, 8, 20]
     assert [score(inc, p, 2) for p in range(1, 3)] == [0, 1]
+    assert inc.values(5) == (0, 1, 3, 8, 20) and inc.values(2) == (0, 1)
+    assert BD.values(4) == (3, 2, 1, 0) and BI.values(4) == (0, 1, 2, 3)
 
 
 def test_table_invariants_enforced():
@@ -74,8 +77,11 @@ def test_table_invariants_enforced():
         ScoringFunction.from_table_dec([3, 3, 0])  # strictly decreasing
     with pytest.raises(ValueError):
         ScoringFunction.from_table_inc([1, 2, 3])  # must start at 0
-    with pytest.raises(ValueError):
-        score(ScoringFunction.from_table_dec([2, 1, 0]), 1, 4)  # too short
+    short = ScoringFunction.from_table_dec([2, 1, 0])
+    with pytest.raises(ValueError, match=r"^table covers 3 positions, needs 4$"):
+        score(short, 1, 4)
+    with pytest.raises(ValueError, match=r"^table covers 3 positions, needs 4$"):
+        short.values(4)
 
 
 def test_score_is_strictly_monotone():

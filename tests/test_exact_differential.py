@@ -13,7 +13,6 @@ import prefalloc.core as core
 import prefalloc.matching as matching
 import prefalloc.solvers as solvers
 from prefalloc import (
-    CapacityRegime,
     Instance,
     Profile,
     ScoringFunction,
@@ -155,9 +154,8 @@ def _short_table(m: int) -> ScoringFunction:
     return ScoringFunction.from_table_dec(range(m - 2, -1, -1))
 
 
-def test_exact_matches_reference_on_edge_cases():
+def test_exact_matches_reference_on_edge_cases(monkeypatch):
     ic = _profile(9, 6, "ic", SplitMix64(11))
-    same = gen_identical(9, 6)
     general = Instance(
         profile=ic, weights=(1,) * 9, costs=(1, 2, 1, 3, 2, 1),
         capacities=(9, 4, 3, 5, 2, 9), budget=3,
@@ -165,25 +163,19 @@ def test_exact_matches_reference_on_edge_cases():
     tiny = Instance(
         profile=ic, weights=(1,) * 9, costs=(1,) * 6, capacities=(2,) * 6, budget=2,
     )
+    # A table short of m raises the score vector's error before any committee.
+    matchings = [
+        _count_calls(monkeypatch, module, name)
+        for module in (solvers, matching)
+        for name in ("match_monroe_l1", "match_egalitarian", "match_cc")
+    ]
+    for instance, objective in (
+        (make_monroe(ic, 3), "min_dec"), (make_cc(ic, 3), "l1_dec"), (general, "l1_dec")
+    ):
+        with pytest.raises(ValueError, match=r"^table covers 5 positions, needs 6$"):
+            exact_enumeration(instance, _short_table(6), objective)
+    assert not any(matchings)
     outcomes = [
-        # A table short of m: validation names it (CC) or the kernel's score
-        # lookup does (Monroe); the first committee raises in both loops.
-        _assert_same(make_cc(ic, 3), _short_table(6), "l1_dec"),
-        _assert_same(make_monroe(ic, 3), _short_table(6), "min_dec"),
-        _assert_same(general, _short_table(6), "l1_dec"),
-        # Caller regimes looser than the instance's capacities.
-        _assert_same(make_monroe(same, 3), BD, "l1_dec", CapacityRegime.cc_unbounded()),
-        _assert_same(
-            make_monroe(ic, 3), BD, "min_dec", CapacityRegime.explicit((0,) * 3, (5,) * 3)
-        ),
-        # Caller regimes that fit, fail their own load totals, or miscount
-        # the members.
-        _assert_same(make_cc(ic, 3), BD, "l1_dec", CapacityRegime.monroe_balanced()),
-        _assert_same(
-            make_cc(ic, 2), BI, "max_inc", CapacityRegime.explicit((2, 3), (6, 5))
-        ),
-        _assert_same(make_cc(ic, 2), BD, "l1_dec", CapacityRegime.explicit((0, 0), (4, 4))),
-        _assert_same(make_cc(ic, 2), BD, "l1_dec", CapacityRegime.explicit((0,), (9,))),
         # No committee hosts every agent; more agents than committee seats.
         _assert_same(tiny, BD, "l1_dec"),
         _assert_same(make_monroe(_profile(2, 5, "ic", SplitMix64(3)), 4), BD, "min_dec"),
@@ -202,8 +194,8 @@ def test_exact_matches_reference_on_edge_cases():
     ]
     raised = {o[0].__name__ for o in outcomes if isinstance(o[0], type)}
     assert raised == {
-        "ValidationError", "ValueError", "InfeasibleMatchingError",
-        "EnumerationCapExceeded", "UnsupportedInstanceError",
+        "ValueError", "InfeasibleMatchingError", "EnumerationCapExceeded",
+        "UnsupportedInstanceError",
     }
 
 
@@ -219,8 +211,17 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _make_general(profile: Profile, k: int) -> Instance:
+    """Unit costs and budget k; half of the agents fit on one member."""
+    n, m = profile.n, profile.m
+    return Instance(
+        profile=profile, weights=(1,) * n, costs=(1,) * m,
+        capacities=(n // 2,) * m, budget=k,
+    )
+
+
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("make", [make_monroe, make_cc])
+@pytest.mark.parametrize("make", [make_monroe, make_cc, _make_general])
 def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     profile = _profile(14, 7, "ic", SplitMix64(21))
     psf = BD if objective.endswith("_dec") else BI
@@ -228,7 +229,7 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
     report = exact_enumeration(make(profile, 3), psf, objective)
-    assert len(validations) == 1  # C(7, 3) = 35 committees, one validation
+    assert len(validations) == 1  # 35 committees (63 for general), one validation
     if make is make_cc:
         assert len(cc_matchings) == 1 and not inner_cc_matchings
     else:

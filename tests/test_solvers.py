@@ -34,6 +34,7 @@ from prefalloc import (
     sampling_run_count,
     validate_assignment,
 )
+import prefalloc.solvers as solvers
 from prefalloc.solvers import _budget_subsets, cover_depth_majority
 from prefalloc.rng import SplitMix64, derive_seed
 
@@ -268,6 +269,28 @@ def test_combined_over_cap_runs_at_most_cap_samples():
     report = combined_monroe(prof, 4, config)
     assert report.algorithm == "combined_monroe[greedy+sample:5][no-guarantee]"
     assert report.value == 66  # identical orders: every committee of 4 scores 66
+
+
+def test_combined_over_cap_at_small_k_samples_only(monkeypatch):
+    # At k <= 2 greedy_monroe is the enumeration the cap refused, so the
+    # fallback runs no enumeration: not under the default cap at m = 2001
+    # (C(2001, 2) = 2001000 committees), nor under a caller cap of 5 at m = 9.
+    enumerations = []
+    enumerate_ = solvers.exact_enumeration
+
+    def counted(*args, **kwargs):
+        enumerations.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "exact_enumeration", counted)
+    for prof, config, runs in (
+        (gen_identical(2, 2001), SolverConfig(epsilon=0.9, lambda_=0.1), 34),
+        (gen_impartial_culture(12, 9, 404), SolverConfig(seed=3, enumeration_cap=5), 5),
+    ):
+        report = combined_monroe(prof, 2, config)
+        assert report.algorithm == f"combined_monroe[sample:{runs}][no-guarantee]"
+        assert not validate_assignment(make_monroe(prof, 2), BD, report.assignment)
+    assert not enumerations
 
 
 # ------------------------------------------------------------ greedy (cc)
