@@ -146,43 +146,30 @@ def _check_algorithms(args, names) -> None:
         raise CLIError("--enumeration-cap must be at least 1")
 
 
-def _record_line(pairs) -> str:
-    return " ".join(f"{key}={value}" for key, value in pairs if value is not None)
-
-
-def _emit_solve(args, descriptor: str, report: SolveReport, bound) -> None:
-    committee = sorted(report.assignment.committee)
+def _emit(args, fields) -> None:
+    """Print one record from its ``(key, value)`` fields: a JSON object under
+    ``--json``, else one line of ``key=value`` pairs and then one
+    ``key: items`` line per list field.  In text a float prints with six
+    decimals, None as ``-``, True as ``yes`` and False not at all; a third
+    element in a field overrides its text."""
     if args.json:
-        obj = {
-            "instance": descriptor,
-            "system": args.system,
-            "k": args.k,
-            "algorithm": report.algorithm,
-            "objective": report.objective,
-            "value": report.value,
-            "committee": committee,
-            "targets": list(report.assignment.targets),
-        }
-        if bound is not None:
-            obj["bound"] = bound
-        if report.seed is not None:
-            obj["seed"] = report.seed
-        print(json.dumps(obj))
-    else:
-        pairs = [
-            ("instance", descriptor),
-            ("system", args.system),
-            ("k", args.k),
-            ("algorithm", report.algorithm),
-            ("objective", report.objective),
-            ("value", report.value),
-            ("bound", f"{bound:.6f}" if bound is not None else None),
-            ("seed", report.seed),
-        ]
-        print(_record_line(pairs))
-        print("committee: " + " ".join(str(a) for a in committee))
-        print("targets: " + " ".join(str(t) for t in report.assignment.targets))
-    print(f"elapsed_ms={report.elapsed * 1000.0:.3f}", file=sys.stderr)
+        print(json.dumps({key: value for key, value, *_ in fields}))
+        return
+    pairs, lines = [], []
+    for key, value, *text in fields:
+        if isinstance(value, list):
+            lines.append(f"{key}: " + " ".join(map(str, value)))
+        elif value is not False:
+            pairs.append(f"{key}={text[0] if text else _text(value)}")
+    print(" ".join(pairs), *lines, sep="\n")
+
+
+def _text(value) -> str:
+    if value is None:
+        return "-"
+    if value is True:
+        return "yes"
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def cmd_gen(args) -> int:
@@ -214,7 +201,21 @@ def cmd_solve(args) -> int:
     solver, floor = _SOLVERS[args.algorithm, args.system]
     report = solver(args, profile, args.seed)
     bound = floor(profile, args.k, None) if args.objective == "l1_dec" else None
-    _emit_solve(args, args.path, report, bound)
+    fields = [
+        ("instance", args.path),
+        ("system", args.system),
+        ("k", args.k),
+        ("algorithm", report.algorithm),
+        ("objective", report.objective),
+        ("value", report.value),
+        ("committee", sorted(report.assignment.committee)),
+        ("targets", list(report.assignment.targets)),
+    ]
+    for key, value in (("bound", bound), ("seed", report.seed)):
+        if value is not None:
+            fields.append((key, value))
+    _emit(args, fields)
+    print(f"elapsed_ms={report.elapsed * 1000.0:.3f}", file=sys.stderr)
     return 0
 
 
@@ -274,10 +275,7 @@ def cmd_ratio(args) -> int:
             exact = _report(reports, "exact", args, profile, None)
         except EnumerationCapExceeded as exc:
             failed = True
-            if args.json:
-                print(json.dumps({"trial": trial, "error": str(exc)}))
-            else:
-                print(f'trial={trial} error="{exc}"')
+            _emit(args, [("trial", trial), ("error", str(exc), f'"{exc}"')])
             continue
         oracle = exact.value
         for index, name in enumerate(algorithms):
@@ -292,50 +290,26 @@ def cmd_ratio(args) -> int:
                 failed = True
             if min_ratio[name] is None or ratio < min_ratio[name]:
                 min_ratio[name] = ratio
-            if args.json:
-                obj = {
-                    "trial": trial,
-                    "instance": trial_descriptor,
-                    "algorithm": name,
-                    "value": report.value,
-                    "oracle": oracle,
-                    "ratio": ratio,
-                }
-                if bound is not None:
-                    obj["bound"] = bound
-                    obj["bound_violated"] = violated
-                print(json.dumps(obj))
-            else:
-                pairs = [
-                    ("trial", trial),
-                    ("instance", trial_descriptor),
-                    ("algorithm", name),
-                    ("value", report.value),
-                    ("oracle", oracle),
-                    ("ratio", f"{ratio:.6f}"),
-                    ("bound", f"{bound:.6f}" if bound is not None else None),
-                    ("bound_violated", "yes" if violated else None),
-                ]
-                print(_record_line(pairs))
+            fields = [
+                ("trial", trial),
+                ("instance", trial_descriptor),
+                ("algorithm", name),
+                ("value", report.value),
+                ("oracle", oracle),
+                ("ratio", ratio),
+            ]
+            if bound is not None:
+                fields += [("bound", bound), ("bound_violated", violated)]
+            _emit(args, fields)
     for name in algorithms:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "algorithm": name,
-                        "min_ratio": min_ratio[name],
-                        "bound_violations": violations[name],
-                    }
-                )
-            )
-        else:
-            ratio_text = (
-                f"{min_ratio[name]:.6f}" if min_ratio[name] is not None else "-"
-            )
-            print(
-                f"algorithm={name} min_ratio={ratio_text} "
-                f"bound_violations={violations[name]}"
-            )
+        _emit(
+            args,
+            [
+                ("algorithm", name),
+                ("min_ratio", min_ratio[name]),
+                ("bound_violations", violations[name]),
+            ],
+        )
     return 1 if failed else 0
 
 
@@ -354,30 +328,31 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output path")
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="solve one instance")
-    solve.add_argument("path", help="profile file")
-    solve.add_argument("--system", choices=("monroe", "cc"), required=True)
-    solve.add_argument("--k", type=int, required=True, help="committee size")
-    solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    solve.add_argument("--objective", choices=OBJECTIVES, default="l1_dec")
-    solve.add_argument("--epsilon", type=float)
-    solve.add_argument("--lambda", dest="lambda_", type=float)
-    solve.add_argument("--seed", type=int)
-    solve.add_argument(
+    # Flags that `solve` and `ratio` share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--system", choices=("monroe", "cc"), required=True)
+    common.add_argument("--k", type=int, required=True, help="committee size")
+    common.add_argument("--epsilon", type=float)
+    common.add_argument("--lambda", dest="lambda_", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument(
         "--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP
     )
-    solve.add_argument("--json", action="store_true")
+    common.add_argument("--json", action="store_true")
+
+    solve = sub.add_parser("solve", parents=[common], help="solve one instance")
+    solve.add_argument("path", help="profile file")
+    solve.add_argument("--algorithm", choices=ALGORITHMS, required=True)
+    solve.add_argument("--objective", choices=OBJECTIVES, default="l1_dec")
     solve.set_defaults(func=cmd_solve)
 
     ratio = sub.add_parser(
-        "ratio", help="compare algorithms against the exact oracle"
+        "ratio", parents=[common], help="compare algorithms against the exact oracle"
     )
     ratio.add_argument("path", nargs="?", help="profile file (or use --gen)")
     ratio.add_argument("--gen", choices=("ic", "identical"))
     ratio.add_argument("--n", type=int, help="agent count for --gen")
     ratio.add_argument("--m", type=int, help="alternative count for --gen")
-    ratio.add_argument("--system", choices=("monroe", "cc"), required=True)
-    ratio.add_argument("--k", type=int, required=True)
     ratio.add_argument(
         "--algorithms",
         required=True,
@@ -385,13 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated list from: " + ", ".join(ALGORITHMS),
     )
     ratio.add_argument("--trials", type=int, default=1)
-    ratio.add_argument("--seed", type=int)
-    ratio.add_argument("--epsilon", type=float)
-    ratio.add_argument("--lambda", dest="lambda_", type=float)
-    ratio.add_argument(
-        "--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP
-    )
-    ratio.add_argument("--json", action="store_true")
     ratio.set_defaults(func=cmd_ratio, objective="l1_dec")
     return parser
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 DEC_KINDS = ("borda_dec", "table_dec")
 INC_KINDS = ("borda_inc", "table_inc")
@@ -180,10 +180,6 @@ class Assignment:
             raise ValueError("assignment must cover at least one agent")
         if any(not isinstance(t, int) or t < 1 for t in self.targets):
             raise ValueError("assignment targets must be positive integers")
-
-    @classmethod
-    def from_targets(cls, targets: Iterable[int]) -> "Assignment":
-        return cls(tuple(int(t) for t in targets))
 
     @cached_property
     def committee(self) -> frozenset:

@@ -43,37 +43,31 @@ class ParsedDocument:
     weights: Optional[Tuple[int, ...]] = None
 
 
-def make_monroe(profile: Profile, k: int) -> Instance:
-    """Monroe restriction: unit costs, budget ``k``, capacities ``ceil(n/k)``."""
+def _restriction(profile: Profile, k: int, tag: str) -> Instance:
+    """The ``monroe`` or ``cc`` restriction: unit weights and costs, budget
+    ``k``, capacity ``ceil(n/k)`` or ``n`` for every alternative."""
     if not 1 <= k <= profile.m:
         raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
-    n = profile.n
-    cap = math.ceil(n / k)
+    capacity = math.ceil(profile.n / k) if tag == "monroe" else profile.n
     return Instance(
         profile=profile,
-        weights=(1,) * n,
+        weights=(1,) * profile.n,
         costs=(1,) * profile.m,
-        capacities=(cap,) * profile.m,
+        capacities=(capacity,) * profile.m,
         budget=k,
-        system_tag="monroe",
+        system_tag=tag,
         committee_size=k,
     )
+
+
+def make_monroe(profile: Profile, k: int) -> Instance:
+    """Monroe restriction: unit costs, budget ``k``, capacities ``ceil(n/k)``."""
+    return _restriction(profile, k, "monroe")
 
 
 def make_cc(profile: Profile, k: int) -> Instance:
     """Chamberlin-Courant restriction: unit costs, budget ``k``, capacities ``n``."""
-    if not 1 <= k <= profile.m:
-        raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
-    n = profile.n
-    return Instance(
-        profile=profile,
-        weights=(1,) * n,
-        costs=(1,) * profile.m,
-        capacities=(n,) * profile.m,
-        budget=k,
-        system_tag="cc",
-        committee_size=k,
-    )
+    return _restriction(profile, k, "cc")
 
 
 def gen_impartial_culture(n: int, m: int, seed: int) -> Profile:

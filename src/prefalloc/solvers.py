@@ -3,9 +3,11 @@ numeric utilities their quality bounds need.
 
 All positive guarantees hold for Borda satisfaction scores, so the greedy
 and sampling solvers insist on ``borda_dec`` unless explicitly told to run
-permissively (in which case the reported guarantees are void).  Every solver
-requires unit agent weights.  Ties are always broken toward the lowest
-alternative index and the lowest agent index.
+permissively (in which case the reported guarantees are void).  The
+approximation solvers take a bare :class:`Profile` and build the Monroe or
+CC restriction themselves; :func:`exact_enumeration` takes an
+:class:`Instance` and requires unit agent weights.  Ties are always broken
+toward the lowest alternative index and the lowest agent index.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -30,6 +33,7 @@ from .instances import make_cc, make_monroe
 from .matching import (
     CapacityRegime,
     InfeasibleMatchingError,
+    _edge_cost,
     match_cc,
     match_egalitarian,
     match_monroe_l1,
@@ -130,13 +134,15 @@ def greedy_cc_bound(n: int, m: int, k: int) -> float:
     return (1.0 - 2.0 * lambert_w(k) / k) * (m - 1) * n
 
 
-def _as_profile(profile: Union[Profile, Instance], k: int) -> Profile:
-    """The bare profile, once the weights and the committee size are checked."""
-    prof = profile
-    if isinstance(profile, Instance):
-        if not profile.has_unit_weights:
-            raise UnsupportedInstanceError("solvers require unit agent weights")
-        prof = profile.profile
+def _as_profile(prof: Profile, k: int) -> Profile:
+    """The profile, once it is known to be one and the committee size is
+    checked.  An :class:`Instance` is refused: its costs, capacities and
+    budget would be silently replaced by the restriction's."""
+    if isinstance(prof, Instance):
+        raise UnsupportedInstanceError(
+            "approximation solvers take a Profile and ignore costs, capacities "
+            "and budget; pass instance.profile"
+        )
     if not 1 <= k <= prof.m:
         raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
     return prof
@@ -166,34 +172,62 @@ def _batch_sizes(n: int, k: int) -> list:
     return sizes
 
 
-def _rank_buckets(prof: Profile) -> Tuple[list, list]:
-    """Rank-bucket index of a profile, built in O(n m).
+def _greedy_picks(
+    prof: Profile, sizes: Iterable[int], weights: Sequence[int]
+) -> Tuple[list, list]:
+    """The greedy pick loop: one pick per batch size in ``sizes``.
 
-    ``buckets[a - 1][p - 1]`` lists the agents that rank alternative ``a`` at
-    position ``p``, in ascending agent index, so walking ``buckets[a - 1]``
-    yields agents in ``(position, agent index)`` order.  ``counts`` starts as
-    the bucket sizes; callers keep it to the unassigned agents with
-    :func:`_retire`.
+    A pick scores every unpicked alternative by the weights of the
+    ``size`` not-yet-assigned agents that rank it best, an agent at
+    position p weighing ``weights[p - 1]`` (positions past ``len(weights)``
+    are not counted), commits the first strictly best alternative and
+    assigns it that batch, in ``(position, agent index)`` order.  Returns
+    ``(targets, picked)``, with target 0 for agents left unassigned.
+
+    Cost: one O(n m) rank-bucket index (``buckets[a - 1][p - 1]`` lists the
+    agents ranking ``a`` at position ``p``; ``counts`` keeps how many of
+    them are unassigned), then O(len(weights)) per candidate and pick; only
+    the winning batch is read out of its buckets.
     """
-    m = prof.m
+    n, m, orders = prof.n, prof.m, prof.orders
     buckets: list = [[[] for _ in range(m)] for _ in range(m)]
-    for j, order in enumerate(prof.orders):
+    for j, order in enumerate(orders):
         for p, alt in enumerate(order):
             buckets[alt - 1][p].append(j)
     counts = [[len(bucket) for bucket in row] for row in buckets]
-    return buckets, counts
-
-
-def _retire(prof: Profile, counts: list, agents: Iterable[int]) -> None:
-    """Drop newly assigned agents from the unassigned counts of every bucket."""
-    orders = prof.orders
-    for j in agents:
-        for p, alt in enumerate(orders[j]):
-            counts[alt - 1][p] -= 1
+    targets = [0] * n
+    picked: list = []
+    for size in sizes:
+        best_alt = -1
+        best_score = -1
+        for alt in range(1, m + 1):
+            if alt in picked:
+                continue
+            need, total = size, 0
+            for count, weight in zip(counts[alt - 1], weights):
+                if count >= need:
+                    total += need * weight
+                    break
+                total += count * weight
+                need -= count
+            if total > best_score:
+                best_alt, best_score = alt, total
+        picked.append(best_alt)
+        batch: list = []
+        for bucket in buckets[best_alt - 1][: len(weights)]:
+            batch.extend(j for j in bucket if targets[j] == 0)
+            if len(batch) >= size:
+                break
+        del batch[size:]
+        for j in batch:
+            targets[j] = best_alt
+            for p, a in enumerate(orders[j]):
+                counts[a - 1][p] -= 1
+    return targets, picked
 
 
 def greedy_monroe(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     psf: Optional[ScoringFunction] = None,
     permissive: bool = False,
@@ -209,10 +243,7 @@ def greedy_monroe(
     commits the first strictly best one.  For k >= 3 the total
     score is at least ``greedy_monroe_bound(n, m, k)``.
 
-    Cost: one O(n m) rank-bucket index, then O(m) per candidate and step
-    from the unassigned counts per (alternative, position); only the
-    winning batch is read out of its buckets, in ``(position, agent index)``
-    order.
+    Cost: one O(n m) rank-bucket index, then O(m) per candidate and step.
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
@@ -224,36 +255,7 @@ def greedy_monroe(
             algorithm="greedy_monroe[exact:k<=2]",
             elapsed=time.perf_counter() - start,
         )
-    n, m = prof.n, prof.m
-    vals = psf.values(m)
-    buckets, counts = _rank_buckets(prof)
-    targets = [0] * n
-    used = set()
-    for size in _batch_sizes(n, k):
-        best_alt = -1
-        best_score = -1
-        for alt in range(1, m + 1):
-            if alt in used:
-                continue
-            need, total = size, 0
-            for p, count in enumerate(counts[alt - 1]):
-                if count >= need:
-                    total += need * vals[p]
-                    break
-                total += count * vals[p]
-                need -= count
-            if total > best_score:
-                best_alt, best_score = alt, total
-        used.add(best_alt)
-        batch: list = []
-        for bucket in buckets[best_alt - 1]:
-            batch.extend(j for j in bucket if targets[j] == 0)
-            if len(batch) >= size:
-                break
-        del batch[size:]
-        for j in batch:
-            targets[j] = best_alt
-        _retire(prof, counts, batch)
+    targets, _ = _greedy_picks(prof, _batch_sizes(prof.n, k), psf.values(prof.m))
     assignment = Assignment(tuple(targets))
     value = metric_l1(make_monroe(prof, k), psf, assignment)
     name = "greedy_monroe"
@@ -269,7 +271,7 @@ def greedy_monroe(
 
 
 def sample_once_monroe(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     rng: Union[int, SplitMix64],
     psf: Optional[ScoringFunction] = None,
@@ -300,7 +302,7 @@ def sample_once_monroe(
 
 
 def combined_monroe(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     config: Optional[SolverConfig] = None,
 ) -> SolveReport:
@@ -364,40 +366,19 @@ def combined_monroe(
 
 
 def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
-    """Shared cover loop: k picks by descending top-x coverage of unassigned
-    agents (first strictly best alternative wins), then leftover agents go
-    to their best picked alternative.  Coverage is summed from the
-    rank-bucket counts, so a pick costs O(m x) plus its newly covered
-    agents."""
-    n, m = prof.n, prof.m
+    """Shared cover loop: k picks by top-x coverage of unassigned agents
+    (batches of up to n, x unit weights), then leftover agents go to their
+    best picked alternative."""
     positions = prof.positions
-    buckets, counts = _rank_buckets(prof)
-    targets = [0] * n
-    picked: list = []
-    for _ in range(k):
-        best_alt = -1
-        best_count = -1
-        for alt in range(1, m + 1):
-            if alt in picked:
-                continue
-            count = sum(counts[alt - 1][:x])
-            if count > best_count:
-                best_alt, best_count = alt, count
-        picked.append(best_alt)
-        covered = [
-            j for bucket in buckets[best_alt - 1][:x] for j in bucket if targets[j] == 0
-        ]
-        for j in covered:
-            targets[j] = best_alt
-        _retire(prof, counts, covered)
-    for j in range(n):
-        if targets[j] == 0:
+    targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)
+    for j, target in enumerate(targets):
+        if target == 0:
             targets[j] = min(picked, key=lambda a: positions[j][a - 1])
     return Assignment(tuple(targets))
 
 
 def greedy_cc(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     psf: Optional[ScoringFunction] = None,
     permissive: bool = False,
@@ -430,7 +411,7 @@ def greedy_cc(
 
 
 def greedy_cc_majority(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     delta: float,
 ) -> SolveReport:
@@ -463,7 +444,7 @@ def cover_depth_majority(m: int, k: int, delta: float) -> int:
 
 
 def maxcover_cc_baseline(
-    profile: Union[Profile, Instance],
+    profile: Profile,
     k: int,
     psf: Optional[ScoringFunction] = None,
 ) -> SolveReport:
@@ -525,35 +506,22 @@ def _objective_value(
     return metric_extreme(instance, psf, assignment, "max")
 
 
-def _match_for_objective(
-    prof: Profile,
-    psf: ScoringFunction,
-    committee: Sequence[int],
-    regime: CapacityRegime,
-    objective: str,
-) -> Assignment:
-    if objective in ("l1_dec", "l1_inc"):
-        return match_monroe_l1(prof, psf, committee, regime)
-    mode = "max_min_sat" if objective == "min_dec" else "min_max_dissat"
-    return match_egalitarian(prof, psf, committee, regime, mode)
-
-
 def _committees(
     m: int,
     sizes: Iterable[int],
     costs: Sequence[int],
     budget: int,
     columns: Optional[Sequence[Sequence[int]]],
-    pick,
 ) -> Iterator[Tuple[Tuple[int, ...], Optional[Sequence[int]]]]:
     """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
     ``budget``, by size and then lexicographically, from one DFS.
 
-    Yields ``(members, best)``.  Given score ``columns`` (``columns[a - 1][j]``
-    is agent j's score for alternative a), ``best[j]`` is the ``pick`` (max or
-    min) of agent j's scores over the members, carried down the DFS so that a
-    committee costs O(n); otherwise ``best`` is None.  Costs are positive, so
-    a prefix over the budget has no feasible extension.
+    Yields ``(members, best)``.  Given agent-cost ``columns``
+    (``columns[a - 1][j]`` is agent j's cost for alternative a), ``best[j]``
+    is agent j's least cost over the members, carried down the DFS so that a
+    committee costs O(n); otherwise ``best`` is None.  The alternatives'
+    ``costs`` are positive, so a prefix over the budget has no feasible
+    extension.
     """
     members: list = []
 
@@ -566,7 +534,7 @@ def _committees(
             here = best
             if columns is not None:
                 col = columns[a - 1]
-                here = col if best is None else list(map(pick, best, col))
+                here = col if best is None else list(map(min, best, col))
             members.append(a)
             if last:
                 yield tuple(members), here
@@ -632,18 +600,20 @@ def exact_enumeration(
     Committees are visited by size, then lexicographically; the first
     strictly best one wins.
 
-    Cost: one DFS carries each agent's best score over the members picked so
-    far, so a CC committee costs O(n) and needs no matching; any other
-    committee costs one kernel matching, its value read from the targets
-    through one n x m score table.  Only the winner is matched (CC) and
-    validated.
+    Every objective minimizes the sum (``l1_*``) or the largest (``min_dec``,
+    ``max_inc``) of the agents' kernel edge costs, which flip a decreasing
+    function's scores.  One DFS carries each agent's least cost over the
+    members picked so far, so a CC committee costs O(n) and needs no
+    matching; any other committee costs one kernel matching, its value read
+    from the targets through one n x m cost table.  Only the winner is
+    matched (CC) and validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if not instance.has_unit_weights:
         raise UnsupportedInstanceError("solvers require unit agent weights")
-    wants_dec = objective in ("l1_dec", "min_dec")
+    wants_dec = objective.endswith("_dec")
     if wants_dec != psf.is_decreasing:
         raise ValueError(
             f"objective {objective} needs a "
@@ -663,17 +633,20 @@ def exact_enumeration(
         if math.comb(m, k) > cap:
             raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-    vals = psf.values(m)
-    table = [[vals[p - 1] for p in row] for row in prof.positions]
+    cost = _edge_cost(prof, psf)
+    table = [[cost(j, a) for a in range(1, m + 1)] for j in range(n)]
     columns = list(zip(*table)) if instance.system_tag == "cc" else None
     regime = CapacityRegime.monroe_balanced()
-    pick = max if psf.is_decreasing else min
-    value_of = {"l1_dec": sum, "l1_inc": sum, "min_dec": min, "max_inc": max}[objective]
+    if objective.startswith("l1_"):
+        value_of, match = sum, match_monroe_l1
+    else:
+        mode = "max_min_sat" if wants_dec else "min_max_dissat"
+        value_of, match = max, partial(match_egalitarian, mode=mode)
 
     best_members: Optional[Tuple[int, ...]] = None
     best_assignment: Optional[Assignment] = None
     best_value = 0
-    committees = _committees(m, sizes, instance.costs, instance.budget, columns, pick)
+    committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
         assignment = None
         if columns is not None:
@@ -685,15 +658,11 @@ def exact_enumeration(
                     continue
                 regime = CapacityRegime.explicit((0,) * len(members), caps)
             try:
-                assignment = _match_for_objective(prof, psf, members, regime, objective)
+                assignment = match(prof, psf, members, regime)
             except InfeasibleMatchingError:
                 continue
             value = value_of(row[t - 1] for row, t in zip(table, assignment.targets))
-        if (
-            best_members is None
-            or (wants_dec and value > best_value)
-            or (not wants_dec and value < best_value)
-        ):
+        if best_members is None or value < best_value:
             best_members, best_assignment, best_value = members, assignment, value
     if best_members is None:
         raise InfeasibleMatchingError(

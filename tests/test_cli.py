@@ -11,6 +11,7 @@ import pytest
 
 import prefalloc
 from prefalloc import exact_enumeration, gen_identical, gen_impartial_culture, write_instance
+from prefalloc import cli
 from prefalloc.cli import main
 
 
@@ -249,8 +250,11 @@ def test_solve_greedy_stdout_golden(tmp_path, monkeypatch, capsys, system):
 
 # Byte-identity corpus: every (algorithm, system) pair of `solve` on
 # ic_20_8.txt = gen_impartial_culture(20, 8, seed=5) with k=4, in text and
-# --json form, one --objective min_dec run, and two `ratio` runs.  Digests
-# and exit codes were captured before the CLI dispatch moved to one table.
+# --json form, `exact` under the three other objectives on both systems, and
+# three `ratio` runs.  Digests and exit codes were captured before the CLI
+# dispatch moved to one table; the extra objectives and the over-cap `ratio`
+# run before exact enumeration moved to one cost direction and the records
+# to one writer.
 GOLDEN_SOLVE_EXTRA = {
     "greedy": (),
     "sample": ("--seed", "3"),
@@ -271,7 +275,14 @@ GOLDEN_RATIO = {
         "--algorithms", "greedy,sample,combined,exact", "--trials", "2",
         "--seed", "7", "--epsilon", "0.5", "--lambda", "0.9", "--json",
     ),
+    # Every trial exceeds the cap: error records and null minimum ratios.
+    "ratio-cap-json": (
+        "ic_20_8.txt", "--system", "monroe", "--k", "4", "--algorithms", "greedy,exact",
+        "--trials", "2", "--seed", "7", "--enumeration-cap", "5", "--json",
+    ),
 }
+GOLDEN_EXIT = {"ratio-cap-json": 1}
+GOLDEN_OBJECTIVES = ("l1_inc", "min_dec", "max_inc")
 GOLDEN_STDOUT_SHA256 = {
     "greedy-monroe": "c1d430c29fb2caa6330864517f809338536ac49e610ffcb242aff1851c0f768e",
     "greedy-monroe-json": "e0686f30ac6cf67920076e1af6d0d0b17bd90cf9c0968b3b844a577ac8b9d47c",
@@ -288,15 +299,25 @@ GOLDEN_STDOUT_SHA256 = {
     "exact-cc": "0b7d6d618456f53704163cd7834cc2d889bd4d4250f64122cf1dd56a2864b47c",
     "exact-cc-json": "e23de9cdaf381eaa765276298dc25b132e1699a6115a23d95d0b34e06f80bed6",
     "exact-monroe-min_dec": "9da4ba932c5a650fb793befb466e384f9b0603b69f75694032238906fe9e40de",
+    "exact-monroe-l1_inc": "09f02f038915eda5b3d73d1e55f914629774eca76f546208a391e77f551c2503",
+    "exact-monroe-max_inc": "d62722661c6621a639d8e4cda3c26f64dc5a32fb32ff07921cf2040987ad0725",
+    "exact-cc-l1_inc": "c379305fb5849fa319ac0f7d4d9e088c6f8a6dd6f7f43e55a37e32b92bddb24e",
+    "exact-cc-min_dec": "a6b674d48f736e8b1b43cb832f5fa919dfc1cc4558d1d960190249d4a075f1b7",
+    "exact-cc-max_inc": "0cc1893d7cd41854abc1b561d3d1d4e4bf57d4f98191e89c2d63aa74d57e7072",
     "ratio-cc-gen": "110b1fb6787de28da6b1a5ea06b2a4ce1d1f5e238a70551f78cb01198c8435bd",
     "ratio-monroe-file-json": "96c298d8de73e6328122a72b8b5db3650c16fad2f475fdae9113aee7b72c3963",
+    "ratio-cap-json": "43630f579b7b13633764943bc62b7edc651a237b10a2b0b5dfe996d5e63bb0e6",
 }
 GOLDEN_CASES = [
     f"{algorithm}-{system}{form}"
     for algorithm in GOLDEN_SOLVE_EXTRA
     for system in ("monroe", "cc")
     for form in ("", "-json")
-] + ["exact-monroe-min_dec", *GOLDEN_RATIO]
+] + [
+    f"exact-{system}-{objective}"
+    for system in ("monroe", "cc")
+    for objective in GOLDEN_OBJECTIVES
+] + [*GOLDEN_RATIO]
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
@@ -311,12 +332,12 @@ def test_cli_stdout_golden(tmp_path, monkeypatch, capsys, case):
         argv = ["solve", "ic_20_8.txt", "--system", system, "--k", "4"]
         argv += ["--algorithm", algorithm, *GOLDEN_SOLVE_EXTRA[algorithm]]
         argv += ["--json"] if "json" in flags else []
-        argv += ["--objective", "min_dec"] if "min_dec" in flags else []
+        argv += [f"--objective={flag}" for flag in flags if flag in GOLDEN_OBJECTIVES]
         if (algorithm, system) in GOLDEN_REFUSED:
             assert run_cli(capsys, *argv)[:2] == (2, "")
             return
     code, stdout, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(case, 0)
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[case]
 
 
@@ -438,6 +459,35 @@ def test_ratio_json_rows(capsys):
     for row in trial_rows:
         assert row["value"] <= row["oracle"]
         assert 0 < row["ratio"] <= 1
+
+
+def test_ratio_reports_bound_violations(capsys, monkeypatch):
+    # A floor no committee reaches: greedy violates it, maxcover (whose floor
+    # is a share of the oracle) does not.
+    monkeypatch.setattr(cli, "greedy_cc_bound", lambda n, m, k: 1e6)
+    args = ("ratio", "--gen", "ic", "--n", "9", "--m", "6", "--system", "cc", "--k", "3",
+            "--algorithms", "greedy,maxcover", "--trials", "2", "--seed", "13")
+    code, stdout, _ = run_cli(capsys, *args)
+    assert code == 1
+    *trials, greedy_summary, maxcover_summary = stdout.splitlines()
+    greedy = [line for line in trials if " algorithm=greedy " in line]
+    maxcover = [line for line in trials if " algorithm=maxcover " in line]
+    assert len(greedy) == len(maxcover) == 2
+    assert all(line.endswith(" bound=1000000.000000 bound_violated=yes") for line in greedy)
+    assert not any("bound_violated" in line for line in maxcover)
+    assert greedy_summary.startswith("algorithm=greedy min_ratio=")
+    assert greedy_summary.endswith(" bound_violations=2")
+    assert maxcover_summary.endswith(" bound_violations=0")
+
+    code, stdout, _ = run_cli(capsys, *args, "--json")
+    assert code == 1
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    trials = {name: [r for r in rows if r.get("algorithm") == name and "trial" in r]
+              for name in ("greedy", "maxcover")}
+    assert [r["bound_violated"] for r in trials["greedy"]] == [True, True]
+    assert [r["bound"] for r in trials["greedy"]] == [1e6, 1e6]
+    assert [r["bound_violated"] for r in trials["maxcover"]] == [False, False]
+    assert [r["bound_violations"] for r in rows if "min_ratio" in r] == [2, 0]
 
 
 def test_ratio_stdout_reproducible(capsys):

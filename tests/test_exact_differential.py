@@ -127,17 +127,14 @@ def test_exact_matches_per_committee_reference(system):
 
 def test_dfs_visits_the_old_committee_order():
     # By size, then lexicographically, within the budget; the carried bests
-    # are each agent's max (or min) score over the members.
+    # are each agent's least cost over the members.
     rng = SplitMix64(derive_seed(SEED, 99))
     for trial in range(60):
         m = 1 + rng.randrange(9)
         costs = [1 + rng.randrange(4) for _ in range(m)]
         budget = 1 + rng.randrange(sum(costs))
         columns = [[rng.randrange(10) for _ in range(5)] for _ in range(m)]
-        pick = (max, min)[trial % 2]
-        visited = list(
-            solvers._committees(m, range(1, m + 1), costs, budget, columns, pick)
-        )
+        visited = list(solvers._committees(m, range(1, m + 1), costs, budget, columns))
         assert [members for members, _ in visited] == [
             c
             for size in range(1, m + 1)
@@ -146,7 +143,7 @@ def test_dfs_visits_the_old_committee_order():
         ]
         for members, best in visited:
             assert list(best) == [
-                pick(columns[a - 1][j] for a in members) for j in range(5)
+                min(columns[a - 1][j] for a in members) for j in range(5)
             ]
 
 

@@ -167,6 +167,26 @@ def test_solvers_reject_non_unit_weights():
         exact_enumeration(weighted, BD, "l1_dec")
 
 
+def test_approximation_solvers_take_a_profile_only():
+    # Costs 5 each against a budget of 5: any two-member committee is over
+    # budget, which the Monroe and CC restrictions would silently ignore.
+    prof = gen_impartial_culture(6, 4, 3)
+    priced = Instance(
+        profile=prof, weights=(1,) * 6, costs=(5,) * 4, capacities=(6,) * 4, budget=5
+    )
+    calls = [
+        lambda: greedy_monroe(priced, 2),
+        lambda: sample_once_monroe(priced, 2, 1),
+        lambda: combined_monroe(priced, 2),
+        lambda: greedy_cc(priced, 2),
+        lambda: greedy_cc_majority(priced, 2, 0.5),
+        lambda: maxcover_cc_baseline(priced, 2),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedInstanceError, match="pass instance.profile"):
+            call()
+
+
 def test_greedy_solvers_reject_non_borda_unless_permissive():
     prof = gen_impartial_culture(6, 3, 4)
     table = ScoringFunction.from_table_dec([5, 1, 0])
