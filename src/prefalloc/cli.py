@@ -47,9 +47,8 @@ def _exact(make):
     def solve(args, profile: Profile, seed: Optional[int]) -> SolveReport:
         dec = args.objective.endswith("_dec")
         psf = ScoringFunction.borda_dec() if dec else ScoringFunction.borda_inc()
-        config = SolverConfig(enumeration_cap=args.enumeration_cap)
         instance = make(profile, args.k)
-        return exact_enumeration(instance, psf, args.objective, config=config)
+        return exact_enumeration(instance, psf, args.objective, args.enumeration_cap)
 
     return solve
 
@@ -150,29 +149,34 @@ def _emit(args, fields) -> None:
     """Print one record from its ``(key, value)`` fields: a JSON object under
     ``--json``, else one line of ``key=value`` pairs and then one
     ``key: items`` line per list field.  In text a float prints with six
-    decimals, None as ``-``, True as ``yes`` and False not at all; a third
-    element in a field overrides its text."""
+    decimals, None as ``-``, True as ``yes`` and False not at all."""
     if args.json:
-        print(json.dumps({key: value for key, value, *_ in fields}))
+        print(json.dumps(dict(fields)))
         return
     pairs, lines = [], []
-    for key, value, *text in fields:
+    for key, value in fields:
         if isinstance(value, list):
             lines.append(f"{key}: " + " ".join(map(str, value)))
         elif value is not False:
-            pairs.append(f"{key}={text[0] if text else _text(value)}")
+            pairs.append(f"{key}={_text(value)}")
     print(" ".join(pairs), *lines, sep="\n")
 
 
 def _text(value) -> str:
+    """A record value's text; a string with whitespace in it is written as
+    a JSON string literal, so that the record still splits on spaces."""
     if value is None:
         return "-"
     if value is True:
         return "yes"
+    if isinstance(value, str) and any(c.isspace() for c in value):
+        return json.dumps(value)
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def cmd_gen(args) -> int:
+    if min(args.n, args.m) < 1:
+        raise CLIError("--n and --m must be at least 1")
     if args.kind == "ic":
         if args.seed is None:
             raise CLIError("gen ic requires an explicit --seed")
@@ -185,7 +189,7 @@ def cmd_gen(args) -> int:
     with open(args.out, "w", newline="\n") as handle:
         handle.write(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    print(f"path={args.out} sha256={digest}")
+    print(f"path={_text(args.out)} sha256={digest}")
     return 0
 
 
@@ -235,6 +239,8 @@ def cmd_ratio(args) -> int:
         raise CLIError("ratio needs exactly one of an instance path or --gen")
     if args.gen is not None and (args.n is None or args.m is None):
         raise CLIError("ratio with --gen requires --n and --m")
+    if args.gen is not None and min(args.n, args.m) < 1:
+        raise CLIError("--n and --m must be at least 1")
     if args.gen == "ic" and args.seed is None:
         raise CLIError("ratio --gen ic requires an explicit --seed")
     algorithms = args.algorithms
@@ -275,7 +281,7 @@ def cmd_ratio(args) -> int:
             exact = _report(reports, "exact", args, profile, None)
         except EnumerationCapExceeded as exc:
             failed = True
-            _emit(args, [("trial", trial), ("error", str(exc), f'"{exc}"')])
+            _emit(args, [("trial", trial), ("error", str(exc))])
             continue
         oracle = exact.value
         for index, name in enumerate(algorithms):

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import Assignment, Profile, ScoringFunction
 
-REGIME_KINDS = ("monroe_balanced", "cc_unbounded", "explicit")
+REGIME_KINDS = ("monroe_balanced", "explicit")
 
 
 class InfeasibleMatchingError(ValueError):
@@ -39,8 +39,9 @@ class CapacityRegime:
 
     ``monroe_balanced`` spreads the ``n`` agents as evenly as possible over a
     committee of size ``K`` (each member carries between ``floor(n/K)`` and
-    ``ceil(n/K)`` agents); ``cc_unbounded`` places no restriction; ``explicit``
-    carries caller-supplied bounds aligned with the sorted committee.
+    ``ceil(n/K)`` agents); ``explicit`` carries caller-supplied bounds aligned
+    with the sorted committee.  Bounds of 0 and ``n`` restrict nothing, and
+    the matchers then assign as :func:`match_cc` does.
     """
 
     kind: str
@@ -67,10 +68,6 @@ class CapacityRegime:
         return cls("monroe_balanced")
 
     @classmethod
-    def cc_unbounded(cls) -> "CapacityRegime":
-        return cls("cc_unbounded")
-
-    @classmethod
     def explicit(
         cls, lowers: Sequence[int], uppers: Sequence[int]
     ) -> "CapacityRegime":
@@ -81,8 +78,6 @@ class CapacityRegime:
         k = committee_size
         if self.kind == "monroe_balanced":
             return (n // k,) * k, (-(-n // k),) * k
-        if self.kind == "cc_unbounded":
-            return (0,) * k, (n,) * k
         assert self.lowers is not None and self.uppers is not None
         if len(self.lowers) != k:
             raise ValueError(
@@ -245,9 +240,7 @@ def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], i
     return cost
 
 
-def match_cc(
-    profile: Profile, psf: ScoringFunction, committee: Sequence[int]
-) -> Assignment:
+def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
     """Assign every agent to its best-ranked committee member.
 
     With unbounded member capacities the agents are independent, so this is
@@ -277,7 +270,7 @@ def match_monroe_l1(
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, psf, members)
+        return match_cc(profile, members)
     cost = _edge_cost(profile, psf)
     targets = _solve_bounded(profile, members, lowers, uppers, cost, None)
     if targets is None:
@@ -318,7 +311,7 @@ def match_egalitarian(
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, psf, members)
+        return match_cc(profile, members)
     cost = _edge_cost(profile, psf)
     # Both modes minimize the largest edge cost (a satisfaction floor is a
     # cost ceiling).  Grow one network by ascending cost level: augmenting

@@ -1,10 +1,9 @@
 """Committee-selection algorithms, the exact enumeration oracle, and the
 numeric utilities their quality bounds need.
 
-All positive guarantees hold for Borda satisfaction scores, so the greedy
-and sampling solvers insist on ``borda_dec`` unless explicitly told to run
-permissively (in which case the reported guarantees are void).  The
-approximation solvers take a bare :class:`Profile` and build the Monroe or
+All positive guarantees hold for Borda satisfaction scores, so the
+approximation solvers score with ``borda_dec`` and take no scoring function.
+They take a bare :class:`Profile` and build the Monroe or
 CC restriction themselves; :func:`exact_enumeration` takes an
 :class:`Instance` and requires unit agent weights.  Ties are always broken
 toward the lowest alternative index and the lowest agent index.
@@ -64,7 +63,8 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the combined solver and the enumeration fallbacks."""
+    """Knobs for the combined solver: its ratio, confidence, sampling seed
+    and enumeration cap."""
 
     epsilon: float = 0.1
     lambda_: float = 0.9
@@ -148,19 +148,6 @@ def _as_profile(prof: Profile, k: int) -> Profile:
     return prof
 
 
-def _require_borda_dec(psf: Optional[ScoringFunction], permissive: bool) -> ScoringFunction:
-    if psf is None:
-        return ScoringFunction.borda_dec()
-    if psf.kind != "borda_dec" and not permissive:
-        raise UnsupportedInstanceError(
-            "guarantees are proven for borda_dec only; pass permissive=True to "
-            "run the same loop without them"
-        )
-    if not psf.is_decreasing:
-        raise ValueError("this solver maximizes a decreasing (satisfaction) function")
-    return psf
-
-
 def _batch_sizes(n: int, k: int) -> list:
     """Per-step assignment counts: step i takes ceil(remaining / (k - i))."""
     sizes = []
@@ -226,12 +213,7 @@ def _greedy_picks(
     return targets, picked
 
 
-def greedy_monroe(
-    profile: Profile,
-    k: int,
-    psf: Optional[ScoringFunction] = None,
-    permissive: bool = False,
-) -> SolveReport:
+def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     """Greedy balanced-committee solver for the Monroe restriction.
 
     For k <= 2 the exact optimum is computed by enumeration, which raises
@@ -247,7 +229,7 @@ def greedy_monroe(
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
-    psf = _require_borda_dec(psf, permissive)
+    psf = ScoringFunction.borda_dec()
     if k <= 2:
         inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec")
         return replace(
@@ -258,24 +240,17 @@ def greedy_monroe(
     targets, _ = _greedy_picks(prof, _batch_sizes(prof.n, k), psf.values(prof.m))
     assignment = Assignment(tuple(targets))
     value = metric_l1(make_monroe(prof, k), psf, assignment)
-    name = "greedy_monroe"
-    if psf.kind != "borda_dec":
-        name += "[no-guarantee]"  # quality floor is proven for Borda only
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
         value=value,
-        algorithm=name,
+        algorithm="greedy_monroe",
         elapsed=time.perf_counter() - start,
     )
 
 
 def sample_once_monroe(
-    profile: Profile,
-    k: int,
-    rng: Union[int, SplitMix64],
-    psf: Optional[ScoringFunction] = None,
-    permissive: bool = False,
+    profile: Profile, k: int, rng: Union[int, SplitMix64]
 ) -> SolveReport:
     """One sampling step: a uniform k-subset of alternatives, matched optimally.
 
@@ -283,7 +258,7 @@ def sample_once_monroe(
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
-    psf = _require_borda_dec(psf, permissive)
+    psf = ScoringFunction.borda_dec()
     seed = rng if isinstance(rng, int) else None
     gen = SplitMix64(rng) if isinstance(rng, int) else rng
     committee = sorted(a + 1 for a in sample_distinct(prof.m, k, gen))
@@ -331,7 +306,9 @@ def combined_monroe(
     else:
         branch = None
     if branch is not None and math.comb(prof.m, k) <= config.enumeration_cap:
-        inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec", config=config)
+        inner = exact_enumeration(
+            make_monroe(prof, k), psf, "l1_dec", config.enumeration_cap
+        )
         return replace(
             inner,
             algorithm=f"combined_monroe[{branch}]",
@@ -340,7 +317,7 @@ def combined_monroe(
         )
 
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
-    best = greedy_monroe(prof, k, psf) if k > 2 else None
+    best = greedy_monroe(prof, k) if k > 2 else None
     runs = sampling_run_count(k, config.epsilon, config.lambda_)
     if branch is not None:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
@@ -348,7 +325,7 @@ def combined_monroe(
         runs = min(runs, config.enumeration_cap)
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
-        candidate = sample_once_monroe(prof, k, gen, psf)
+        candidate = sample_once_monroe(prof, k, gen)
         if best is None or candidate.value > best.value:
             best = candidate
     assert best is not None
@@ -377,12 +354,7 @@ def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
     return Assignment(tuple(targets))
 
 
-def greedy_cc(
-    profile: Profile,
-    k: int,
-    psf: Optional[ScoringFunction] = None,
-    permissive: bool = False,
-) -> SolveReport:
+def greedy_cc(profile: Profile, k: int) -> SolveReport:
     """Greedy cover solver for the Chamberlin-Courant restriction.
 
     The cover depth is ``x = ceil(m w(k) / k)`` with w the Lambert W
@@ -394,18 +366,14 @@ def greedy_cc(
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
-    psf = _require_borda_dec(psf, permissive)
     x = math.ceil(prof.m * lambert_w(k) / k)
     assignment = _greedy_cover(prof, k, x)
-    value = metric_l1(make_cc(prof, k), psf, assignment)
-    name = "greedy_cc"
-    if psf.kind != "borda_dec":
-        name += "[no-guarantee]"  # quality floor is proven for Borda only
+    value = metric_l1(make_cc(prof, k), ScoringFunction.borda_dec(), assignment)
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
         value=value,
-        algorithm=name,
+        algorithm="greedy_cc",
         elapsed=time.perf_counter() - start,
     )
 
@@ -443,11 +411,7 @@ def cover_depth_majority(m: int, k: int, delta: float) -> int:
     return min(m, math.ceil(-m * math.log(delta) / k))
 
 
-def maxcover_cc_baseline(
-    profile: Profile,
-    k: int,
-    psf: Optional[ScoringFunction] = None,
-) -> SolveReport:
+def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     """Classic marginal-gain greedy baseline for the CC restriction.
 
     Each step adds the alternative with the largest increase of the total
@@ -456,9 +420,7 @@ def maxcover_cc_baseline(
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
-    psf = psf or ScoringFunction.borda_dec()
-    if not psf.is_decreasing:
-        raise ValueError("baseline maximizes a decreasing (satisfaction) function")
+    psf = ScoringFunction.borda_dec()
     n, m = prof.n, prof.m
     positions = prof.positions
     vals = psf.values(m)
@@ -482,7 +444,7 @@ def maxcover_cc_baseline(
             s = vals[positions[j][best_alt - 1] - 1]
             if s > best_score[j]:
                 best_score[j] = s
-    assignment = match_cc(prof, psf, picked)
+    assignment = match_cc(prof, picked)
     value = metric_l1(make_cc(prof, k), psf, assignment)
     return SolveReport(
         assignment=assignment,
@@ -584,7 +546,7 @@ def exact_enumeration(
     instance: Instance,
     psf: ScoringFunction,
     objective: str,
-    config: Optional[SolverConfig] = None,
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SolveReport:
     """Brute-force oracle: enumerate budget-feasible committees, match each
     optimally, return the best.
@@ -594,7 +556,7 @@ def exact_enumeration(
     respectively; general instances enumerate every budget-feasible subset
     under its explicit capacities.  Refuses with
     :class:`EnumerationCapExceeded` rather than hanging when the committee
-    count exceeds the cap (for general instances, the count of
+    count exceeds ``enumeration_cap`` (for general instances, the count of
     budget-feasible subsets, stopped once it passes the cap); a scoring table
     short of ``m`` raises its ``ValueError`` before any committee.
     Committees are visited by size, then lexicographically; the first
@@ -619,7 +581,7 @@ def exact_enumeration(
             f"objective {objective} needs a "
             f"{'decreasing' if wants_dec else 'increasing'} scoring function"
         )
-    cap = (config or SolverConfig()).enumeration_cap
+    cap = enumeration_cap
     prof = instance.profile
     n, m = prof.n, prof.m
     general = instance.system_tag == "general"
@@ -669,7 +631,7 @@ def exact_enumeration(
             "no budget-feasible committee can host all agents"
         )
     if best_assignment is None:
-        best_assignment = match_cc(prof, psf, best_members)
+        best_assignment = match_cc(prof, best_members)
     return SolveReport(
         assignment=best_assignment,
         objective=objective,

@@ -21,12 +21,12 @@ import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
     CapacityRegime,
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     InfeasibleMatchingError,
     Profile,
     ScoringFunction,
     SolveReport,
-    SolverConfig,
     UnsupportedInstanceError,
     match_cc,
     match_egalitarian,
@@ -198,7 +198,9 @@ def greedy_cover_reference(profile, k, x):
     return tuple(targets)
 
 
-def exact_enumeration_reference(instance, psf, objective, config=None):
+def exact_enumeration_reference(
+    instance, psf, objective, enumeration_cap=DEFAULT_ENUMERATION_CAP
+):
     """The per-committee enumeration loop: every committee (by size, then
     lexicographically, within the budget) gets its own optimal matching
     under the instance's loads, which is validated and re-scored; the first
@@ -214,17 +216,16 @@ def exact_enumeration_reference(instance, psf, objective, config=None):
             f"objective {objective} needs a "
             f"{'decreasing' if wants_dec else 'increasing'} scoring function"
         )
-    cap = (config or SolverConfig()).enumeration_cap
     prof = instance.profile
     if instance.system_tag in ("monroe", "cc"):
         k = instance.committee_size
         count = math.comb(prof.m, k)
-        if count > cap:
-            raise EnumerationCapExceeded(count, cap)
+        if count > enumeration_cap:
+            raise EnumerationCapExceeded(count, enumeration_cap)
         regime = (
             CapacityRegime.monroe_balanced()
             if instance.system_tag == "monroe"
-            else CapacityRegime.cc_unbounded()
+            else CapacityRegime.explicit((0,) * k, (prof.n,) * k)
         )
         committees = combinations(range(1, prof.m + 1), k)
     else:
@@ -234,8 +235,8 @@ def exact_enumeration_reference(instance, psf, objective, config=None):
             for committee in combinations(range(1, prof.m + 1), size)
             if sum(instance.costs[a - 1] for a in committee) <= instance.budget
         ]
-        if len(committees) > cap:
-            raise EnumerationCapExceeded(None, cap)
+        if len(committees) > enumeration_cap:
+            raise EnumerationCapExceeded(None, enumeration_cap)
 
     best_assignment = None
     best_value = 0
@@ -288,7 +289,7 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
     members = tuple(sorted(committee))
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, psf, members)
+        return match_cc(profile, members)
     cost = matching._edge_cost(profile, psf)
     levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
 

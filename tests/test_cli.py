@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,10 +65,37 @@ def test_gen_flag_consistency(tmp_path, capsys):
     out = str(tmp_path / "x.txt")
     code, _, err = run_cli(capsys, "gen", "ic", "--n", "4", "--m", "3", "--out", out)
     assert code == 2 and "seed" in err
-    code, _, err = run_cli(
-        capsys, "gen", "identical", "--n", "4", "--m", "3", "--seed", "1", "--out", out
+    cases = [
+        ("identical", "--n", "4", "--m", "3", "--seed", "1"),
+        # Out-of-range sizes.
+        ("ic", "--n", "0", "--m", "3", "--seed", "1"),
+        ("identical", "--n", "4", "--m", "-1"),
+    ]
+    for extra in cases:
+        code, stdout, err = run_cli(capsys, "gen", *extra, "--out", out)
+        assert code == 2, extra
+        assert stdout == "" and err.startswith("error:")
+    assert not os.path.exists(out)
+
+
+def _record(line: str) -> dict:
+    return dict(token.split("=", 1) for token in shlex.split(line))
+
+
+def test_records_quote_paths_with_spaces(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(
+        capsys, "gen", "ic", "--n", "9", "--m", "6", "--seed", "1", "--out", "ic 9_6.txt"
     )
-    assert code == 2
+    assert code == 0
+    assert stdout.startswith('path="ic 9_6.txt" sha256=')
+    assert _record(stdout)["path"] == "ic 9_6.txt"
+    code, stdout, _ = run_cli(
+        capsys, "solve", "ic 9_6.txt", "--system", "cc", "--k", "2", "--algorithm", "greedy"
+    )
+    assert code == 0
+    record = _record(stdout.splitlines()[0])
+    assert record["instance"] == "ic 9_6.txt" and record["system"] == "cc"
 
 
 def test_solve_exact_identical_monroe(identical_12_8, capsys):
@@ -605,8 +633,15 @@ def test_ratio_flag_consistency(identical_12_8, capsys):
         ("--algorithms", "combined", "--epsilon", "1.5", "--lambda", "0.9"),
         ("--algorithms", "greedy,combined", "--epsilon", "0.5", "--lambda", "1"),
     ]
+    generated = ("ratio", "--system", "monroe", "--k", "1", "--algorithms", "greedy")
+    cases += [
+        # Out-of-range sizes of a generated profile.
+        (*generated, "--gen", "ic", "--n", "0", "--m", "3", "--seed", "1"),
+        (*generated, "--gen", "identical", "--n", "3", "--m", "0"),
+    ]
     for extra in cases:
-        code, stdout, err = run_cli(capsys, *ratio, *extra)
+        argv = extra if extra[0] == "ratio" else (*ratio, *extra)
+        code, stdout, err = run_cli(capsys, *argv)
         assert code == 2, extra
         assert stdout == "" and err.startswith("error:")
 

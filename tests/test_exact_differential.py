@@ -16,7 +16,6 @@ from prefalloc import (
     Instance,
     Profile,
     ScoringFunction,
-    SolverConfig,
     exact_enumeration,
     gen_identical,
     make_cc,
@@ -178,9 +177,9 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
         _assert_same(make_monroe(_profile(2, 5, "ic", SplitMix64(3)), 4), BD, "min_dec"),
         _assert_same(make_monroe(_profile(1, 5, "ic", SplitMix64(4)), 3), BI, "l1_inc"),
         # Refusals before any committee.
-        _assert_same(make_cc(ic, 3), BD, "l1_dec", config=SolverConfig(enumeration_cap=19)),
+        _assert_same(make_cc(ic, 3), BD, "l1_dec", enumeration_cap=19),
         # ``general`` affords 16 of its 63 nonempty subsets.
-        _assert_same(general, BD, "l1_dec", config=SolverConfig(enumeration_cap=15)),
+        _assert_same(general, BD, "l1_dec", enumeration_cap=15),
         _assert_same(make_cc(ic, 3), BI, "l1_dec"),
         _assert_same(make_cc(ic, 3), BD, "median"),
         _assert_same(

@@ -1,6 +1,8 @@
 """Differential sweep: the rank-bucket greedy solvers against the sort- and
 scan-based loops they replaced (``tests/oracles.py``), at sizes brute force
-cannot reach.  Targets, value and algorithm string must all agree."""
+cannot reach.  Targets, value and algorithm string must all agree.  The
+solvers score with Borda only, so table scorers drive the shared pick loop
+(``solvers._greedy_picks``) directly."""
 
 import math
 
@@ -18,7 +20,7 @@ from prefalloc import (
     metric_min_delta,
 )
 from prefalloc.rng import SplitMix64, derive_seed, shuffled
-from prefalloc.solvers import cover_depth_majority
+from prefalloc.solvers import _batch_sizes, _greedy_picks, cover_depth_majority
 
 from oracles import greedy_cover_reference, greedy_monroe_reference
 
@@ -38,7 +40,7 @@ def _table_dec(length: int, rng: SplitMix64) -> ScoringFunction:
 
 def _sweep_cases():
     """Yield ``(profile, psf, rng)``: impartial-culture profiles, tie-heavy
-    profiles drawn from 2-3 distinct orders, and permissive table scorers;
+    profiles drawn from 2-3 distinct orders, and Borda or table scorers;
     ``rng`` is the case's own stream for the caller's further draws."""
     rng = SplitMix64(SEED)
     for case in range(CASES):
@@ -54,31 +56,33 @@ def _sweep_cases():
         yield Profile.from_orders(orders), psf, case_rng
 
 
-def _no_guarantee(name: str, psf: ScoringFunction) -> str:
-    return name if psf.kind == "borda_dec" else name + "[no-guarantee]"
-
-
 def test_greedy_monroe_matches_sort_reference():
     for profile, psf, rng in _sweep_cases():
-        k = 3 + rng.randrange(min(10, profile.m) - 2)
-        report = greedy_monroe(profile, k, psf=psf, permissive=True)
+        n, m = profile.n, profile.m
+        k = 3 + rng.randrange(min(10, m) - 2)
         targets = greedy_monroe_reference(profile, k, psf)
-        value = metric_l1(make_monroe(profile, k), psf, Assignment(targets))
-        assert report.assignment.targets == targets, (profile.n, profile.m, k)
+        if psf is not BD:
+            picks, _ = _greedy_picks(profile, _batch_sizes(n, k), psf.values(m))
+            assert tuple(picks) == targets, (n, m, k)
+            continue
+        report = greedy_monroe(profile, k)
+        value = metric_l1(make_monroe(profile, k), BD, Assignment(targets))
+        assert report.assignment.targets == targets, (n, m, k)
         assert report.value == value
-        assert report.algorithm == _no_guarantee("greedy_monroe", psf)
+        assert report.algorithm == "greedy_monroe"
 
 
 def test_greedy_cc_matches_scan_reference():
-    for profile, psf, rng in _sweep_cases():
+    # The cover picks read positions only, so every case runs the solver.
+    for profile, _psf, rng in _sweep_cases():
         k = 1 + rng.randrange(min(10, profile.m))
-        report = greedy_cc(profile, k, psf=psf, permissive=True)
+        report = greedy_cc(profile, k)
         x = math.ceil(profile.m * lambert_w(k) / k)
         targets = greedy_cover_reference(profile, k, x)
-        value = metric_l1(make_cc(profile, k), psf, Assignment(targets))
+        value = metric_l1(make_cc(profile, k), BD, Assignment(targets))
         assert report.assignment.targets == targets, (profile.n, profile.m, k)
         assert report.value == value
-        assert report.algorithm == _no_guarantee("greedy_cc", psf)
+        assert report.algorithm == "greedy_cc"
 
 
 def test_greedy_cc_majority_matches_scan_reference():

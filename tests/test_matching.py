@@ -27,13 +27,11 @@ from oracles import balanced_bounds, best_matching_value, match_egalitarian_refe
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
 BALANCED = CapacityRegime.monroe_balanced()
-UNBOUNDED = CapacityRegime.cc_unbounded()
 
 
 def test_regime_bounds():
     assert BALANCED.bounds_for(3, 10) == ((3, 3, 3), (4, 4, 4))
     assert BALANCED.bounds_for(4, 12) == ((3, 3, 3, 3), (3, 3, 3, 3))
-    assert UNBOUNDED.bounds_for(2, 5) == ((0, 0), (5, 5))
     explicit = CapacityRegime.explicit((1, 0), (2, 4))
     assert explicit.bounds_for(2, 5) == ((1, 0), (2, 4))
     with pytest.raises(ValueError):
@@ -44,17 +42,17 @@ def test_regime_bounds():
 
 def test_match_cc_full_committee_gives_everyone_their_top():
     prof = gen_impartial_culture(6, 4, 12)
-    asg = match_cc(prof, BD, range(1, 5))
+    asg = match_cc(prof, range(1, 5))
     assert metric_l1(make_cc(prof, 4), BD, asg) == prof.n * (prof.m - 1)
     assert asg.targets == tuple(order[0] for order in prof.orders)
 
 
 def test_match_cc_examples():
     prof = Profile.from_orders([(1, 2, 3), (2, 1, 3), (3, 2, 1)])
-    asg = match_cc(prof, BD, [2])
+    asg = match_cc(prof, [2])
     assert asg.targets == (2, 2, 2)
     assert metric_l1(make_cc(prof, 1), BD, asg) == 4
-    asg = match_cc(prof, BD, [1, 3])
+    asg = match_cc(prof, [1, 3])
     assert asg.targets == (1, 1, 3)
     assert metric_l1(make_cc(prof, 2), BD, asg) == 5
 
@@ -62,11 +60,11 @@ def test_match_cc_examples():
 def test_match_cc_rejects_bad_committee():
     prof = gen_impartial_culture(3, 3, 1)
     with pytest.raises(ValueError):
-        match_cc(prof, BD, [])
+        match_cc(prof, [])
     with pytest.raises(ValueError):
-        match_cc(prof, BD, [1, 4])
+        match_cc(prof, [1, 4])
     with pytest.raises(ValueError):
-        match_cc(prof, BD, [2, 2])
+        match_cc(prof, [2, 2])
 
 
 def test_match_monroe_l1_identical_orders():
@@ -79,7 +77,7 @@ def test_match_monroe_l1_identical_orders():
 def test_match_monroe_l1_committee_of_one_is_match_cc():
     prof = gen_impartial_culture(6, 5, 8)
     asg = match_monroe_l1(prof, BD, [3], BALANCED)
-    assert asg.targets == match_cc(prof, BD, [3]).targets == (3,) * 6
+    assert asg.targets == match_cc(prof, [3]).targets == (3,) * 6
 
 
 def test_match_monroe_l1_two_camps():
@@ -106,8 +104,9 @@ def test_match_egalitarian_identical_orders():
 def test_match_egalitarian_cc_regime_equals_match_cc():
     prof = gen_impartial_culture(7, 5, 31)
     inst = make_cc(prof, 2)
-    egal = match_egalitarian(prof, BD, [2, 4], UNBOUNDED, "max_min_sat")
-    direct = match_cc(prof, BD, [2, 4])
+    unbounded = CapacityRegime.explicit((0, 0), (7, 7))
+    egal = match_egalitarian(prof, BD, [2, 4], unbounded, "max_min_sat")
+    direct = match_cc(prof, [2, 4])
     assert metric_extreme(inst, BD, egal, "min") == metric_extreme(
         inst, BD, direct, "min"
     )
@@ -245,7 +244,7 @@ def test_cc_relaxation_dominates_balanced():
     for trial in range(30):
         prof, committee, k = _random_case(rng, trial)
         inst_cc = make_cc(prof, k)
-        free = metric_l1(inst_cc, BD, match_cc(prof, BD, committee))
+        free = metric_l1(inst_cc, BD, match_cc(prof, committee))
         balanced = metric_l1(
             make_monroe(prof, k), BD, match_monroe_l1(prof, BD, committee, BALANCED)
         )

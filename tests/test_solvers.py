@@ -187,17 +187,6 @@ def test_approximation_solvers_take_a_profile_only():
             call()
 
 
-def test_greedy_solvers_reject_non_borda_unless_permissive():
-    prof = gen_impartial_culture(6, 3, 4)
-    table = ScoringFunction.from_table_dec([5, 1, 0])
-    with pytest.raises(UnsupportedInstanceError):
-        greedy_monroe(prof, 3, psf=table)
-    report = greedy_monroe(prof, 3, psf=table, permissive=True)
-    assert report.value == metric_l1(make_monroe(prof, 3), table, report.assignment)
-    assert "no-guarantee" in report.algorithm
-    assert "no-guarantee" in greedy_cc(prof, 2, psf=table, permissive=True).algorithm
-
-
 # ------------------------------------------------------------- sampling
 
 
@@ -507,11 +496,12 @@ def test_exact_general_instance_against_subset_oracle():
 
 def test_exact_enumeration_cap():
     prof = gen_impartial_culture(6, 8, 3)
-    config = SolverConfig(enumeration_cap=10)
     with pytest.raises(EnumerationCapExceeded) as info:
-        exact_enumeration(make_monroe(prof, 4), BD, "l1_dec", config=config)
+        exact_enumeration(make_monroe(prof, 4), BD, "l1_dec", enumeration_cap=10)
     assert info.value.required == math.comb(8, 4)
     assert info.value.cap == 10
+    with pytest.raises(EnumerationCapExceeded):
+        exact_enumeration(make_monroe(prof, 4), BD, "l1_dec", enumeration_cap=0)
 
 
 def test_exact_enumeration_caps_general_by_affordable_committees():
@@ -525,9 +515,9 @@ def test_exact_enumeration_caps_general_by_affordable_committees():
     assert report.value == max(
         metric_l1(inst, BD, Assignment((a,) * 3)) for a in range(1, 22)
     )
-    assert exact_enumeration(inst, BD, "l1_dec", config=SolverConfig(enumeration_cap=21))
+    assert exact_enumeration(inst, BD, "l1_dec", enumeration_cap=21)
     with pytest.raises(EnumerationCapExceeded) as info:
-        exact_enumeration(inst, BD, "l1_dec", config=SolverConfig(enumeration_cap=20))
+        exact_enumeration(inst, BD, "l1_dec", enumeration_cap=20)
     assert str(info.value) == "exact enumeration needs more than 20 committees, cap is 20"
     assert info.value.required is None
 
