@@ -237,8 +237,8 @@ def _report(reports: dict, name: str, args, profile: Profile, seed) -> SolveRepo
 def cmd_ratio(args) -> int:
     if (args.path is None) == (args.gen is None):
         raise CLIError("ratio needs exactly one of an instance path or --gen")
-    if args.gen is not None and (args.n is None or args.m is None):
-        raise CLIError("ratio with --gen requires --n and --m")
+    if (args.n is None, args.m is None) != (args.gen is None,) * 2:
+        raise CLIError("--n and --m go with --gen: both with it, neither with a path")
     if args.gen is not None and min(args.n, args.m) < 1:
         raise CLIError("--n and --m must be at least 1")
     if args.gen == "ic" and args.seed is None:

@@ -2,10 +2,10 @@
 
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching.  The total objective is solved exactly as an integer min-cost
-max-flow (successive shortest augmenting paths with potentials); the
-egalitarian objectives grow one network of the same kernel over ascending
-score thresholds until a complete assignment fits, then take the min-cost
-matching at that threshold.
+max-flow (successive shortest augmenting paths with potentials).  The
+egalitarian objectives find the optimal threshold, which alone is the
+committee's egalitarian value, by growing one cost-free max-flow over
+ascending score thresholds, then take the min-cost matching at it.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -147,6 +147,34 @@ class _MinCostFlow:
             flow += push
         return flow
 
+    def augment(self, s: int, t: int, limit: int) -> int:
+        """:meth:`send` along breadth-first paths that ignore costs; each
+        path ends on a unit agent-sink edge, so it carries one unit."""
+        graph = self.graph
+        flow = 0
+        while flow < limit:
+            prev: List[Optional[Tuple[int, int]]] = [None] * len(graph)
+            prev[s] = (s, -1)
+            queue = [s]
+            for u in queue:  # the queue grows while it is read
+                if prev[t] is not None:
+                    break
+                for idx, edge in enumerate(graph[u]):
+                    if edge[1] > 0 and prev[edge[0]] is None:
+                        prev[edge[0]] = (u, idx)
+                        queue.append(edge[0])
+            if prev[t] is None:
+                break
+            v = t
+            while v != s:
+                u, idx = prev[v]  # type: ignore[misc]
+                edge = graph[u][idx]
+                edge[1] -= 1
+                graph[v][edge[3]][1] += 1
+                v = u
+            flow += 1
+        return flow
+
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> Tuple[int, ...]:
     members = tuple(sorted(int(a) for a in committee))
@@ -240,6 +268,38 @@ def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], i
     return cost
 
 
+def _bottleneck(
+    profile: Profile,
+    cost: Callable[[int, int], int],
+    members: Tuple[int, ...],
+    lowers: Tuple[int, ...],
+    uppers: Tuple[int, ...],
+) -> int:
+    """The optimal egalitarian threshold: the least largest edge cost of a
+    complete assignment of ``members`` under the bounds.
+
+    One network grows by ascending cost level; augmenting the flow it holds
+    yields the larger network's max-flow, so the first level whose flow
+    reaches ``n`` is the threshold.  Load totals that admit no complete
+    assignment raise :class:`InfeasibleMatchingError`.
+    """
+    n = profile.n
+    agent0 = 2 + len(members)
+    net = _network(n, lowers, uppers)
+    levels: dict = {}
+    for i, alt in enumerate(members):
+        for j in range(n):
+            levels.setdefault(cost(j, alt), []).append((2 + i, agent0 + j))
+    flow = 0
+    for best in sorted(levels):
+        for u, v in levels[best]:
+            net.add_edge(u, v, 1, 0)
+        flow += net.augment(0, len(net.graph) - 1, n - flow)
+        if flow == n:
+            break
+    return best
+
+
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
     """Assign every agent to its best-ranked committee member.
 
@@ -295,10 +355,10 @@ def match_egalitarian(
     matchings at that threshold, the one with the best total score is
     returned (kernel min-cost pass), which keeps results deterministic.
 
-    Cost: the search adds each level's edges to one network and augments the
-    flow it already holds, so it costs about one max-flow (n augmenting
-    paths, plus one failed path search per level below the optimum); the
-    min-cost pass is one kernel solve.  Load totals that admit no complete
+    Cost: the threshold search grows one network by level, about one
+    cost-free max-flow (n augmenting paths, plus one failed path search per
+    level below the optimum); the min-cost pass rebuilds the network and is
+    one kernel solve, most of the call.  Load totals that admit no complete
     assignment raise :class:`InfeasibleMatchingError` before the search;
     every other regime reaches a complete assignment at the loosest level.
     """
@@ -313,24 +373,7 @@ def match_egalitarian(
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, members)
     cost = _edge_cost(profile, psf)
-    # Both modes minimize the largest edge cost (a satisfaction floor is a
-    # cost ceiling).  Grow one network by ascending cost level: augmenting
-    # the flow already held yields the maximum flow of the larger network,
-    # so the first level at which the flow reaches n is the optimal ceiling.
-    n, agent0 = profile.n, 2 + len(members)
-    net = _network(n, lowers, uppers)
-    sink = len(net.graph) - 1
-    levels: dict = {}
-    for i, alt in enumerate(members):
-        for j in range(n):
-            levels.setdefault(cost(j, alt), []).append((2 + i, agent0 + j))
-    flow = 0
-    for best in sorted(levels):
-        for u, v in levels[best]:
-            net.add_edge(u, v, 1, 0)
-        flow += net.send(0, sink, n - flow)
-        if flow == n:
-            break
+    best = _bottleneck(profile, cost, members, lowers, uppers)
     allowed = lambda j, a: cost(j, a) <= best
     targets = _solve_bounded(profile, members, lowers, uppers, cost, allowed)
     assert targets is not None

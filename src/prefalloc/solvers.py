@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -32,6 +31,7 @@ from .instances import make_cc, make_monroe
 from .matching import (
     CapacityRegime,
     InfeasibleMatchingError,
+    _bottleneck,
     _edge_cost,
     match_cc,
     match_egalitarian,
@@ -548,8 +548,8 @@ def exact_enumeration(
     objective: str,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SolveReport:
-    """Brute-force oracle: enumerate budget-feasible committees, match each
-    optimally, return the best.
+    """Brute-force oracle: enumerate budget-feasible committees, value each
+    under its optimal matching, return the best.
 
     The loads come from the instance: Monroe and CC instances enumerate the
     ``C(m, K)`` size-K committees under balanced loads and no loads
@@ -566,9 +566,11 @@ def exact_enumeration(
     ``max_inc``) of the agents' kernel edge costs, which flip a decreasing
     function's scores.  One DFS carries each agent's least cost over the
     members picked so far, so a CC committee costs O(n) and needs no
-    matching; any other committee costs one kernel matching, its value read
-    from the targets through one n x m cost table.  Only the winner is
-    matched (CC) and validated.
+    matching.  An egalitarian committee costs one cost-free threshold search
+    (its bottleneck value) and needs no matching either; an ``l1_*``
+    committee costs one kernel matching, its value read from the targets
+    through one n x m cost table.  Only the winner is matched (CC and
+    egalitarian) and validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -598,44 +600,43 @@ def exact_enumeration(
     cost = _edge_cost(prof, psf)
     table = [[cost(j, a) for a in range(1, m + 1)] for j in range(n)]
     columns = list(zip(*table)) if instance.system_tag == "cc" else None
+    total = objective.startswith("l1_")
     regime = CapacityRegime.monroe_balanced()
-    if objective.startswith("l1_"):
-        value_of, match = sum, match_monroe_l1
-    else:
-        mode = "max_min_sat" if wants_dec else "min_max_dissat"
-        value_of, match = max, partial(match_egalitarian, mode=mode)
-
-    best_members: Optional[Tuple[int, ...]] = None
-    best_assignment: Optional[Assignment] = None
-    best_value = 0
+    incumbent: Optional[tuple] = None  # (value, members, regime, assignment)
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
         assignment = None
         if columns is not None:
-            value = value_of(best)
+            value = sum(best) if total else max(best)
         else:
             if general:
                 caps = tuple(instance.capacities[a - 1] for a in members)
-                if sum(caps) < n:
-                    continue
                 regime = CapacityRegime.explicit((0,) * len(members), caps)
             try:
-                assignment = match(prof, psf, members, regime)
+                if total:
+                    assignment = match_monroe_l1(prof, psf, members, regime)
+                    value = sum(row[t - 1] for row, t in zip(table, assignment.targets))
+                else:
+                    lowers, uppers = regime.bounds_for(len(members), n)
+                    value = _bottleneck(prof, cost, members, lowers, uppers)
             except InfeasibleMatchingError:
                 continue
-            value = value_of(row[t - 1] for row, t in zip(table, assignment.targets))
-        if best_members is None or value < best_value:
-            best_members, best_assignment, best_value = members, assignment, value
-    if best_members is None:
+        if incumbent is None or value < incumbent[0]:
+            incumbent = (value, members, regime, assignment)
+    if incumbent is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
-    if best_assignment is None:
-        best_assignment = match_cc(prof, best_members)
+    _, members, regime, assignment = incumbent
+    if columns is not None:
+        assignment = match_cc(prof, members)
+    elif not total:
+        mode = "max_min_sat" if wants_dec else "min_max_dissat"
+        assignment = match_egalitarian(prof, psf, members, regime, mode)
     return SolveReport(
-        assignment=best_assignment,
+        assignment=assignment,
         objective=objective,
-        value=_objective_value(instance, psf, best_assignment, objective),
+        value=_objective_value(instance, psf, assignment, objective),
         algorithm="exact_enumeration",
         elapsed=time.perf_counter() - start,
     )

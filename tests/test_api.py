@@ -1,13 +1,21 @@
-"""Library surface: every parameter a library function takes is one it reads.
+"""Library surface: every parameter a library function takes is one it reads,
+and every private module-level name is one the package uses.
 
 Each module under ``src/prefalloc`` except ``cli`` is parsed with ``ast``;
 any parameter of a function, method, nested function or lambda that its body
 never reads fails the test (``self`` and ``cls`` are exempt).  ``cli`` is
 left out because its dispatch entries share one ``(args, profile, seed)``
 signature by design, whatever each entry reads.
+
+Every module, ``cli`` included, is also searched for module-level names that
+start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
+references outside the name's own definition.  Callers in tests do not count:
+code that a faster path replaced moves to ``tests/oracles.py`` instead of
+staying in the package.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import prefalloc
@@ -54,3 +62,47 @@ def test_library_functions_read_every_parameter():
         for function, parameter in _unread(ast.parse(path.read_text(), str(path)))
     ]
     assert unread == []
+
+
+def _private_definitions(module: ast.Module):
+    """``(name, node)`` for each private module-level definition."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names read, attributes read and names imported anywhere in ``tree``."""
+    found: Counter = Counter()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_private_module_names_have_callers_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {"cli", "core", "matching", "solvers"} <= set(trees)
+    everywhere: Counter = sum((_references(tree) for tree in trees.values()), Counter())
+    definitions = [
+        (stem, name, node) for stem, tree in trees.items()
+        for name, node in _private_definitions(tree)
+    ]
+    assert any(name == "_MinCostFlow" for _, name, _ in definitions)
+    dead = [
+        f"{stem}.{name}" for stem, name, node in definitions
+        if everywhere[name] - _references(node)[name] == 0
+    ]
+    assert dead == []

@@ -632,6 +632,9 @@ def test_ratio_flag_consistency(identical_12_8, capsys):
         ("--algorithms", "exact", "--enumeration-cap", "-1"),
         ("--algorithms", "combined", "--epsilon", "1.5", "--lambda", "0.9"),
         ("--algorithms", "greedy,combined", "--epsilon", "0.5", "--lambda", "1"),
+        # Sizes of a generated profile do not apply to a path.
+        ("--algorithms", "greedy", "--n", "0", "--m", "99"),
+        ("--algorithms", "greedy", "--n", "5"),
     ]
     generated = ("ratio", "--system", "monroe", "--k", "1", "--algorithms", "greedy")
     cases += [

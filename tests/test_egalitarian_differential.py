@@ -2,8 +2,11 @@
 cost levels) against the binary threshold search it replaced
 (``oracles.match_egalitarian_reference``), at sizes brute force cannot reach.
 Targets must agree, or both calls must raise the same exception type with
-the same message."""
+the same message.  The threshold search alone (``matching._bottleneck``, the
+value exact enumeration reads per committee) must return the largest edge
+cost of the reference's targets, or raise what the reference raises."""
 
+import prefalloc.matching as matching
 from prefalloc import (
     CapacityRegime,
     Profile,
@@ -93,4 +96,38 @@ def test_match_egalitarian_matches_threshold_search_reference():
         assert got == want, (args[0].n, args[0].m, args[2], args[3], args[4])
         raised += isinstance(got[0], type)
     # The sweep reaches both outcomes: assignments and refused load totals.
+    assert 0 < raised < CASES
+
+
+def _largest_cost(profile, psf, committee, regime, mode):
+    """The largest edge cost of the reference's targets, or what it raises."""
+    outcome = _outcome(match_egalitarian_reference, profile, psf, committee, regime, mode)
+    if isinstance(outcome[0], type):
+        return outcome
+    cost = matching._edge_cost(profile, psf)
+    return max(cost(j, t) for j, t in enumerate(outcome))
+
+
+def _threshold(profile, psf, committee, regime):
+    """What the threshold search returns, or the type and message it raises."""
+    lowers, uppers = regime.bounds_for(len(committee), profile.n)
+    cost = matching._edge_cost(profile, psf)
+    try:
+        return matching._bottleneck(profile, cost, tuple(committee), lowers, uppers)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_bottleneck_is_the_reference_threshold():
+    # Bounds of 0 and n (and above n) go through the same grown network.
+    rng = SplitMix64(SEED + 1)
+    profile = Profile.from_orders([shuffled(range(1, 9), rng) for _ in range(30)])
+    regime = CapacityRegime.explicit((0, 0, 0), (30, 31, 30))
+    unbounded = (profile, BI, [2, 5, 7], regime, "min_max_dissat")
+    raised = 0
+    for profile, psf, committee, regime, mode in [*_sweep_cases(), unbounded]:
+        got = _threshold(profile, psf, committee, regime)
+        want = _largest_cost(profile, psf, committee, regime, mode)
+        assert got == want, (profile.n, profile.m, committee, regime, mode)
+        raised += isinstance(got, tuple)
     assert 0 < raised < CASES

@@ -224,11 +224,18 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     validations = _count_calls(monkeypatch, core, "validate_assignment")
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
+    egalitarian = _count_calls(monkeypatch, solvers, "match_egalitarian")
+    min_cost_passes = _count_calls(monkeypatch, matching, "_solve_bounded")
     report = exact_enumeration(make(profile, 3), psf, objective)
     assert len(validations) == 1  # 35 committees (63 for general), one validation
     if make is make_cc:
         assert len(cc_matchings) == 1 and not inner_cc_matchings
     else:
         assert not cc_matchings and not inner_cc_matchings
+    if make is not make_cc and objective in ("min_dec", "max_inc"):
+        # Committees are ranked by threshold alone; only the winner is matched.
+        assert len(egalitarian) == 1 and len(min_cost_passes) == 1
+    else:
+        assert not egalitarian
     reference = exact_enumeration_reference(make(profile, 3), psf, objective)
     assert report.assignment == reference.assignment
