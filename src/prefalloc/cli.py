@@ -9,11 +9,8 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
-from typing import List, Optional
 
 from .core import Profile, ScoringFunction, SolveReport
 from .instances import make_cc, make_monroe, parse_instance, write_instance
@@ -44,7 +41,7 @@ class CLIError(Exception):
 def _exact(make):
     """Solver call enumerating ``make(profile, k)`` under ``--objective``."""
 
-    def solve(args, profile: Profile, seed: Optional[int]) -> SolveReport:
+    def solve(args, profile: Profile, seed: int | None) -> SolveReport:
         dec = args.objective.endswith("_dec")
         psf = ScoringFunction.borda_dec() if dec else ScoringFunction.borda_inc()
         instance = make(profile, args.k)
@@ -57,7 +54,7 @@ def _oracle_floor(share: float):
     return lambda profile, k, oracle: None if oracle is None else share * oracle
 
 
-def _no_floor(profile: Profile, k: int, oracle: Optional[int]) -> None:
+def _no_floor(profile: Profile, k: int, oracle: int | None) -> None:
     return None
 
 
@@ -151,6 +148,8 @@ def _emit(args, fields) -> None:
     ``key: items`` line per list field.  In text a float prints with six
     decimals, None as ``-``, True as ``yes`` and False not at all."""
     if args.json:
+        import json
+
         print(json.dumps(dict(fields)))
         return
     pairs, lines = [], []
@@ -170,11 +169,15 @@ def _text(value) -> str:
     if value is True:
         return "yes"
     if isinstance(value, str) and any(c.isspace() for c in value):
+        import json
+
         return json.dumps(value)
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def cmd_gen(args) -> int:
+    import hashlib
+
     if min(args.n, args.m) < 1:
         raise CLIError("--n and --m must be at least 1")
     if args.kind == "ic":
@@ -370,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,80 +12,132 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 DEC_KINDS = ("borda_dec", "table_dec")
 INC_KINDS = ("borda_inc", "table_inc")
 SYSTEM_TAGS = ("general", "monroe", "cc")
 
 
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in constructor order, in ``__match_args__``,
+    keeps them in ``__slots__`` and stores them once, from ``__init__``,
+    through :meth:`_fill`.  Setting or deleting an attribute afterwards
+    raises ``AttributeError``.  ``==`` and ``hash`` compare the field values,
+    and only objects of the same class compare equal; ``repr`` is
+    ``Name(field=value, ...)``; copies and pickles are rebuilt through the
+    constructor, so they are validated again.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(
+            f"cannot assign {type(value).__name__} to field {name!r} of an "
+            f"immutable {type(self).__name__}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete field {name!r} of an immutable {type(self).__name__}"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 class ValidationError(ValueError):
     """An assignment violates the feasibility constraints of an instance."""
 
-    def __init__(self, violations: Tuple["Violation", ...]):
+    def __init__(self, violations: tuple[Violation, ...]):
         self.violations = violations
         super().__init__("; ".join(v.detail for v in violations))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One violated feasibility constraint.
+class Violation(_Record):
+    """One violated feasibility constraint (an immutable record).
 
     ``kind`` is one of ``shape``, ``target_range``, ``budget``, ``capacity``,
     ``scoring``.
     """
 
-    kind: str
-    detail: str
+    __slots__ = __match_args__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str) -> None:
+        self._fill(kind, detail)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Strict preference orders of ``n`` agents over alternatives ``1..m``."""
+class Profile(_Record):
+    """Strict preference orders of ``n`` agents over alternatives ``1..m``
+    (an immutable record; :attr:`positions` is built on first use)."""
 
-    n: int
-    m: int
-    orders: Tuple[Tuple[int, ...], ...]
+    __match_args__ = ("n", "m", "orders")
+    __slots__ = __match_args__ + ("_positions",)
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int, orders: tuple[tuple[int, ...], ...]) -> None:
+        if n < 1 or m < 1:
             raise ValueError("profile needs at least one agent and one alternative")
-        if len(self.orders) != self.n:
-            raise ValueError(f"expected {self.n} orders, got {len(self.orders)}")
-        full = frozenset(range(1, self.m + 1))
-        for i, order in enumerate(self.orders):
-            if len(order) != self.m or frozenset(order) != full:
-                raise ValueError(
-                    f"order of agent {i} is not a permutation of 1..{self.m}"
-                )
+        if len(orders) != n:
+            raise ValueError(f"expected {n} orders, got {len(orders)}")
+        full = frozenset(range(1, m + 1))
+        for i, order in enumerate(orders):
+            if len(order) != m or frozenset(order) != full:
+                raise ValueError(f"order of agent {i} is not a permutation of 1..{m}")
+        self._fill(n, m, orders)
+        _set(self, "_positions", None)
 
     @classmethod
-    def from_orders(cls, orders: Sequence[Sequence[int]]) -> "Profile":
+    def from_orders(cls, orders: Sequence[Sequence[int]]) -> Profile:
         orders = tuple(tuple(int(a) for a in order) for order in orders)
         if not orders:
             raise ValueError("profile needs at least one agent")
         return cls(n=len(orders), m=len(orders[0]), orders=orders)
 
-    @cached_property
-    def positions(self) -> Tuple[Tuple[int, ...], ...]:
+    @property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
         """``positions[i][a - 1]`` is the 1-based rank of alternative ``a`` for agent ``i``."""
-        table = []
-        for order in self.orders:
-            row = [0] * self.m
-            for rank, alt in enumerate(order, start=1):
-                row[alt - 1] = rank
-            table.append(tuple(row))
-        return tuple(table)
+        if self._positions is None:
+            table = []
+            for order in self.orders:
+                row = [0] * self.m
+                for rank, alt in enumerate(order, start=1):
+                    row[alt - 1] = rank
+                table.append(tuple(row))
+            _set(self, "_positions", tuple(table))
+        return self._positions
 
     def position(self, agent: int, alternative: int) -> int:
         return self.positions[agent][alternative - 1]
 
 
-@dataclass(frozen=True)
-class ScoringFunction:
-    """A positional scoring function family evaluated at (position, m).
+class ScoringFunction(_Record):
+    """A positional scoring function family evaluated at (position, m), as
+    an immutable record.
 
     ``*_dec`` kinds measure satisfaction (strictly decreasing, 0 at the last
     position); ``*_inc`` kinds measure dissatisfaction (strictly increasing,
@@ -95,43 +147,43 @@ class ScoringFunction:
     (values are appended).
     """
 
-    kind: str
-    table: Optional[Tuple[int, ...]] = None
+    __slots__ = __match_args__ = ("kind", "table")
 
-    def __post_init__(self) -> None:
-        if self.kind not in DEC_KINDS + INC_KINDS:
-            raise ValueError(f"unknown scoring kind {self.kind!r}")
-        if self.kind.startswith("table"):
-            if not self.table:
+    def __init__(self, kind: str, table: tuple[int, ...] | None = None) -> None:
+        if kind not in DEC_KINDS + INC_KINDS:
+            raise ValueError(f"unknown scoring kind {kind!r}")
+        if kind.startswith("table"):
+            if not table:
                 raise ValueError("table kinds need a non-empty value table")
-            diffs = [b - a for a, b in zip(self.table, self.table[1:])]
-            if self.kind == "table_dec":
-                if any(d >= 0 for d in diffs) or self.table[-1] != 0:
+            diffs = [b - a for a, b in zip(table, table[1:])]
+            if kind == "table_dec":
+                if any(d >= 0 for d in diffs) or table[-1] != 0:
                     raise ValueError(
                         "decreasing table must be strictly decreasing and end at 0"
                     )
             else:
-                if any(d <= 0 for d in diffs) or self.table[0] != 0:
+                if any(d <= 0 for d in diffs) or table[0] != 0:
                     raise ValueError(
                         "increasing table must be strictly increasing and start at 0"
                     )
-        elif self.table is not None:
+        elif table is not None:
             raise ValueError("borda kinds take no table")
+        self._fill(kind, table)
 
     @classmethod
-    def borda_dec(cls) -> "ScoringFunction":
+    def borda_dec(cls) -> ScoringFunction:
         return cls("borda_dec")
 
     @classmethod
-    def borda_inc(cls) -> "ScoringFunction":
+    def borda_inc(cls) -> ScoringFunction:
         return cls("borda_inc")
 
     @classmethod
-    def from_table_dec(cls, values: Sequence[int]) -> "ScoringFunction":
+    def from_table_dec(cls, values: Sequence[int]) -> ScoringFunction:
         return cls("table_dec", tuple(int(v) for v in values))
 
     @classmethod
-    def from_table_inc(cls, values: Sequence[int]) -> "ScoringFunction":
+    def from_table_inc(cls, values: Sequence[int]) -> ScoringFunction:
         return cls("table_inc", tuple(int(v) for v in values))
 
     @property
@@ -144,10 +196,14 @@ class ScoringFunction:
             return True
         return len(self.table) >= m
 
-    def values(self, m: int) -> Tuple[int, ...]:
+    def values(self, m: int) -> tuple[int, ...]:
         """Score vector among ``m`` alternatives: ``values(m)[p - 1]`` is
         ``score(self, p, m)``; raises its ``ValueError`` when a table does
-        not cover ``m``."""
+        not cover ``m``.  Borda vectors come straight from ``range``."""
+        if self.kind == "borda_dec":
+            return tuple(range(m - 1, -1, -1))
+        if self.kind == "borda_inc":
+            return tuple(range(m))
         return tuple(score(self, p, m) for p in range(1, m + 1))
 
 
@@ -169,94 +225,114 @@ def score(psf: ScoringFunction, position: int, m: int) -> int:
     return psf.table[position - 1]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A total map from agents to alternatives; ``targets[i]`` serves agent ``i``."""
+class Assignment(_Record):
+    """A total map from agents to alternatives; ``targets[i]`` serves agent
+    ``i`` (an immutable record; :attr:`committee` is built on first use)."""
 
-    targets: Tuple[int, ...]
+    __match_args__ = ("targets",)
+    __slots__ = __match_args__ + ("_committee",)
 
-    def __post_init__(self) -> None:
-        if not self.targets:
+    def __init__(self, targets: tuple[int, ...]) -> None:
+        if not targets:
             raise ValueError("assignment must cover at least one agent")
-        if any(not isinstance(t, int) or t < 1 for t in self.targets):
+        if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in targets):
             raise ValueError("assignment targets must be positive integers")
+        self._fill(targets)
+        _set(self, "_committee", None)
 
-    @cached_property
-    def committee(self) -> frozenset:
+    @property
+    def committee(self) -> frozenset[int]:
         """Alternatives with at least one assigned agent."""
-        return frozenset(self.targets)
+        if self._committee is None:
+            _set(self, "_committee", frozenset(self.targets))
+        return self._committee
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A full allocation instance: profile plus costs, capacities, weights, budget.
+class Instance(_Record):
+    """A full allocation instance: profile plus costs, capacities, weights,
+    budget (an immutable record).
 
     ``system_tag`` records which restriction built it.  ``monroe`` instances
     carry unit costs, budget ``K`` and per-alternative capacity ``ceil(n/K)``;
     ``cc`` instances the same with capacity ``n``.
     """
 
-    profile: Profile
-    weights: Tuple[int, ...]
-    costs: Tuple[int, ...]
-    capacities: Tuple[int, ...]
-    budget: int
-    system_tag: str = "general"
-    committee_size: Optional[int] = None
+    __slots__ = __match_args__ = (
+        "profile", "weights", "costs", "capacities", "budget", "system_tag",
+        "committee_size",
+    )
 
-    def __post_init__(self) -> None:
-        n, m = self.profile.n, self.profile.m
-        if self.system_tag not in SYSTEM_TAGS:
-            raise ValueError(f"unknown system tag {self.system_tag!r}")
-        if len(self.weights) != n:
-            raise ValueError(f"expected {n} agent weights, got {len(self.weights)}")
-        if len(self.costs) != m or len(self.capacities) != m:
+    def __init__(
+        self,
+        profile: Profile,
+        weights: tuple[int, ...],
+        costs: tuple[int, ...],
+        capacities: tuple[int, ...],
+        budget: int,
+        system_tag: str = "general",
+        committee_size: int | None = None,
+    ) -> None:
+        n, m = profile.n, profile.m
+        if system_tag not in SYSTEM_TAGS:
+            raise ValueError(f"unknown system tag {system_tag!r}")
+        if len(weights) != n:
+            raise ValueError(f"expected {n} agent weights, got {len(weights)}")
+        if len(costs) != m or len(capacities) != m:
             raise ValueError(f"costs and capacities must both have length {m}")
         for name, values in (
-            ("weight", self.weights),
-            ("cost", self.costs),
-            ("capacity", self.capacities),
+            ("weight", weights),
+            ("cost", costs),
+            ("capacity", capacities),
         ):
             if any(v < 1 for v in values):
                 raise ValueError(f"every {name} must be a positive integer")
-        if self.budget < 1:
+        if budget < 1:
             raise ValueError("budget must be a positive integer")
-        if self.system_tag in ("monroe", "cc"):
-            k = self.committee_size
+        if system_tag in ("monroe", "cc"):
+            k = committee_size
             if k is None or not 1 <= k <= m:
-                raise ValueError(f"{self.system_tag} instance needs 1 <= K <= {m}")
-            if any(c != 1 for c in self.costs) or self.budget != k:
+                raise ValueError(f"{system_tag} instance needs 1 <= K <= {m}")
+            if any(c != 1 for c in costs) or budget != k:
+                raise ValueError(f"{system_tag} instance needs unit costs and budget K")
+            cap = math.ceil(n / k) if system_tag == "monroe" else n
+            if any(c != cap for c in capacities):
                 raise ValueError(
-                    f"{self.system_tag} instance needs unit costs and budget K"
+                    f"{system_tag} instance needs every capacity equal to {cap}"
                 )
-            cap = math.ceil(n / k) if self.system_tag == "monroe" else n
-            if any(c != cap for c in self.capacities):
-                raise ValueError(
-                    f"{self.system_tag} instance needs every capacity equal to {cap}"
-                )
+        self._fill(
+            profile, weights, costs, capacities, budget, system_tag, committee_size
+        )
 
     @property
     def has_unit_weights(self) -> bool:
         return all(w == 1 for w in self.weights)
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Result of one solver run; ``value`` re-evaluates the named metric."""
+class SolveReport(_Record):
+    """Result of one solver run, as an immutable record; ``value``
+    re-evaluates the named metric."""
 
-    assignment: Assignment
-    objective: str
-    value: int
-    algorithm: str
-    seed: Optional[int] = None
-    elapsed: float = 0.0
+    __slots__ = __match_args__ = (
+        "assignment", "objective", "value", "algorithm", "seed", "elapsed",
+    )
+
+    def __init__(
+        self,
+        assignment: Assignment,
+        objective: str,
+        value: int,
+        algorithm: str,
+        seed: int | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self._fill(assignment, objective, value, algorithm, seed, elapsed)
 
 
 def validate_assignment(
     instance: Instance,
-    psf: Optional[ScoringFunction],
+    psf: ScoringFunction | None,
     assignment: Assignment,
-) -> Tuple[Violation, ...]:
+) -> tuple[Violation, ...]:
     """Check an assignment against every feasibility clause of the instance.
 
     Returns the (possibly empty) tuple of violated constraints instead of
@@ -310,7 +386,7 @@ def validate_assignment(
 
 def _checked_scores(
     instance: Instance, psf: ScoringFunction, assignment: Assignment
-) -> list:
+) -> list[int]:
     violations = validate_assignment(instance, psf, assignment)
     if violations:
         raise ValidationError(violations)

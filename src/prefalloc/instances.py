@@ -17,10 +17,9 @@ solver sampling never share an RNG stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
-from .core import Instance, Profile
+from .core import Instance, Profile, _Record
 from .rng import SplitMix64, shuffled
 
 
@@ -32,15 +31,21 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
-    """Parse result: the profile plus any general-instance blocks present."""
+class ParsedDocument(_Record):
+    """Parse result, as an immutable record: the profile plus any
+    general-instance blocks present."""
 
-    profile: Profile
-    costs: Optional[Tuple[int, ...]] = None
-    caps: Optional[Tuple[int, ...]] = None
-    budget: Optional[int] = None
-    weights: Optional[Tuple[int, ...]] = None
+    __slots__ = __match_args__ = ("profile", "costs", "caps", "budget", "weights")
+
+    def __init__(
+        self,
+        profile: Profile,
+        costs: tuple[int, ...] | None = None,
+        caps: tuple[int, ...] | None = None,
+        budget: int | None = None,
+        weights: tuple[int, ...] | None = None,
+    ) -> None:
+        self._fill(profile, costs, caps, budget, weights)
 
 
 def _restriction(profile: Profile, k: int, tag: str) -> Instance:
@@ -89,7 +94,7 @@ def gen_identical(n: int, m: int) -> Profile:
     return Profile(n=n, m=m, orders=(order,) * n)
 
 
-def _significant_lines(document: str) -> List[Tuple[int, str]]:
+def _significant_lines(document: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(document.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -102,7 +107,7 @@ def _significant_lines(document: str) -> List[Tuple[int, str]]:
     return out
 
 
-def _parse_ints(lineno: int, tokens: Sequence[str], what: str) -> List[int]:
+def _parse_ints(lineno: int, tokens: Sequence[str], what: str) -> list[int]:
     values = []
     for tok in tokens:
         try:
@@ -128,6 +133,7 @@ def parse_instance(document: str) -> ParsedDocument:
         raise ParseError(
             lines[-1][0], f"expected {n} order lines, found {len(lines) - 1}"
         )
+    full = set(range(1, m + 1))
     orders = []
     for lineno, line in lines[1 : 1 + n]:
         tokens = line.split()
@@ -135,17 +141,23 @@ def parse_instance(document: str) -> ParsedDocument:
             raise ParseError(
                 lineno, f"order line has {len(tokens)} entries, expected {m}"
             )
-        values = _parse_ints(lineno, tokens, "order line")
-        seen = set()
-        for v in values:
-            if not 1 <= v <= m:
-                raise ParseError(
-                    lineno, f"alternative index {v} out of range 1..{m}"
-                )
-            if v in seen:
-                raise ParseError(lineno, f"duplicate alternative index {v}")
-            seen.add(v)
-        orders.append(tuple(values))
+        try:
+            order = tuple(map(int, tokens))
+        except ValueError:
+            order = ()
+        if set(order) != full:
+            # Not a permutation of 1..m, so the line holds a bad token: name
+            # the first, a non-integer ahead of any range or duplicate error.
+            seen = set()
+            for v in _parse_ints(lineno, tokens, "order line"):
+                if not 1 <= v <= m:
+                    raise ParseError(
+                        lineno, f"alternative index {v} out of range 1..{m}"
+                    )
+                if v in seen:
+                    raise ParseError(lineno, f"duplicate alternative index {v}")
+                seen.add(v)
+        orders.append(order)
     profile = Profile(n=n, m=m, orders=tuple(orders))
 
     blocks = {}
@@ -178,10 +190,10 @@ def parse_instance(document: str) -> ParsedDocument:
 
 def write_instance(
     profile: Profile,
-    costs: Optional[Sequence[int]] = None,
-    caps: Optional[Sequence[int]] = None,
-    budget: Optional[int] = None,
-    weights: Optional[Sequence[int]] = None,
+    costs: Sequence[int] | None = None,
+    caps: Sequence[int] | None = None,
+    budget: int | None = None,
+    weights: Sequence[int] | None = None,
 ) -> str:
     """Render a profile (plus optional general blocks) in the file grammar."""
     out = [f"{profile.n} {profile.m}"]

@@ -21,10 +21,9 @@ breaks distance ties toward the lowest node id.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
-from .core import Assignment, Profile, ScoringFunction
+from .core import Assignment, Profile, ScoringFunction, _Record
 
 REGIME_KINDS = ("monroe_balanced", "explicit")
 
@@ -33,9 +32,8 @@ class InfeasibleMatchingError(ValueError):
     """No assignment satisfies the requested load bounds."""
 
 
-@dataclass(frozen=True)
-class CapacityRegime:
-    """Per-member load bounds imposed on the matching.
+class CapacityRegime(_Record):
+    """Per-member load bounds imposed on the matching, as an immutable record.
 
     ``monroe_balanced`` spreads the ``n`` agents as evenly as possible over a
     committee of size ``K`` (each member carries between ``floor(n/K)`` and
@@ -44,36 +42,40 @@ class CapacityRegime:
     the matchers then assign as :func:`match_cc` does.
     """
 
-    kind: str
-    lowers: Optional[Tuple[int, ...]] = None
-    uppers: Optional[Tuple[int, ...]] = None
+    __slots__ = __match_args__ = ("kind", "lowers", "uppers")
 
-    def __post_init__(self) -> None:
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"unknown capacity regime {self.kind!r}")
-        if self.kind == "explicit":
-            if self.lowers is None or self.uppers is None:
+    def __init__(
+        self,
+        kind: str,
+        lowers: tuple[int, ...] | None = None,
+        uppers: tuple[int, ...] | None = None,
+    ) -> None:
+        if kind not in REGIME_KINDS:
+            raise ValueError(f"unknown capacity regime {kind!r}")
+        if kind == "explicit":
+            if lowers is None or uppers is None:
                 raise ValueError("explicit regime needs lower and upper bounds")
-            if len(self.lowers) != len(self.uppers):
+            if len(lowers) != len(uppers):
                 raise ValueError("lower and upper bound lists differ in length")
-            if any(lo < 0 for lo in self.lowers):
+            if any(lo < 0 for lo in lowers):
                 raise ValueError("lower bounds must be nonnegative")
-            if any(hi < lo for lo, hi in zip(self.lowers, self.uppers)):
+            if any(hi < lo for lo, hi in zip(lowers, uppers)):
                 raise ValueError("upper bounds must dominate lower bounds")
-        elif self.lowers is not None or self.uppers is not None:
-            raise ValueError(f"{self.kind} regime takes no explicit bounds")
+        elif lowers is not None or uppers is not None:
+            raise ValueError(f"{kind} regime takes no explicit bounds")
+        self._fill(kind, lowers, uppers)
 
     @classmethod
-    def monroe_balanced(cls) -> "CapacityRegime":
+    def monroe_balanced(cls) -> CapacityRegime:
         return cls("monroe_balanced")
 
     @classmethod
     def explicit(
         cls, lowers: Sequence[int], uppers: Sequence[int]
-    ) -> "CapacityRegime":
+    ) -> CapacityRegime:
         return cls("explicit", tuple(lowers), tuple(uppers))
 
-    def bounds_for(self, committee_size: int, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def bounds_for(self, committee_size: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Resolve (lowers, uppers) for a committee of the given size."""
         k = committee_size
         if self.kind == "monroe_balanced":
@@ -95,9 +97,9 @@ class _MinCostFlow:
     """
 
     def __init__(self, n_nodes: int) -> None:
-        self.graph: List[List[list]] = [[] for _ in range(n_nodes)]
+        self.graph: list[list[list]] = [[] for _ in range(n_nodes)]
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> Tuple[int, int]:
+    def add_edge(self, u: int, v: int, cap: int, cost: int) -> tuple[int, int]:
         self.graph[u].append([v, cap, cost, len(self.graph[v])])
         self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
         return u, len(self.graph[u]) - 1
@@ -111,7 +113,7 @@ class _MinCostFlow:
         while flow < limit:
             dist = [inf] * n
             dist[s] = 0
-            prev: List[Optional[Tuple[int, int]]] = [None] * n
+            prev: list[tuple[int, int] | None] = [None] * n
             heap = [(0, s)]
             while heap:
                 d, u = heapq.heappop(heap)
@@ -153,7 +155,7 @@ class _MinCostFlow:
         graph = self.graph
         flow = 0
         while flow < limit:
-            prev: List[Optional[Tuple[int, int]]] = [None] * len(graph)
+            prev: list[tuple[int, int] | None] = [None] * len(graph)
             prev[s] = (s, -1)
             queue = [s]
             for u in queue:  # the queue grows while it is read
@@ -176,7 +178,7 @@ class _MinCostFlow:
         return flow
 
 
-def _checked_committee(profile: Profile, committee: Sequence[int]) -> Tuple[int, ...]:
+def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
     members = tuple(sorted(int(a) for a in committee))
     if not members:
         raise ValueError("committee must be nonempty")
@@ -187,7 +189,7 @@ def _checked_committee(profile: Profile, committee: Sequence[int]) -> Tuple[int,
     return members
 
 
-def _network(n: int, lowers: Tuple[int, ...], uppers: Tuple[int, ...]) -> _MinCostFlow:
+def _network(n: int, lowers: tuple[int, ...], uppers: tuple[int, ...]) -> _MinCostFlow:
     """The b-matching network without its member-agent edges.
 
     Node 0 is the source and node 1 the slack pool; the ``k`` members follow
@@ -228,12 +230,12 @@ def _network(n: int, lowers: Tuple[int, ...], uppers: Tuple[int, ...]) -> _MinCo
 
 def _solve_bounded(
     profile: Profile,
-    committee: Tuple[int, ...],
-    lowers: Tuple[int, ...],
-    uppers: Tuple[int, ...],
+    committee: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
     edge_cost: Callable[[int, int], int],
-    allowed: Optional[Callable[[int, int], bool]],
-) -> Optional[Tuple[int, ...]]:
+    allowed: Callable[[int, int], bool] | None,
+) -> tuple[int, ...] | None:
     """Min-cost saturating b-matching, or None if no full matching exists."""
     n = profile.n
     net = _network(n, lowers, uppers)
@@ -271,9 +273,9 @@ def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], i
 def _bottleneck(
     profile: Profile,
     cost: Callable[[int, int], int],
-    members: Tuple[int, ...],
-    lowers: Tuple[int, ...],
-    uppers: Tuple[int, ...],
+    members: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
 ) -> int:
     """The optimal egalitarian threshold: the least largest edge cost of a
     complete assignment of ``members`` under the bounds.

@@ -7,7 +7,7 @@ no standard-library or third-party RNG stream is ever consumed.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from collections.abc import Iterable
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,7 +50,7 @@ def derive_seed(seed: int, index: int) -> int:
     return (g.next_u64() ^ ((index + 1) * _GOLDEN)) & _MASK64
 
 
-def shuffled(items: Iterable[int], rng: SplitMix64) -> List[int]:
+def shuffled(items: Iterable[int], rng: SplitMix64) -> list[int]:
     """Full Fisher-Yates shuffle; returns a new list."""
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
@@ -59,7 +59,7 @@ def shuffled(items: Iterable[int], rng: SplitMix64) -> List[int]:
     return out
 
 
-def sample_distinct(m: int, k: int, rng: SplitMix64) -> List[int]:
+def sample_distinct(m: int, k: int, rng: SplitMix64) -> list[int]:
     """Uniform k-subset of {0, ..., m-1} via partial Fisher-Yates."""
     if not 0 <= k <= m:
         raise ValueError(f"cannot sample {k} distinct values out of {m}")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
     Assignment,
@@ -23,6 +22,7 @@ from .core import (
     Profile,
     ScoringFunction,
     SolveReport,
+    _Record,
     metric_extreme,
     metric_l1,
     metric_min_delta,
@@ -54,30 +54,33 @@ class EnumerationCapExceeded(RuntimeError):
     ``required`` is None when the count stopped once it passed the cap.
     """
 
-    def __init__(self, required: Optional[int], cap: int):
+    def __init__(self, required: int | None, cap: int):
         self.required = required
         self.cap = cap
         needs = f"more than {cap}" if required is None else required
         super().__init__(f"exact enumeration needs {needs} committees, cap is {cap}")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the combined solver: its ratio, confidence, sampling seed
-    and enumeration cap."""
+class SolverConfig(_Record):
+    """Knobs for the combined solver, as an immutable record: its ratio,
+    confidence, sampling seed and enumeration cap."""
 
-    epsilon: float = 0.1
-    lambda_: float = 0.9
-    seed: int = 0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+    __slots__ = __match_args__ = ("epsilon", "lambda_", "seed", "enumeration_cap")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1:
+    def __init__(
+        self,
+        epsilon: float = 0.1,
+        lambda_: float = 0.9,
+        seed: int = 0,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    ) -> None:
+        if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
-        if not 0 < self.lambda_ < 1:
+        if not 0 < lambda_ < 1:
             raise ValueError("lambda must lie strictly inside (0, 1)")
-        if self.enumeration_cap < 1:
+        if enumeration_cap < 1:
             raise ValueError("enumeration cap must be at least 1")
+        self._fill(epsilon, lambda_, seed, enumeration_cap)
 
 
 def harmonic(k: int) -> Fraction:
@@ -148,7 +151,7 @@ def _as_profile(prof: Profile, k: int) -> Profile:
     return prof
 
 
-def _batch_sizes(n: int, k: int) -> list:
+def _batch_sizes(n: int, k: int) -> list[int]:
     """Per-step assignment counts: step i takes ceil(remaining / (k - i))."""
     sizes = []
     remaining = n
@@ -161,7 +164,7 @@ def _batch_sizes(n: int, k: int) -> list:
 
 def _greedy_picks(
     prof: Profile, sizes: Iterable[int], weights: Sequence[int]
-) -> Tuple[list, list]:
+) -> tuple[list[int], list[int]]:
     """The greedy pick loop: one pick per batch size in ``sizes``.
 
     A pick scores every unpicked alternative by the weights of the
@@ -232,8 +235,10 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     psf = ScoringFunction.borda_dec()
     if k <= 2:
         inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec")
-        return replace(
-            inner,
+        return SolveReport(
+            assignment=inner.assignment,
+            objective=inner.objective,
+            value=inner.value,
             algorithm="greedy_monroe[exact:k<=2]",
             elapsed=time.perf_counter() - start,
         )
@@ -250,7 +255,7 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
 
 
 def sample_once_monroe(
-    profile: Profile, k: int, rng: Union[int, SplitMix64]
+    profile: Profile, k: int, rng: int | SplitMix64
 ) -> SolveReport:
     """One sampling step: a uniform k-subset of alternatives, matched optimally.
 
@@ -279,7 +284,7 @@ def sample_once_monroe(
 def combined_monroe(
     profile: Profile,
     k: int,
-    config: Optional[SolverConfig] = None,
+    config: SolverConfig | None = None,
 ) -> SolveReport:
     """Dispatch between exact enumeration, the greedy pass, and repeated
     sampling; reaches a (0.715 - epsilon) fraction of the optimum with
@@ -300,7 +305,7 @@ def combined_monroe(
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
     if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
-        branch: Optional[str] = "exact:small-k"
+        branch: str | None = "exact:small-k"
     elif prof.m <= 1 + 2 / config.epsilon:
         branch = "exact:small-m"
     else:
@@ -309,8 +314,10 @@ def combined_monroe(
         inner = exact_enumeration(
             make_monroe(prof, k), psf, "l1_dec", config.enumeration_cap
         )
-        return replace(
-            inner,
+        return SolveReport(
+            assignment=inner.assignment,
+            objective=inner.objective,
+            value=inner.value,
             algorithm=f"combined_monroe[{branch}]",
             seed=config.seed,
             elapsed=time.perf_counter() - start,
@@ -473,8 +480,8 @@ def _committees(
     sizes: Iterable[int],
     costs: Sequence[int],
     budget: int,
-    columns: Optional[Sequence[Sequence[int]]],
-) -> Iterator[Tuple[Tuple[int, ...], Optional[Sequence[int]]]]:
+    columns: Sequence[Sequence[int]] | None,
+) -> Iterator[tuple[tuple[int, ...], Sequence[int] | None]]:
     """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
     ``budget``, by size and then lexicographically, from one DFS.
 
@@ -602,7 +609,7 @@ def exact_enumeration(
     columns = list(zip(*table)) if instance.system_tag == "cc" else None
     total = objective.startswith("l1_")
     regime = CapacityRegime.monroe_balanced()
-    incumbent: Optional[tuple] = None  # (value, members, regime, assignment)
+    incumbent: tuple | None = None  # (value, members, regime, assignment)
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
         assignment = None

@@ -12,9 +12,16 @@ start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
 references outside the name's own definition.  Callers in tests do not count:
 code that a faster path replaced moves to ``tests/oracles.py`` instead of
 staying in the package.
+
+Every ``prefalloc`` command pays for the modules ``import prefalloc.cli``
+loads, so a fresh interpreter must load none of a few costly standard
+modules that no command needs at import time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -106,3 +113,15 @@ def test_private_module_names_have_callers_in_the_package():
         if everywhere[name] - _references(node)[name] == 0
     ]
     assert dead == []
+
+
+def test_cli_import_loads_no_costly_stdlib_modules():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import prefalloc.cli, sys; print(sorted(sys.modules))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    loaded = set(ast.literal_eval(run.stdout))
+    assert "prefalloc.cli" in loaded
+    assert loaded & {"dataclasses", "typing", "inspect", "json", "hashlib"} == set()

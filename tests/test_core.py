@@ -1,13 +1,20 @@
 """Core types, scoring functions, metrics, and the feasibility validator."""
 
+import copy
+import pickle
+
 import pytest
 
 from prefalloc import (
     Assignment,
+    CapacityRegime,
     Instance,
     Profile,
     ScoringFunction,
+    SolveReport,
+    SolverConfig,
     ValidationError,
+    Violation,
     assignment_cost,
     gen_impartial_culture,
     make_cc,
@@ -15,6 +22,7 @@ from prefalloc import (
     metric_extreme,
     metric_l1,
     metric_min_delta,
+    parse_instance,
     score,
     validate_assignment,
 )
@@ -68,6 +76,9 @@ def test_table_families_extend_by_prepending_and_appending():
     assert [score(inc, p, 2) for p in range(1, 3)] == [0, 1]
     assert inc.values(5) == (0, 1, 3, 8, 20) and inc.values(2) == (0, 1)
     assert BD.values(4) == (3, 2, 1, 0) and BI.values(4) == (0, 1, 2, 3)
+    for m in (1, 2, 7):
+        for psf in (BD, BI):
+            assert psf.values(m) == tuple(score(psf, p, m) for p in range(1, m + 1))
 
 
 def test_table_invariants_enforced():
@@ -217,6 +228,8 @@ def test_validate_target_range_and_shape():
     assert any(v.kind == "target_range" for v in violations)
     violations = validate_assignment(inst, BD, Assignment((1,)))
     assert [v.kind for v in violations] == ["shape"]
+    with pytest.raises(ValueError, match=r"^assignment targets must be positive integers$"):
+        Assignment((True, 2))  # a bool is no alternative index
 
 
 def test_validator_accepts_iff_all_clauses_hold():
@@ -290,3 +303,38 @@ def test_monroe_instance_invariants():
             system_tag="monroe",
             committee_size=4,
         )
+
+
+# One fresh-object factory per record type of the package.
+RECORDS = {
+    "Violation": lambda: Violation("budget", "committee cost 3 exceeds budget 2"),
+    "Profile": lambda: Profile(n=2, m=3, orders=((1, 2, 3), (3, 1, 2))),
+    "ScoringFunction": lambda: ScoringFunction.from_table_dec([5, 1, 0]),
+    "Assignment": lambda: Assignment((1, 3)),
+    "Instance": lambda: make_monroe(Profile.from_orders([(1, 2, 3), (3, 1, 2)]), 2),
+    "SolveReport": lambda: SolveReport(Assignment((1, 3)), "l1_dec", 3, "x", seed=4),
+    "ParsedDocument": lambda: parse_instance("2 3\n1 2 3\n3 1 2\nbudget: 2\n"),
+    "CapacityRegime": lambda: CapacityRegime.explicit([0, 1], [2, 2]),
+    "SolverConfig": lambda: SolverConfig(epsilon=0.5, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    fields = type(a).__match_args__
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert repr(a).startswith(f"{name}(")
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], getattr(b, fields[0]))
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == b
+    assert a != tuple(getattr(a, field) for field in fields)
+    assert all(a != make() for other, make in RECORDS.items() if other != name)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    if name == "Profile":
+        assert a.positions is a.positions
+    if name == "Assignment":
+        assert a.committee is a.committee

@@ -136,7 +136,18 @@ def test_parse_rejects_wrong_line_length():
 def test_parse_rejects_out_of_range_index():
     with pytest.raises(ParseError) as info:
         parse_instance("1 3\n1 5 2\n")
+    assert info.value.line == 2
     assert "out of range" in str(info.value)
+
+
+def test_parse_order_tokens_as_int_reads_them():
+    # the first token that is no integer is named, ahead of a range error
+    for line in ("1 x 2", "5 x 2"):
+        with pytest.raises(ParseError) as info:
+            parse_instance(f"2 3\n1 2 3\n{line}\n")
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: order line: 'x' is not an integer"
+    assert parse_instance("1 3\n+1 02 3\n").profile.orders == ((1, 2, 3),)
 
 
 def test_parse_rejects_missing_orders():
