@@ -107,7 +107,7 @@ def _read_profile(path: str) -> Profile:
         parsed = parse_instance(handle.read())
     ignored = [
         f"{block}:"
-        for block in ("costs", "caps", "budget", "weights")
+        for block in ("costs", "caps", "budget")
         if getattr(parsed, block) is not None
     ]
     if ignored:

@@ -113,7 +113,9 @@ class Profile(_Record):
 
     @classmethod
     def from_orders(cls, orders: Sequence[Sequence[int]]) -> Profile:
-        orders = tuple(tuple(int(a) for a in order) for order in orders)
+        orders = tuple(tuple(order) for order in orders)
+        if any(isinstance(a, bool) or not isinstance(a, int) for o in orders for a in o):
+            raise ValueError("order entries must be integers")
         if not orders:
             raise ValueError("profile needs at least one agent")
         return cls(n=len(orders), m=len(orders[0]), orders=orders)
@@ -249,8 +251,9 @@ class Assignment(_Record):
 
 
 class Instance(_Record):
-    """A full allocation instance: profile plus costs, capacities, weights,
-    budget (an immutable record).
+    """A full allocation instance: profile plus costs, capacities and budget
+    (an immutable record).  Every agent counts once: a member's load is the
+    number of agents assigned to it.
 
     ``system_tag`` records which restriction built it.  ``monroe`` instances
     carry unit costs, budget ``K`` and per-alternative capacity ``ceil(n/K)``;
@@ -258,14 +261,12 @@ class Instance(_Record):
     """
 
     __slots__ = __match_args__ = (
-        "profile", "weights", "costs", "capacities", "budget", "system_tag",
-        "committee_size",
+        "profile", "costs", "capacities", "budget", "system_tag", "committee_size",
     )
 
     def __init__(
         self,
         profile: Profile,
-        weights: tuple[int, ...],
         costs: tuple[int, ...],
         capacities: tuple[int, ...],
         budget: int,
@@ -275,15 +276,9 @@ class Instance(_Record):
         n, m = profile.n, profile.m
         if system_tag not in SYSTEM_TAGS:
             raise ValueError(f"unknown system tag {system_tag!r}")
-        if len(weights) != n:
-            raise ValueError(f"expected {n} agent weights, got {len(weights)}")
         if len(costs) != m or len(capacities) != m:
             raise ValueError(f"costs and capacities must both have length {m}")
-        for name, values in (
-            ("weight", weights),
-            ("cost", costs),
-            ("capacity", capacities),
-        ):
+        for name, values in (("cost", costs), ("capacity", capacities)):
             if any(v < 1 for v in values):
                 raise ValueError(f"every {name} must be a positive integer")
         if budget < 1:
@@ -299,13 +294,7 @@ class Instance(_Record):
                 raise ValueError(
                     f"{system_tag} instance needs every capacity equal to {cap}"
                 )
-        self._fill(
-            profile, weights, costs, capacities, budget, system_tag, committee_size
-        )
-
-    @property
-    def has_unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
+        self._fill(profile, costs, capacities, budget, system_tag, committee_size)
 
 
 class SolveReport(_Record):
@@ -369,15 +358,14 @@ def validate_assignment(
             )
         )
     load = {a: 0 for a in committee}
-    for agent, t in enumerate(assignment.targets):
-        if 1 <= t <= m:
-            load[t] += instance.weights[agent]
+    for t in in_range:
+        load[t] += 1
     for a in committee:
         if load[a] > instance.capacities[a - 1]:
             violations.append(
                 Violation(
                     "capacity",
-                    f"alternative {a} carries weight {load[a]}, capacity "
+                    f"alternative {a} carries {load[a]} agents, capacity "
                     f"{instance.capacities[a - 1]}",
                 )
             )
@@ -433,7 +421,8 @@ def metric_min_delta(
     """
     from fractions import Fraction
 
-    d = Fraction(delta)
+    # A float is read as written (0.3 is 3/10), not as its binary value.
+    d = Fraction(repr(delta)) if isinstance(delta, float) else Fraction(delta)
     if not 0 <= d < 1:
         raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
     scores = sorted(_checked_scores(instance, psf, assignment))

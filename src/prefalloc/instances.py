@@ -6,8 +6,8 @@ File grammar (the only on-disk format):
 * the first significant line is the header ``n m``;
 * exactly ``n`` significant lines follow, each with ``m`` space-separated
   1-based alternative indices, most preferred first;
-* optional trailing blocks ``costs: c1 ... cm``, ``caps: x1 ... xm``,
-  ``budget: B`` and ``weights: w1 ... wn`` describe general instances;
+* optional trailing blocks ``costs: c1 ... cm``, ``caps: x1 ... xm`` and
+  ``budget: B`` describe general instances, whose agents count once each;
 * files are written with LF line endings; the parser also accepts CRLF.
 
 Generators live here, apart from the solvers, so experiment profiles and
@@ -35,7 +35,7 @@ class ParsedDocument(_Record):
     """Parse result, as an immutable record: the profile plus any
     general-instance blocks present."""
 
-    __slots__ = __match_args__ = ("profile", "costs", "caps", "budget", "weights")
+    __slots__ = __match_args__ = ("profile", "costs", "caps", "budget")
 
     def __init__(
         self,
@@ -43,20 +43,18 @@ class ParsedDocument(_Record):
         costs: tuple[int, ...] | None = None,
         caps: tuple[int, ...] | None = None,
         budget: int | None = None,
-        weights: tuple[int, ...] | None = None,
     ) -> None:
-        self._fill(profile, costs, caps, budget, weights)
+        self._fill(profile, costs, caps, budget)
 
 
 def _restriction(profile: Profile, k: int, tag: str) -> Instance:
-    """The ``monroe`` or ``cc`` restriction: unit weights and costs, budget
-    ``k``, capacity ``ceil(n/k)`` or ``n`` for every alternative."""
+    """The ``monroe`` or ``cc`` restriction: unit costs, budget ``k``,
+    capacity ``ceil(n/k)`` or ``n`` for every alternative."""
     if not 1 <= k <= profile.m:
         raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
     capacity = math.ceil(profile.n / k) if tag == "monroe" else profile.n
     return Instance(
         profile=profile,
-        weights=(1,) * profile.n,
         costs=(1,) * profile.m,
         capacities=(capacity,) * profile.m,
         budget=k,
@@ -161,7 +159,7 @@ def parse_instance(document: str) -> ParsedDocument:
     profile = Profile(n=n, m=m, orders=tuple(orders))
 
     blocks = {}
-    expected = {"costs": m, "caps": m, "budget": 1, "weights": n}
+    expected = {"costs": m, "caps": m, "budget": 1}
     for lineno, line in lines[1 + n :]:
         key, sep, rest = line.partition(":")
         key = key.strip()
@@ -184,7 +182,6 @@ def parse_instance(document: str) -> ParsedDocument:
         costs=blocks.get("costs"),
         caps=blocks.get("caps"),
         budget=blocks["budget"][0] if "budget" in blocks else None,
-        weights=blocks.get("weights"),
     )
 
 
@@ -193,7 +190,6 @@ def write_instance(
     costs: Sequence[int] | None = None,
     caps: Sequence[int] | None = None,
     budget: int | None = None,
-    weights: Sequence[int] | None = None,
 ) -> str:
     """Render a profile (plus optional general blocks) in the file grammar."""
     out = [f"{profile.n} {profile.m}"]
@@ -205,20 +201,15 @@ def write_instance(
         out.append("caps: " + " ".join(str(c) for c in caps))
     if budget is not None:
         out.append(f"budget: {budget}")
-    if weights is not None:
-        out.append("weights: " + " ".join(str(w) for w in weights))
     return "\n".join(out) + "\n"
 
 
 def general_instance(parsed: ParsedDocument) -> Instance:
     """Build a general instance from a document carrying all trailing blocks."""
-    profile = parsed.profile
     if parsed.costs is None or parsed.caps is None or parsed.budget is None:
         raise ValueError("general instance needs costs, caps and budget blocks")
-    weights = parsed.weights or (1,) * profile.n
     return Instance(
-        profile=profile,
-        weights=tuple(weights),
+        profile=parsed.profile,
         costs=parsed.costs,
         capacities=parsed.caps,
         budget=parsed.budget,

@@ -179,7 +179,10 @@ class _MinCostFlow:
 
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
-    members = tuple(sorted(int(a) for a in committee))
+    members = tuple(committee)
+    if any(isinstance(a, bool) or not isinstance(a, int) for a in members):
+        raise ValueError("committee members must be integers")
+    members = tuple(sorted(members))
     if not members:
         raise ValueError("committee must be nonempty")
     if len(set(members)) != len(members):

@@ -3,10 +3,9 @@ numeric utilities their quality bounds need.
 
 All positive guarantees hold for Borda satisfaction scores, so the
 approximation solvers score with ``borda_dec`` and take no scoring function.
-They take a bare :class:`Profile` and build the Monroe or
-CC restriction themselves; :func:`exact_enumeration` takes an
-:class:`Instance` and requires unit agent weights.  Ties are always broken
-toward the lowest alternative index and the lowest agent index.
+They take a bare :class:`Profile` and build the Monroe or CC restriction
+themselves; :func:`exact_enumeration` takes an :class:`Instance`.  Ties are
+always broken toward the lowest alternative index and the lowest agent index.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ OBJECTIVES = ("l1_dec", "l1_inc", "min_dec", "max_inc")
 
 
 class UnsupportedInstanceError(ValueError):
-    """The instance is outside what the solvers handle (e.g. non-unit weights)."""
+    """An approximation solver was given an :class:`Instance`, whose costs,
+    capacities and budget it would ignore."""
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -351,8 +351,8 @@ def combined_monroe(
 
 def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
     """Shared cover loop: k picks by top-x coverage of unassigned agents
-    (batches of up to n, x unit weights), then leftover agents go to their
-    best picked alternative."""
+    (batches of up to n, each of the top x positions counting 1), then
+    leftover agents go to their best picked alternative."""
     positions = prof.positions
     targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)
     for j, target in enumerate(targets):
@@ -582,8 +582,6 @@ def exact_enumeration(
     start = time.perf_counter()
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    if not instance.has_unit_weights:
-        raise UnsupportedInstanceError("solvers require unit agent weights")
     wants_dec = objective.endswith("_dec")
     if wants_dec != psf.is_decreasing:
         raise ValueError(

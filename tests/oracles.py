@@ -27,7 +27,6 @@ from prefalloc import (
     Profile,
     ScoringFunction,
     SolveReport,
-    UnsupportedInstanceError,
     match_cc,
     match_egalitarian,
     match_monroe_l1,
@@ -208,8 +207,6 @@ def exact_enumeration_reference(
     start = time.perf_counter()
     if objective not in ("l1_dec", "l1_inc", "min_dec", "max_inc"):
         raise ValueError(f"unknown objective {objective!r}")
-    if not instance.has_unit_weights:
-        raise UnsupportedInstanceError("solvers require unit agent weights")
     wants_dec = objective in ("l1_dec", "min_dec")
     if wants_dec != psf.is_decreasing:
         raise ValueError(

@@ -13,6 +13,10 @@ references outside the name's own definition.  Callers in tests do not count:
 code that a faster path replaced moves to ``tests/oracles.py`` instead of
 staying in the package.
 
+Every name a module under ``src/prefalloc`` (``__init__`` aside, which
+re-exports) or ``tests/oracles.py`` imports at module level must be read in
+that module; ``__future__`` imports are exempt.
+
 Every ``prefalloc`` command pays for the modules ``import prefalloc.cli``
 loads, so a fresh interpreter must load none of a few costly standard
 modules that no command needs at import time.
@@ -113,6 +117,34 @@ def test_private_module_names_have_callers_in_the_package():
         if everywhere[name] - _references(node)[name] == 0
     ]
     assert dead == []
+
+
+def _unread_imports(module: ast.Module):
+    """Names imported at module level that the module never reads."""
+    read = {
+        sub.id for sub in ast.walk(module)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        yield from (name for name in names if name not in read)
+
+
+def test_modules_read_every_import():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    paths.append(Path(__file__).with_name("oracles.py"))
+    assert {p.stem for p in paths} >= {"cli", "core", "solvers", "oracles"}
+    unread = [
+        f"{path.stem}: {name}"
+        for path in paths
+        for name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unread == []
 
 
 def test_cli_import_loads_no_costly_stdlib_modules():

@@ -238,12 +238,17 @@ def test_solve_cap_error_surfaces_verbatim(identical_12_8, capsys):
 
 def test_solve_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("2 3\n1 1 2\n1 2 3\n")
-    code, _, err = run_cli(
-        capsys, "solve", str(path), "--system", "cc", "--k", "1", "--algorithm", "greedy"
-    )
-    assert code == 1
-    assert "line 2" in err
+    for text, line in (
+        ("2 3\n1 1 2\n1 2 3\n", 2),  # a repeated index
+        ("2 3\n1 2 3\n3 2 1\nweights: 1 1\n", 4),  # the grammar has no weights block
+    ):
+        path.write_text(text)
+        code, stdout, err = run_cli(
+            capsys, "solve", str(path), "--system", "cc", "--k", "1", "--algorithm", "greedy"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"line {line}" in err
 
 
 # SHA-256 of `solve ic_300_20.txt --k 6 --algorithm greedy` stdout on
@@ -385,7 +390,7 @@ def test_solve_refuses_general_blocks(general_blocks, capsys):
     assert stdout == ""
     assert err.startswith("error:")
     assert "costs:" in err and "budget:" in err
-    assert "caps:" not in err and "weights:" not in err
+    assert "caps:" not in err
 
 
 def test_ratio_refuses_general_blocks(general_blocks, capsys):

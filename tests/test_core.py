@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from prefalloc import (
     ValidationError,
     Violation,
     assignment_cost,
+    gen_identical,
     gen_impartial_culture,
     make_cc,
     make_monroe,
@@ -39,6 +41,10 @@ def test_profile_rejects_non_permutations():
         Profile.from_orders([(1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         Profile(n=2, m=2, orders=((1, 2),))
+    # entries are not truncated to integers: 1.9 is no alternative index
+    for orders in ([(1.9, 2), (2, 1)], [(1, 2), (2, True)]):
+        with pytest.raises(ValueError, match=r"^order entries must be integers$"):
+            Profile.from_orders(orders)
 
 
 def test_positions_are_inverse_of_orders():
@@ -156,6 +162,12 @@ def test_metric_min_delta_drop_counts():
     assert metric_min_delta(inst, BD, asg, 0) == 0
     assert metric_min_delta(inst, BD, asg, 0.25) == 5
     assert metric_min_delta(inst, BD, asg, 0.2) == 0  # floor(0.8) = 0 dropped
+    # a float is read as written: 0.3 of 10 agents drops 3, not 2
+    inst = make_cc(gen_identical(10, 10), 10)
+    asg = Assignment(tuple(range(1, 11)))  # distinct borda scores 9..0
+    for delta, exact in ((0.3, Fraction(3, 10)), (0.7, Fraction(7, 10))):
+        assert metric_min_delta(inst, BD, asg, delta) == exact * 10
+        assert metric_min_delta(inst, BD, asg, exact) == exact * 10
 
 
 def test_metric_min_delta_matches_extreme_at_zero():
@@ -185,7 +197,6 @@ def test_assignment_cost():
     prof = Profile.from_orders([(1, 2), (2, 1), (1, 2)])
     inst = Instance(
         profile=prof,
-        weights=(1, 1, 1),
         costs=(7, 2),
         capacities=(3, 3),
         budget=9,
@@ -214,9 +225,7 @@ def test_validate_cc_never_hits_capacity():
 
 def test_validate_budget_violation():
     prof = Profile.from_orders([(1, 2), (2, 1)])
-    inst = Instance(
-        profile=prof, weights=(1, 1), costs=(1, 1), capacities=(2, 2), budget=1
-    )
+    inst = Instance(profile=prof, costs=(1, 1), capacities=(2, 2), budget=1)
     violations = validate_assignment(inst, BD, Assignment((1, 2)))
     assert [v.kind for v in violations] == ["budget"]
 
@@ -233,14 +242,13 @@ def test_validate_target_range_and_shape():
 
 
 def test_validator_accepts_iff_all_clauses_hold():
-    # weighted agents: capacity counts total assigned weight
+    # capacity counts the agents assigned to a member
     prof = Profile.from_orders([(1, 2), (1, 2), (2, 1)])
-    inst = Instance(
-        profile=prof, weights=(2, 2, 1), costs=(1, 1), capacities=(3, 3), budget=2
-    )
+    inst = Instance(profile=prof, costs=(1, 1), capacities=(2, 2), budget=2)
     assert validate_assignment(inst, None, Assignment((1, 2, 2))) == ()
-    bad = validate_assignment(inst, None, Assignment((1, 1, 2)))
+    bad = validate_assignment(inst, None, Assignment((1, 1, 1)))
     assert [v.kind for v in bad] == ["capacity"]
+    assert bad[0].detail == "alternative 1 carries 3 agents, capacity 2"
 
 
 def test_metrics_raise_on_invalid_assignment():
@@ -296,7 +304,6 @@ def test_monroe_instance_invariants():
     with pytest.raises(ValueError):
         Instance(
             profile=prof,
-            weights=(1,) * 10,
             costs=(1,) * 4,
             capacities=(2,) * 4,
             budget=4,

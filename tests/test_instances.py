@@ -40,7 +40,6 @@ def test_make_cc_fields():
     assert inst.budget == 2
     assert inst.capacities == (7,) * 4
     assert make_cc(prof, 4).budget == 4
-    assert inst.has_unit_weights
 
 
 def test_gen_impartial_culture_determinism():
@@ -82,15 +81,12 @@ def test_write_then_parse_round_trip():
 
 def test_round_trip_with_general_blocks():
     prof = gen_impartial_culture(4, 3, 5)
-    text = write_instance(
-        prof, costs=(2, 1, 3), caps=(2, 2, 2), budget=5, weights=(1, 2, 1, 1)
-    )
+    text = write_instance(prof, costs=(2, 1, 3), caps=(2, 2, 2), budget=5)
     parsed = parse_instance(text)
     assert parsed.profile == prof
     assert parsed.costs == (2, 1, 3)
     assert parsed.caps == (2, 2, 2)
     assert parsed.budget == 5
-    assert parsed.weights == (1, 2, 1, 1)
     inst = general_instance(parsed)
     assert inst.system_tag == "general"
     assert inst.budget == 5
@@ -164,7 +160,11 @@ def test_parse_rejects_bad_blocks():
     with pytest.raises(ParseError):
         parse_instance(base + "budget: 2\nbudget: 3\n")
     with pytest.raises(ParseError):
-        parse_instance(base + "weights: 0 1\n")
+        parse_instance(base + "caps: 0 1\n")
+    # agents count once: the grammar has no weights block
+    with pytest.raises(ParseError, match="unknown trailing block") as info:
+        parse_instance(base + "weights: 1 1\n")
+    assert info.value.line == 4
 
 
 def test_written_files_use_lf():
@@ -180,4 +180,4 @@ def test_generator_outputs_are_valid_profiles():
         m = 1 + rng.randrange(9)
         prof = gen_impartial_culture(n, m, derive_seed(4040, trial))
         assert isinstance(prof, Profile)  # constructor re-validates permutations
-        assert make_monroe(prof, 1 + rng.randrange(m)).has_unit_weights
+        make_monroe(prof, 1 + rng.randrange(m))

@@ -65,6 +65,12 @@ def test_match_cc_rejects_bad_committee():
         match_cc(prof, [1, 4])
     with pytest.raises(ValueError):
         match_cc(prof, [2, 2])
+    # members are not truncated to integers
+    for committee in ([1.7, 3], [True, 3]):
+        with pytest.raises(ValueError, match=r"^committee members must be integers$"):
+            match_cc(prof, committee)
+    with pytest.raises(ValueError, match=r"^committee members must be integers$"):
+        match_monroe_l1(prof, BD, [2.9, 3], BALANCED)
 
 
 def test_match_monroe_l1_identical_orders():

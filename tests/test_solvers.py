@@ -156,24 +156,11 @@ def test_greedy_monroe_domain_errors():
         greedy_monroe(prof, 4)
 
 
-def test_solvers_reject_non_unit_weights():
-    prof = gen_identical(3, 3)
-    weighted = Instance(
-        profile=prof, weights=(2, 1, 1), costs=(1, 1, 1), capacities=(3, 3, 3), budget=2
-    )
-    with pytest.raises(UnsupportedInstanceError):
-        greedy_monroe(weighted, 2)
-    with pytest.raises(UnsupportedInstanceError):
-        exact_enumeration(weighted, BD, "l1_dec")
-
-
 def test_approximation_solvers_take_a_profile_only():
     # Costs 5 each against a budget of 5: any two-member committee is over
     # budget, which the Monroe and CC restrictions would silently ignore.
     prof = gen_impartial_culture(6, 4, 3)
-    priced = Instance(
-        profile=prof, weights=(1,) * 6, costs=(5,) * 4, capacities=(6,) * 4, budget=5
-    )
+    priced = Instance(profile=prof, costs=(5,) * 4, capacities=(6,) * 4, budget=5)
     calls = [
         lambda: greedy_monroe(priced, 2),
         lambda: sample_once_monroe(priced, 2, 1),
@@ -474,7 +461,6 @@ def test_exact_general_instance_against_subset_oracle():
     )
     inst = Instance(
         profile=prof,
-        weights=(1,) * 5,
         costs=(3, 2, 2, 1),
         capacities=(2, 3, 2, 2),
         budget=4,
@@ -508,9 +494,7 @@ def test_exact_enumeration_caps_general_by_affordable_committees():
     # 21 alternatives, but unit costs and budget 1 leave 21 committees, far
     # under the default cap (2 ** 21 subsets would exceed it).
     prof = gen_impartial_culture(3, 21, 5)
-    inst = Instance(
-        profile=prof, weights=(1,) * 3, costs=(1,) * 21, capacities=(3,) * 21, budget=1
-    )
+    inst = Instance(profile=prof, costs=(1,) * 21, capacities=(3,) * 21, budget=1)
     report = exact_enumeration(inst, BD, "l1_dec")
     assert report.value == max(
         metric_l1(inst, BD, Assignment((a,) * 3)) for a in range(1, 22)
