@@ -12,7 +12,8 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 DEC_KINDS = ("borda_dec", "table_dec")
 INC_KINDS = ("borda_inc", "table_inc")
@@ -20,6 +21,12 @@ SYSTEM_TAGS = ("general", "monroe", "cc")
 
 
 _set = object.__setattr__
+
+
+def _integers(values: Iterable) -> bool:
+    """Whether every value is an ``int`` and none a ``bool``, read from the
+    set of their types (one pass)."""
+    return all(t is not bool and issubclass(t, int) for t in set(map(type, values)))
 
 
 class _Record:
@@ -104,6 +111,8 @@ class Profile(_Record):
             raise ValueError("profile needs at least one agent and one alternative")
         if len(orders) != n:
             raise ValueError(f"expected {n} orders, got {len(orders)}")
+        if not _integers(chain.from_iterable(orders)):
+            raise ValueError("order entries must be integers")
         full = frozenset(range(1, m + 1))
         for i, order in enumerate(orders):
             if len(order) != m or frozenset(order) != full:
@@ -114,8 +123,6 @@ class Profile(_Record):
     @classmethod
     def from_orders(cls, orders: Sequence[Sequence[int]]) -> Profile:
         orders = tuple(tuple(order) for order in orders)
-        if any(isinstance(a, bool) or not isinstance(a, int) for o in orders for a in o):
-            raise ValueError("order entries must be integers")
         if not orders:
             raise ValueError("profile needs at least one agent")
         return cls(n=len(orders), m=len(orders[0]), orders=orders)
@@ -237,7 +244,7 @@ class Assignment(_Record):
     def __init__(self, targets: tuple[int, ...]) -> None:
         if not targets:
             raise ValueError("assignment must cover at least one agent")
-        if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in targets):
+        if not _integers(targets) or min(targets) < 1:
             raise ValueError("assignment targets must be positive integers")
         self._fill(targets)
         _set(self, "_committee", None)
@@ -279,9 +286,9 @@ class Instance(_Record):
         if len(costs) != m or len(capacities) != m:
             raise ValueError(f"costs and capacities must both have length {m}")
         for name, values in (("cost", costs), ("capacity", capacities)):
-            if any(v < 1 for v in values):
+            if not _integers(values) or min(values) < 1:
                 raise ValueError(f"every {name} must be a positive integer")
-        if budget < 1:
+        if not _integers((budget,)) or budget < 1:
             raise ValueError("budget must be a positive integer")
         if system_tag in ("monroe", "cc"):
             k = committee_size

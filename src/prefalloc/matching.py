@@ -1,11 +1,12 @@
 """Optimal agent-to-committee matchings for a fixed committee.
 
 Given the committee, the remaining problem is a degree-constrained bipartite
-b-matching.  The total objective is solved exactly as an integer min-cost
-max-flow (successive shortest augmenting paths with potentials).  The
-egalitarian objectives find the optimal threshold, which alone is the
+b-matching on one integer cost table, ``rows[j][a - 1]`` (:func:`_cost_rows`).
+The total objective is solved exactly as an integer min-cost max-flow
+(successive shortest augmenting paths with potentials).  The egalitarian
+objectives find the optimal threshold (the ``ceiling``), which alone is the
 committee's egalitarian value, by growing one cost-free max-flow over
-ascending score thresholds, then take the min-cost matching at it.
+ascending cost levels, then take the min-cost matching on the edges within it.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -21,9 +22,9 @@ breaks distance ties toward the lowest node id.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from .core import Assignment, Profile, ScoringFunction, _Record
+from .core import Assignment, Profile, ScoringFunction, _integers, _Record
 
 REGIME_KINDS = ("monroe_balanced", "explicit")
 
@@ -57,6 +58,8 @@ class CapacityRegime(_Record):
                 raise ValueError("explicit regime needs lower and upper bounds")
             if len(lowers) != len(uppers):
                 raise ValueError("lower and upper bound lists differ in length")
+            if not _integers((*lowers, *uppers)):
+                raise ValueError("bounds must be integers")
             if any(lo < 0 for lo in lowers):
                 raise ValueError("lower bounds must be nonnegative")
             if any(hi < lo for lo, hi in zip(lowers, uppers)):
@@ -99,10 +102,9 @@ class _MinCostFlow:
     def __init__(self, n_nodes: int) -> None:
         self.graph: list[list[list]] = [[] for _ in range(n_nodes)]
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> tuple[int, int]:
+    def add_edge(self, u: int, v: int, cap: int, cost: int) -> None:
         self.graph[u].append([v, cap, cost, len(self.graph[v])])
         self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
-        return u, len(self.graph[u]) - 1
 
     def send(self, s: int, t: int, limit: int) -> int:
         """Push up to ``limit`` units from s to t; returns the flow sent."""
@@ -180,7 +182,7 @@ class _MinCostFlow:
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
     members = tuple(committee)
-    if any(isinstance(a, bool) or not isinstance(a, int) for a in members):
+    if not _integers(members):
         raise ValueError("committee members must be integers")
     members = tuple(sorted(members))
     if not members:
@@ -231,51 +233,44 @@ def _network(n: int, lowers: tuple[int, ...], uppers: tuple[int, ...]) -> _MinCo
     return net
 
 
-def _solve_bounded(
-    profile: Profile,
-    committee: tuple[int, ...],
-    lowers: tuple[int, ...],
-    uppers: tuple[int, ...],
-    edge_cost: Callable[[int, int], int],
-    allowed: Callable[[int, int], bool] | None,
-) -> tuple[int, ...] | None:
-    """Min-cost saturating b-matching, or None if no full matching exists."""
-    n = profile.n
-    net = _network(n, lowers, uppers)
-    agent0, sink = 2 + len(committee), len(net.graph) - 1
-    unit_edges = {}
-    for i, alt in enumerate(committee):
-        for j in range(n):
-            if allowed is not None and not allowed(j, alt):
-                continue
-            unit_edges[(i, j)] = net.add_edge(2 + i, agent0 + j, 1, edge_cost(j, alt))
-    if net.send(0, sink, n) < n:
-        return None
-    targets = [0] * n
-    for (i, j), (u, idx) in unit_edges.items():
-        if net.graph[u][idx][1] == 0:
-            targets[j] = committee[i]
-    return tuple(targets)
-
-
-def _edge_cost(profile: Profile, psf: ScoringFunction) -> Callable[[int, int], int]:
-    """Nonnegative cost of serving an agent by an alternative: the score for
-    an increasing function, ``psf(1) - score`` for a decreasing one, so the
-    min-cost kernel serves both directions.  Read from one score vector."""
-    positions = profile.positions
+def _cost_rows(profile: Profile, psf: ScoringFunction) -> list[list[int]]:
+    """The cost table: ``rows[j][a - 1]`` is agent j's nonnegative cost for
+    alternative a, the score for an increasing function and ``psf(1) - score``
+    for a decreasing one, so the min-cost kernel serves both directions."""
     costs = psf.values(profile.m)
     if psf.is_decreasing:
         costs = tuple(costs[0] - c for c in costs)
+    return [[costs[p - 1] for p in row] for row in profile.positions]
 
-    def cost(agent: int, alt: int) -> int:
-        return costs[positions[agent][alt - 1] - 1]
 
-    return cost
+def _solve_bounded(
+    rows: list[list[int]],
+    committee: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
+    ceiling: int | None,
+) -> tuple[int, ...] | None:
+    """Min-cost full b-matching on the edges within ``ceiling``, or None if none."""
+    n = len(rows)
+    net = _network(n, lowers, uppers)
+    agent0, sink = 2 + len(committee), len(net.graph) - 1
+    for i, alt in enumerate(committee):
+        for j in range(n):
+            cost = rows[j][alt - 1]
+            if ceiling is None or cost <= ceiling:
+                net.add_edge(2 + i, agent0 + j, 1, cost)
+    if net.send(0, sink, n) < n:
+        return None
+    targets = [0] * n
+    for i, alt in enumerate(committee):
+        for v, cap, _, _ in net.graph[2 + i]:  # a saturated agent edge serves v
+            if v >= agent0 and cap == 0:
+                targets[v - agent0] = alt
+    return tuple(targets)
 
 
 def _bottleneck(
-    profile: Profile,
-    cost: Callable[[int, int], int],
+    rows: list[list[int]],
     members: tuple[int, ...],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
@@ -288,13 +283,13 @@ def _bottleneck(
     reaches ``n`` is the threshold.  Load totals that admit no complete
     assignment raise :class:`InfeasibleMatchingError`.
     """
-    n = profile.n
+    n = len(rows)
     agent0 = 2 + len(members)
     net = _network(n, lowers, uppers)
     levels: dict = {}
     for i, alt in enumerate(members):
         for j in range(n):
-            levels.setdefault(cost(j, alt), []).append((2 + i, agent0 + j))
+            levels.setdefault(rows[j][alt - 1], []).append((2 + i, agent0 + j))
     flow = 0
     for best in sorted(levels):
         for u, v in levels[best]:
@@ -303,6 +298,25 @@ def _bottleneck(
         if flow == n:
             break
     return best
+
+
+def _assign(
+    profile: Profile,
+    rows: list[list[int]],
+    members: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
+    ceiling: int | None = None,
+) -> Assignment:
+    """The least-cost complete assignment of the sorted ``members`` under
+    the bounds, on the edges within ``ceiling`` when given; bounds of 0 and
+    ``n`` restrict nothing, so it is then :func:`match_cc`'s."""
+    if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
+        return match_cc(profile, members)
+    targets = _solve_bounded(rows, members, lowers, uppers, ceiling)
+    if targets is None:
+        raise InfeasibleMatchingError("load bounds admit no complete assignment")
+    return Assignment(targets)
 
 
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
@@ -330,17 +344,11 @@ def match_monroe_l1(
 
     Maximizes the total score for a decreasing (satisfaction) function and
     minimizes it for an increasing (dissatisfaction) one: both minimize the
-    total :func:`_edge_cost`, and the optimum is exact.
+    total :func:`_cost_rows` cost, and the optimum is exact.
     """
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, members)
-    cost = _edge_cost(profile, psf)
-    targets = _solve_bounded(profile, members, lowers, uppers, cost, None)
-    if targets is None:
-        raise InfeasibleMatchingError("load bounds admit no complete assignment")
-    return Assignment(targets)
+    return _assign(profile, _cost_rows(profile, psf), members, lowers, uppers)
 
 
 def match_egalitarian(
@@ -356,16 +364,17 @@ def match_egalitarian(
     function); ``min_max_dissat`` minimizes the most dissatisfied agent's
     score (increasing function).  The optimal threshold is the best of the
     committee's score values at which a saturating b-matching exists on the
-    agent-member edges that meet it.  Among
-    matchings at that threshold, the one with the best total score is
-    returned (kernel min-cost pass), which keeps results deterministic.
+    agent-member edges that meet it.  Among matchings at that threshold, the
+    one with the best total score is returned (kernel min-cost pass), which
+    keeps results deterministic.
 
-    Cost: the threshold search grows one network by level, about one
-    cost-free max-flow (n augmenting paths, plus one failed path search per
-    level below the optimum); the min-cost pass rebuilds the network and is
-    one kernel solve, most of the call.  Load totals that admit no complete
-    assignment raise :class:`InfeasibleMatchingError` before the search;
-    every other regime reaches a complete assignment at the loosest level.
+    Cost: one n x m cost table; the threshold search grows one network by
+    its levels, about one cost-free max-flow (n augmenting paths, plus one
+    failed path search per level below the optimum); the min-cost pass on
+    the edges at or below the threshold (its ``ceiling``) rebuilds the
+    network and is one kernel solve, most of the call.  Load totals that
+    admit no complete assignment raise :class:`InfeasibleMatchingError`
+    before the search; every other regime reaches one at the loosest level.
     """
     if mode not in ("max_min_sat", "min_max_dissat"):
         raise ValueError(f"unknown egalitarian mode {mode!r}")
@@ -375,11 +384,6 @@ def match_egalitarian(
         raise ValueError("min_max_dissat needs an increasing (dissatisfaction) function")
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, members)
-    cost = _edge_cost(profile, psf)
-    best = _bottleneck(profile, cost, members, lowers, uppers)
-    allowed = lambda j, a: cost(j, a) <= best
-    targets = _solve_bounded(profile, members, lowers, uppers, cost, allowed)
-    assert targets is not None
-    return Assignment(targets)
+    rows = _cost_rows(profile, psf)
+    ceiling = _bottleneck(rows, members, lowers, uppers)
+    return _assign(profile, rows, members, lowers, uppers, ceiling)

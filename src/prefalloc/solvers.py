@@ -30,11 +30,10 @@ from .instances import make_cc, make_monroe
 from .matching import (
     CapacityRegime,
     InfeasibleMatchingError,
+    _assign,
     _bottleneck,
-    _edge_cost,
+    _cost_rows,
     match_cc,
-    match_egalitarian,
-    match_monroe_l1,
 )
 from .rng import SplitMix64, derive_seed, sample_distinct
 
@@ -254,6 +253,18 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     )
 
 
+def _sample_step(
+    instance: Instance, psf: ScoringFunction, rows: list, bounds: tuple, gen: SplitMix64
+) -> tuple[int, Assignment]:
+    """One sampling run: a uniform K-subset of the instance's alternatives,
+    its optimal matching under ``bounds`` on the cost table ``rows``, and
+    that matching's total score."""
+    prof, k = instance.profile, instance.committee_size
+    members = tuple(sorted(a + 1 for a in sample_distinct(prof.m, k, gen)))
+    assignment = _assign(prof, rows, members, *bounds)
+    return metric_l1(instance, psf, assignment), assignment
+
+
 def sample_once_monroe(
     profile: Profile, k: int, rng: int | SplitMix64
 ) -> SolveReport:
@@ -266,11 +277,10 @@ def sample_once_monroe(
     psf = ScoringFunction.borda_dec()
     seed = rng if isinstance(rng, int) else None
     gen = SplitMix64(rng) if isinstance(rng, int) else rng
-    committee = sorted(a + 1 for a in sample_distinct(prof.m, k, gen))
-    assignment = match_monroe_l1(
-        prof, psf, committee, CapacityRegime.monroe_balanced()
+    bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
+    value, assignment = _sample_step(
+        make_monroe(prof, k), psf, _cost_rows(prof, psf), bounds, gen
     )
-    value = metric_l1(make_monroe(prof, k), psf, assignment)
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
@@ -324,25 +334,28 @@ def combined_monroe(
         )
 
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
-    best = greedy_monroe(prof, k) if k > 2 else None
+    greedy = greedy_monroe(prof, k) if k > 2 else None
+    best = (greedy.value, greedy.assignment) if greedy else None
     runs = sampling_run_count(k, config.epsilon, config.lambda_)
     if branch is not None:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
         # the exact branch is due: do no more matchings than the enumeration.
         runs = min(runs, config.enumeration_cap)
+    rows, instance = _cost_rows(prof, psf), make_monroe(prof, k)
+    bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
-        candidate = sample_once_monroe(prof, k, gen)
-        if best is None or candidate.value > best.value:
+        candidate = _sample_step(instance, psf, rows, bounds, gen)
+        if best is None or candidate[0] > best[0]:
             best = candidate
     assert best is not None
     name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
     if branch is not None:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
     return SolveReport(
-        assignment=best.assignment,
+        assignment=best[1],
         objective="l1_dec",
-        value=best.value,
+        value=best[0],
         algorithm=name,
         seed=config.seed,
         elapsed=time.perf_counter() - start,
@@ -602,12 +615,11 @@ def exact_enumeration(
         if math.comb(m, k) > cap:
             raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-    cost = _edge_cost(prof, psf)
-    table = [[cost(j, a) for a in range(1, m + 1)] for j in range(n)]
-    columns = list(zip(*table)) if instance.system_tag == "cc" else None
+        bounds = CapacityRegime.monroe_balanced().bounds_for(k, n)
+    rows = _cost_rows(prof, psf)
+    columns = list(zip(*rows)) if instance.system_tag == "cc" else None
     total = objective.startswith("l1_")
-    regime = CapacityRegime.monroe_balanced()
-    incumbent: tuple | None = None  # (value, members, regime, assignment)
+    incumbent: tuple | None = None  # (value, members, bounds, assignment)
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
         assignment = None
@@ -616,28 +628,26 @@ def exact_enumeration(
         else:
             if general:
                 caps = tuple(instance.capacities[a - 1] for a in members)
-                regime = CapacityRegime.explicit((0,) * len(members), caps)
+                bounds = (0,) * len(members), caps
             try:
                 if total:
-                    assignment = match_monroe_l1(prof, psf, members, regime)
-                    value = sum(row[t - 1] for row, t in zip(table, assignment.targets))
+                    assignment = _assign(prof, rows, members, *bounds)
+                    value = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
                 else:
-                    lowers, uppers = regime.bounds_for(len(members), n)
-                    value = _bottleneck(prof, cost, members, lowers, uppers)
+                    value = _bottleneck(rows, members, *bounds)
             except InfeasibleMatchingError:
                 continue
         if incumbent is None or value < incumbent[0]:
-            incumbent = (value, members, regime, assignment)
+            incumbent = (value, members, bounds, assignment)
     if incumbent is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
-    _, members, regime, assignment = incumbent
+    value, members, bounds, assignment = incumbent
     if columns is not None:
         assignment = match_cc(prof, members)
     elif not total:
-        mode = "max_min_sat" if wants_dec else "min_max_dissat"
-        assignment = match_egalitarian(prof, psf, members, regime, mode)
+        assignment = _assign(prof, rows, members, *bounds, ceiling=value)
     return SolveReport(
         assignment=assignment,
         objective=objective,

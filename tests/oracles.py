@@ -7,10 +7,11 @@ every subset, and the Lambert W values by bisection.  Keep it that way.
 The references at the end are the straightforward loops that faster
 solvers replaced: the greedy loops (a sort or a scan of the unassigned agents
 per candidate), the per-committee enumeration loop (a fresh matching,
-validation and re-score for every committee) and the egalitarian binary
-threshold search (one cold kernel solve per probe).  They do use the flow kernel;
-the differential tests hold the solvers to them at sizes brute force cannot
-reach.
+validation and re-score for every committee), the egalitarian binary
+threshold search (one cold kernel solve per probe) and the combined solver's
+sampling loop (a fresh draw, public ``match_monroe_l1`` call and instance per
+run).  They do use the flow kernel; the differential tests hold the solvers
+to them at sizes brute force cannot reach.
 """
 
 import math
@@ -27,13 +28,20 @@ from prefalloc import (
     Profile,
     ScoringFunction,
     SolveReport,
+    SolverConfig,
+    exact_enumeration,
+    greedy_monroe,
+    harmonic,
+    make_monroe,
     match_cc,
     match_egalitarian,
     match_monroe_l1,
     metric_extreme,
     metric_l1,
+    sampling_run_count,
     score,
 )
+from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
 
 def feasible_assignments(n, committee, lowers, uppers):
@@ -287,22 +295,74 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, members)
-    cost = matching._edge_cost(profile, psf)
-    levels = sorted({cost(0, a) for a in range(1, profile.m + 1)})
+    rows = matching._cost_rows(profile, psf)
+    levels = sorted(set(rows[0]))
 
-    def solve(ceiling, edge_cost=lambda j, a: 0):
-        allowed = lambda j, a: cost(j, a) <= ceiling
-        return matching._solve_bounded(
-            profile, members, lowers, uppers, edge_cost, allowed
-        )
+    def feasible(ceiling):
+        # Zero-cost edges at or below the ceiling; the others cost 1 and are
+        # left out by a ceiling of 0.
+        flags = [[0 if c <= ceiling else 1 for c in row] for row in rows]
+        return matching._solve_bounded(flags, members, lowers, uppers, 0) is not None
 
-    if solve(levels[-1]) is None:
+    if not feasible(levels[-1]):
         raise InfeasibleMatchingError("load bounds admit no complete assignment")
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if solve(levels[mid]) is not None:
+        if feasible(levels[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return Assignment(solve(levels[lo], cost))
+    return Assignment(matching._solve_bounded(rows, members, lowers, uppers, levels[lo]))
+
+
+def combined_monroe_reference(profile, k, config=None):
+    """The combined solver with its sampling loop as it first ran: every
+    sampling run draws a committee, matches it through the public
+    ``match_monroe_l1`` and scores it on a fresh instance, and the best of
+    the greedy report and the sampling runs wins, the first one on ties."""
+    start = time.perf_counter()
+    config = config or SolverConfig()
+    psf = ScoringFunction.borda_dec()
+    if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
+        branch = "exact:small-k"
+    elif profile.m <= 1 + 2 / config.epsilon:
+        branch = "exact:small-m"
+    else:
+        branch = None
+    if branch is not None and math.comb(profile.m, k) <= config.enumeration_cap:
+        inner = exact_enumeration(
+            make_monroe(profile, k), psf, "l1_dec", config.enumeration_cap
+        )
+        return SolveReport(
+            assignment=inner.assignment,
+            objective=inner.objective,
+            value=inner.value,
+            algorithm=f"combined_monroe[{branch}]",
+            seed=config.seed,
+            elapsed=time.perf_counter() - start,
+        )
+    best = greedy_monroe(profile, k) if k > 2 else None
+    runs = sampling_run_count(k, config.epsilon, config.lambda_)
+    if branch is not None:
+        runs = min(runs, config.enumeration_cap)
+    for index in range(runs):
+        gen = SplitMix64(derive_seed(config.seed, index))
+        committee = sorted(a + 1 for a in sample_distinct(profile.m, k, gen))
+        assignment = match_monroe_l1(
+            profile, psf, committee, CapacityRegime.monroe_balanced()
+        )
+        value = metric_l1(make_monroe(profile, k), psf, assignment)
+        if best is None or value > best.value:
+            best = SolveReport(assignment, "l1_dec", value, "sample_once_monroe")
+    name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
+    if branch is not None:
+        name += "[no-guarantee]"
+    return SolveReport(
+        assignment=best.assignment,
+        objective="l1_dec",
+        value=best.value,
+        algorithm=name,
+        seed=config.seed,
+        elapsed=time.perf_counter() - start,
+    )

@@ -5,7 +5,9 @@ Each module under ``src/prefalloc`` except ``cli`` is parsed with ``ast``;
 any parameter of a function, method, nested function or lambda that its body
 never reads fails the test (``self`` and ``cls`` are exempt).  ``cli`` is
 left out because its dispatch entries share one ``(args, profile, seed)``
-signature by design, whatever each entry reads.
+signature by design, whatever each entry reads.  The same modules may take
+no parameter annotated ``Callable``: kernel inputs such as edge costs are
+passed as data (tables), not as callbacks.
 
 Every module, ``cli`` included, is also searched for module-level names that
 start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
@@ -73,6 +75,26 @@ def test_library_functions_read_every_parameter():
         for function, parameter in _unread(ast.parse(path.read_text(), str(path)))
     ]
     assert unread == []
+
+
+def _callable_parameters(module: ast.Module):
+    """``(function, parameter)`` for each parameter annotated ``Callable``."""
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg in _parameters(node.args):
+                if arg.annotation is not None and "Callable" in ast.unparse(arg.annotation):
+                    yield node.name, arg.arg
+
+
+def test_library_functions_take_no_callable_parameters():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli")
+    assert {p.stem for p in modules} >= {"core", "matching", "solvers"}
+    callbacks = [
+        f"{path.stem}.{function}: {parameter}"
+        for path in modules
+        for function, parameter in _callable_parameters(ast.parse(path.read_text(), str(path)))
+    ]
+    assert callbacks == []
 
 
 def _private_definitions(module: ast.Module):

@@ -45,6 +45,11 @@ def test_profile_rejects_non_permutations():
     for orders in ([(1.9, 2), (2, 1)], [(1, 2), (2, True)]):
         with pytest.raises(ValueError, match=r"^order entries must be integers$"):
             Profile.from_orders(orders)
+    # The constructor holds the same check: 1.0 == True == 1 passes the
+    # permutation test, and the positions table cannot index by 1.0.
+    for n, orders in ((1, ((1.0, 2.0),)), (2, ((True, 2), (2, 1)))):
+        with pytest.raises(ValueError, match=r"^order entries must be integers$"):
+            Profile(n, 2, orders)
 
 
 def test_positions_are_inverse_of_orders():
@@ -228,6 +233,22 @@ def test_validate_budget_violation():
     inst = Instance(profile=prof, costs=(1, 1), capacities=(2, 2), budget=1)
     violations = validate_assignment(inst, BD, Assignment((1, 2)))
     assert [v.kind for v in violations] == ["budget"]
+
+
+def test_instance_refuses_non_integer_costs_capacities_and_budget():
+    prof = Profile.from_orders([(1, 2), (2, 1)])
+    fine = dict(costs=(1, 1), capacities=(2, 2), budget=2)
+    for field, value, message in (
+        ("costs", (1.5, 1), "every cost must be a positive integer"),
+        ("costs", (True, 1), "every cost must be a positive integer"),
+        ("capacities", (2, 2.0), "every capacity must be a positive integer"),
+        ("capacities", (False, 2), "every capacity must be a positive integer"),
+        ("budget", 2.5, "budget must be a positive integer"),
+        ("budget", True, "budget must be a positive integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Instance(profile=prof, **{**fine, field: value})
+    assert Instance(profile=prof, **fine).budget == 2
 
 
 def test_validate_target_range_and_shape():

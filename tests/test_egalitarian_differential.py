@@ -104,16 +104,16 @@ def _largest_cost(profile, psf, committee, regime, mode):
     outcome = _outcome(match_egalitarian_reference, profile, psf, committee, regime, mode)
     if isinstance(outcome[0], type):
         return outcome
-    cost = matching._edge_cost(profile, psf)
-    return max(cost(j, t) for j, t in enumerate(outcome))
+    rows = matching._cost_rows(profile, psf)
+    return max(row[t - 1] for row, t in zip(rows, outcome))
 
 
 def _threshold(profile, psf, committee, regime):
     """What the threshold search returns, or the type and message it raises."""
     lowers, uppers = regime.bounds_for(len(committee), profile.n)
-    cost = matching._edge_cost(profile, psf)
+    rows = matching._cost_rows(profile, psf)
     try:
-        return matching._bottleneck(profile, cost, tuple(committee), lowers, uppers)
+        return matching._bottleneck(rows, tuple(committee), lowers, uppers)
     except ValueError as exc:
         return type(exc), str(exc)
 

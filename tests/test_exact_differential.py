@@ -159,8 +159,11 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
     # A table short of m raises the score vector's error before any committee.
     matchings = [
         _count_calls(monkeypatch, module, name)
-        for module in (solvers, matching)
-        for name in ("match_monroe_l1", "match_egalitarian", "match_cc")
+        for module, names in (
+            (solvers, ("match_cc", "_assign", "_bottleneck")),
+            (matching, ("match_monroe_l1", "match_egalitarian", "match_cc")),
+        )
+        for name in names
     ]
     for instance, objective in (
         (make_monroe(ic, 3), "min_dec"), (make_cc(ic, 3), "l1_dec"), (general, "l1_dec")
@@ -189,7 +192,7 @@ def _count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -213,9 +216,10 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     validations = _count_calls(monkeypatch, core, "validate_assignment")
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
-    egalitarian = _count_calls(monkeypatch, solvers, "match_egalitarian")
+    assigns = _count_calls(monkeypatch, solvers, "_assign")
     min_cost_passes = _count_calls(monkeypatch, matching, "_solve_bounded")
     report = exact_enumeration(make(profile, 3), psf, objective)
+    egalitarian = [call for call in assigns if call[1].get("ceiling") is not None]
     assert len(validations) == 1  # 35 committees (63 for general), one validation
     if make is make_cc:
         assert len(cc_matchings) == 1 and not inner_cc_matchings

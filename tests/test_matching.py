@@ -40,6 +40,16 @@ def test_regime_bounds():
         explicit.bounds_for(3, 5)
 
 
+@pytest.mark.parametrize(
+    "lowers, uppers",
+    [((1, 1), (1.5, 1.5)), ((0.5, 0.5), (2.5, 2.5)), ((True, 0), (2, 2)), ((0, 0), (2, "2"))],
+)
+def test_regime_refuses_non_integer_bounds(lowers, uppers):
+    # A fractional bound would push a fractional flow through the network.
+    with pytest.raises(ValueError, match=r"^bounds must be integers$"):
+        CapacityRegime.explicit(lowers, uppers)
+
+
 def test_match_cc_full_committee_gives_everyone_their_top():
     prof = gen_impartial_culture(6, 4, 12)
     asg = match_cc(prof, range(1, 5))
