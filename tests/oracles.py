@@ -11,7 +11,10 @@ validation and re-score for every committee), the egalitarian binary
 threshold search (one cold kernel solve per probe) and the combined solver's
 sampling loop (a fresh draw, public ``match_monroe_l1`` call and instance per
 run).  They do use the flow kernel; the differential tests hold the solvers
-to them at sizes brute force cannot reach.
+to them at sizes brute force cannot reach.  The file ends with the samplers
+that block draws and a sparse swap map replaced: ``shuffled`` and
+``sample_distinct_reference`` call ``randrange`` once per position of a full
+list.
 """
 
 import math
@@ -366,3 +369,23 @@ def combined_monroe_reference(profile, k, config=None):
         seed=config.seed,
         elapsed=time.perf_counter() - start,
     )
+
+
+def shuffled(items, rng):
+    """Full Fisher-Yates shuffle by ``rng.randrange``; returns a new list.
+    One such shuffle of ``1..m`` per agent is an impartial-culture profile."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def sample_distinct_reference(m, k, rng):
+    """Uniform k-subset of {0, ..., m-1} by partial Fisher-Yates over the
+    whole pool, O(m) per call."""
+    pool = list(range(m))
+    for i in range(k):
+        j = i + rng.randrange(m - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]

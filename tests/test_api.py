@@ -13,7 +13,8 @@ Every module, ``cli`` included, is also searched for module-level names that
 start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
 references outside the name's own definition.  Callers in tests do not count:
 code that a faster path replaced moves to ``tests/oracles.py`` instead of
-staying in the package.
+staying in the package.  The same holds for public module-level functions
+that ``prefalloc`` does not export: nothing outside the package promises them.
 
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
@@ -125,10 +126,15 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
-def test_private_module_names_have_callers_in_the_package():
+def _package_trees():
+    """Each package module's tree, and the references in all of them."""
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    return trees, sum((_references(tree) for tree in trees.values()), Counter())
+
+
+def test_private_module_names_have_callers_in_the_package():
+    trees, everywhere = _package_trees()
     assert {"cli", "core", "matching", "solvers"} <= set(trees)
-    everywhere: Counter = sum((_references(tree) for tree in trees.values()), Counter())
     definitions = [
         (stem, name, node) for stem, tree in trees.items()
         for name, node in _private_definitions(tree)
@@ -137,6 +143,22 @@ def test_private_module_names_have_callers_in_the_package():
     dead = [
         f"{stem}.{name}" for stem, name, node in definitions
         if everywhere[name] - _references(node)[name] == 0
+    ]
+    assert dead == []
+
+
+def test_unexported_public_functions_have_callers_in_the_package():
+    trees, everywhere = _package_trees()
+    unexported = [
+        (stem, node) for stem, tree in trees.items() if stem != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in prefalloc.__all__
+    ]
+    assert any(node.name == "sample_distinct" for _, node in unexported)
+    dead = [
+        f"{stem}.{node.name}" for stem, node in unexported
+        if everywhere[node.name] - _references(node)[node.name] == 0
     ]
     assert dead == []
 

@@ -53,6 +53,27 @@ def test_gen_digest_is_deterministic(tmp_path, capsys):
     assert out_a.split("sha256=")[1] == out_b.split("sha256=")[1]
 
 
+# The file digest `gen ic` prints, as the one-draw-at-a-time generator wrote
+# the file: a small profile, the greedy benchmark's n=1000, m=40 over many
+# blocks of draws, and m=3000 with one agent's draws spanning blocks.
+GEN_IC_SHA256 = {
+    (9, 6, 1): "b5d3bb18d476ad8037dbbffd8ac56f385b5e0d3136ceedaf6d9f14a9d52bacba",
+    (1000, 40, 0): "aa5b5ca5d8d4dd438429d1b3bf8eac22a5e474791c579c44a88c076a01ef5ef9",
+    (2, 3000, 5): "bbaf54a1fb6d44bceee3b64c92f0712de138f676c8dca476ab55511b729a9df6",
+}
+
+
+@pytest.mark.parametrize("n, m, seed", list(GEN_IC_SHA256))
+def test_gen_ic_stdout_golden(tmp_path, monkeypatch, capsys, n, m, seed):
+    monkeypatch.chdir(tmp_path)  # stdout names the file, so keep the path relative
+    out = f"ic_{n}_{m}.txt"
+    code, stdout, _ = run_cli(
+        capsys, "gen", "ic", "--n", str(n), "--m", str(m), "--seed", str(seed), "--out", out
+    )
+    assert code == 0
+    assert stdout == f"path={out} sha256={GEN_IC_SHA256[n, m, seed]}\n"
+
+
 def test_gen_identical_content(tmp_path, capsys):
     out = str(tmp_path / "id.txt")
     code, _, _ = run_cli(capsys, "gen", "identical", "--n", "4", "--m", "3", "--out", out)

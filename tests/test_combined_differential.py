@@ -22,9 +22,9 @@ from prefalloc import (
     make_cc,
     make_monroe,
 )
-from prefalloc.rng import SplitMix64, derive_seed, shuffled
+from prefalloc.rng import SplitMix64, derive_seed
 
-from oracles import combined_monroe_reference
+from oracles import combined_monroe_reference, shuffled
 
 SEED = 6006
 BD = ScoringFunction.borda_dec()

@@ -13,9 +13,9 @@ from prefalloc import (
     ScoringFunction,
     match_egalitarian,
 )
-from prefalloc.rng import SplitMix64, derive_seed, sample_distinct, shuffled
+from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import match_egalitarian_reference
+from oracles import match_egalitarian_reference, shuffled
 
 SEED = 5005
 CASES = 48

@@ -21,9 +21,9 @@ from prefalloc import (
     make_cc,
     make_monroe,
 )
-from prefalloc.rng import SplitMix64, derive_seed, shuffled
+from prefalloc.rng import SplitMix64, derive_seed
 
-from oracles import best_committee_value, exact_enumeration_reference
+from oracles import best_committee_value, exact_enumeration_reference, shuffled
 
 SEED = 4004
 CASES = 40

@@ -19,10 +19,10 @@ from prefalloc import (
     metric_l1,
     metric_min_delta,
 )
-from prefalloc.rng import SplitMix64, derive_seed, shuffled
+from prefalloc.rng import SplitMix64, derive_seed
 from prefalloc.solvers import _batch_sizes, _greedy_picks, cover_depth_majority
 
-from oracles import greedy_cover_reference, greedy_monroe_reference
+from oracles import greedy_cover_reference, greedy_monroe_reference, shuffled
 
 BD = ScoringFunction.borda_dec()
 SEED = 606

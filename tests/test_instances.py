@@ -17,6 +17,10 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed
 
+from oracles import shuffled
+
+MASK64 = 2**64 - 1
+
 
 def test_make_monroe_capacities():
     assert make_monroe(gen_identical(12, 6), 4).capacities == (3,) * 6
@@ -53,6 +57,57 @@ def test_gen_impartial_culture_determinism():
 def test_gen_impartial_culture_single_alternative():
     prof = gen_impartial_culture(5, 1, 3)
     assert prof.orders == ((1,),) * 5
+
+
+def _shuffle_stream(n, m, seed):
+    """Orders of n shuffles of 1..m, one ``randrange`` at a time on one stream."""
+    rng = SplitMix64(seed)
+    return tuple(tuple(shuffled(range(1, m + 1), rng)) for _ in range(n))
+
+
+# n=1, m=1 and m=2 at the edges, m=3000 with one agent's draws spanning
+# blocks, then the benchmark's shapes.
+@pytest.mark.parametrize("n, m", [
+    (1, 6), (4, 1), (5, 2), (2, 3000), (60, 12), (12, 7), (150, 30), (1000, 40),
+])
+def test_gen_impartial_culture_is_the_shuffle_stream(n, m):
+    for seed in (0, 5, MASK64):
+        assert gen_impartial_culture(n, m, seed).orders == _shuffle_stream(n, m, seed)
+
+
+def _unxorshift(y, shift):
+    """Inverse of ``x -> x ^ (x >> shift)`` on 64-bit words."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _seed_drawing_max_at(position):
+    """Seed whose draw ``position`` (0-based) is 2**64 - 1: SplitMix64's
+    output mix inverted step by step, then ``position + 1`` increments
+    taken off."""
+    golden, mix1, mix2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+    z = _unxorshift(MASK64, 31)
+    z = _unxorshift(z * pow(mix2, -1, 2**64) & MASK64, 27)
+    z = _unxorshift(z * pow(mix1, -1, 2**64) & MASK64, 30)
+    return (z - (position + 1) * golden) & MASK64
+
+
+# Draw 0 opens the stream, 1023 closes the first block of 1024, 1024 opens
+# the second; n * (m - 1) = 1170 planned draws cover all three.
+@pytest.mark.parametrize("position", [0, 1023, 1024])
+def test_gen_impartial_culture_skips_the_draws_randrange_rejects(position):
+    n, m = 30, 40
+    seed = _seed_drawing_max_at(position)
+    rng = SplitMix64(seed)
+    for _ in range(position):
+        rng.next_u64()
+    assert rng.next_u64() == MASK64
+    # The draw falls on the bound m - position % (m - 1), which does not
+    # divide 2**64, so randrange rejects 2**64 - 1 there.
+    assert 2**64 % (m - position % (m - 1)) != 0
+    assert gen_impartial_culture(n, m, seed).orders == _shuffle_stream(n, m, seed)
 
 
 def test_gen_impartial_culture_is_roughly_uniform():
