@@ -253,16 +253,9 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     )
 
 
-def _sample_step(
-    instance: Instance, psf: ScoringFunction, rows: list, bounds: tuple, gen: SplitMix64
-) -> tuple[int, Assignment]:
-    """One sampling run: a uniform K-subset of the instance's alternatives,
-    its optimal matching under ``bounds`` on the cost table ``rows``, and
-    that matching's total score."""
-    prof, k = instance.profile, instance.committee_size
-    members = tuple(sorted(a + 1 for a in sample_distinct(prof.m, k, gen)))
-    assignment = _assign(prof, rows, members, *bounds)
-    return metric_l1(instance, psf, assignment), assignment
+def _sample_committee(m: int, k: int, gen: SplitMix64) -> tuple[int, ...]:
+    """One sampling run's committee: a uniform, sorted k-subset of 1..m."""
+    return tuple(sorted(a + 1 for a in sample_distinct(m, k, gen)))
 
 
 def sample_once_monroe(
@@ -278,13 +271,12 @@ def sample_once_monroe(
     seed = rng if isinstance(rng, int) else None
     gen = SplitMix64(rng) if isinstance(rng, int) else rng
     bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
-    value, assignment = _sample_step(
-        make_monroe(prof, k), psf, _cost_rows(prof, psf), bounds, gen
-    )
+    members = _sample_committee(prof.m, k, gen)
+    assignment = _assign(prof, _cost_rows(prof, psf), members, *bounds)
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
-        value=value,
+        value=metric_l1(make_monroe(prof, k), psf, assignment),
         algorithm="sample_once_monroe",
         seed=seed,
         elapsed=time.perf_counter() - start,
@@ -309,6 +301,14 @@ def combined_monroe(
     records the branch, gains ``[no-guarantee]``.  At k <= 2 that fallback
     runs the sampling alone (``combined_monroe[sample:R][no-guarantee]``),
     since the greedy pass there is the refused enumeration itself.
+
+    Sampling runs are ranked by their cost-table totals, and only a strictly
+    better one replaces the incumbent (greedy's result, if any).  A sample
+    whose CC score (each agent at its best member, loads ignored) is no
+    better could at best tie, so it is not matched: one kernel matching per
+    sample that can still win.  Each run draws from its own
+    ``derive_seed(seed, index)`` stream, so a skip moves no draw.  Only the
+    winner is scored by ``metric_l1``, which validates it.
     """
     start = time.perf_counter()
     config = config or SolverConfig()
@@ -333,29 +333,39 @@ def combined_monroe(
             elapsed=time.perf_counter() - start,
         )
 
+    rows, instance = _cost_rows(prof, psf), make_monroe(prof, k)
+    top = prof.n * psf.values(prof.m)[0]  # a cost is psf(1) minus the score
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
     greedy = greedy_monroe(prof, k) if k > 2 else None
-    best = (greedy.value, greedy.assignment) if greedy else None
+    best = (top - greedy.value, greedy.assignment) if greedy else None
     runs = sampling_run_count(k, config.epsilon, config.lambda_)
     if branch is not None:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
         # the exact branch is due: do no more matchings than the enumeration.
         runs = min(runs, config.enumeration_cap)
-    rows, instance = _cost_rows(prof, psf), make_monroe(prof, k)
     bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
     for index in range(runs):
-        gen = SplitMix64(derive_seed(config.seed, index))
-        candidate = _sample_step(instance, psf, rows, bounds, gen)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+        members = _sample_committee(
+            prof.m, k, SplitMix64(derive_seed(config.seed, index))
+        )
+        if best is not None:
+            relaxed = sum(min(row[a - 1] for a in members) for row in rows)
+            if relaxed >= best[0]:
+                continue
+        assignment = _assign(prof, rows, members, *bounds)
+        cost = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
+        if best is None or cost < best[0]:
+            best = (cost, assignment)
     assert best is not None
+    value = metric_l1(instance, psf, best[1])
+    assert value == top - best[0]
     name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
     if branch is not None:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
     return SolveReport(
         assignment=best[1],
         objective="l1_dec",
-        value=best[0],
+        value=value,
         algorithm=name,
         seed=config.seed,
         elapsed=time.perf_counter() - start,
@@ -493,15 +503,14 @@ def _committees(
     sizes: Iterable[int],
     costs: Sequence[int],
     budget: int,
-    columns: Sequence[Sequence[int]] | None,
-) -> Iterator[tuple[tuple[int, ...], Sequence[int] | None]]:
+    columns: Sequence[Sequence[int]],
+) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
     """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
     ``budget``, by size and then lexicographically, from one DFS.
 
-    Yields ``(members, best)``.  Given agent-cost ``columns``
-    (``columns[a - 1][j]`` is agent j's cost for alternative a), ``best[j]``
-    is agent j's least cost over the members, carried down the DFS so that a
-    committee costs O(n); otherwise ``best`` is None.  The alternatives'
+    Yields ``(members, best)``: with ``columns[a - 1][j]`` agent j's cost
+    for alternative a, ``best[j]`` is agent j's least cost over the members,
+    carried down the DFS so that a committee costs O(n).  The alternatives'
     ``costs`` are positive, so a prefix over the budget has no feasible
     extension.
     """
@@ -513,10 +522,8 @@ def _committees(
             cost = spent + costs[a - 1]
             if cost > budget:
                 continue
-            here = best
-            if columns is not None:
-                col = columns[a - 1]
-                here = col if best is None else list(map(min, best, col))
+            col = columns[a - 1]
+            here = col if best is None else list(map(min, best, col))
             members.append(a)
             if last:
                 yield tuple(members), here
@@ -585,12 +592,16 @@ def exact_enumeration(
     Every objective minimizes the sum (``l1_*``) or the largest (``min_dec``,
     ``max_inc``) of the agents' kernel edge costs, which flip a decreasing
     function's scores.  One DFS carries each agent's least cost over the
-    members picked so far, so a CC committee costs O(n) and needs no
-    matching.  An egalitarian committee costs one cost-free threshold search
-    (its bottleneck value) and needs no matching either; an ``l1_*``
-    committee costs one kernel matching, its value read from the targets
-    through one n x m cost table.  Only the winner is matched (CC and
-    egalitarian) and validated.
+    members picked so far, so a committee's CC value (the sum or largest of
+    these) costs O(n).  It is a CC committee's value, and a lower bound on a
+    Monroe or general one's under any loads.  An ``l1_*`` committee whose CC
+    value is not below the incumbent's could at best tie, and only a
+    strictly better one replaces the incumbent, so it is not matched and the
+    winner stays the same; any other costs one kernel matching, its value
+    read off the n x m cost table: one matching per committee that can
+    still win.  An egalitarian Monroe or general committee costs one
+    cost-free threshold search (its bottleneck value).  Only the winner is
+    matched (CC and egalitarian) and validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -617,15 +628,17 @@ def exact_enumeration(
         sizes = (k,)
         bounds = CapacityRegime.monroe_balanced().bounds_for(k, n)
     rows = _cost_rows(prof, psf)
-    columns = list(zip(*rows)) if instance.system_tag == "cc" else None
+    cc = instance.system_tag == "cc"
     total = objective.startswith("l1_")
     incumbent: tuple | None = None  # (value, members, bounds, assignment)
+    columns = list(zip(*rows))
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
+        value = sum(best) if total else max(best)
+        if incumbent is not None and value >= incumbent[0] and (cc or total):
+            continue
         assignment = None
-        if columns is not None:
-            value = sum(best) if total else max(best)
-        else:
+        if not cc:
             if general:
                 caps = tuple(instance.capacities[a - 1] for a in members)
                 bounds = (0,) * len(members), caps
@@ -644,7 +657,7 @@ def exact_enumeration(
             "no budget-feasible committee can host all agents"
         )
     value, members, bounds, assignment = incumbent
-    if columns is not None:
+    if cc:
         assignment = match_cc(prof, members)
     elif not total:
         assignment = _assign(prof, rows, members, *bounds, ceiling=value)

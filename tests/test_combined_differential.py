@@ -54,6 +54,10 @@ BRANCHES = [
     (7, 6, 1, SolverConfig(epsilon=0.9, lambda_=0.3, enumeration_cap=4),
      "combined_monroe[sample:4][no-guarantee]"),
     (10, 7, 3, SolverConfig(epsilon=0.5, lambda_=0.3), "combined_monroe[exact:small-k]"),
+    # One agent, one member: a sample's CC score is its score, so a sample
+    # one point better than the incumbent must still be matched.
+    (1, 6, 1, SolverConfig(epsilon=0.9, lambda_=0.3, enumeration_cap=5),
+     "combined_monroe[sample:5][no-guarantee]"),
 ]
 
 
@@ -106,3 +110,26 @@ def test_one_cost_table_per_call_and_one_instance_per_sampling_branch(monkeypatc
         # branch builds one for all of its runs, and at k > 2 the greedy
         # pass builds its own.
         assert len(instances) == (2 if "greedy" in algorithm else 1), algorithm
+
+
+# What combined_monroe_reference, which matches every sample, returns here
+# (pinned: it takes 10 s).
+IC_60_40_3_TARGETS = (
+    3, 3, 2, 11, 30, 5, 27, 30, 4, 11, 3, 2, 35, 5, 8, 2, 36, 36, 2, 11,
+    27, 38, 5, 32, 27, 2, 30, 11, 11, 27, 4, 4, 36, 38, 35, 15, 38, 38, 5, 8,
+    32, 35, 4, 5, 32, 15, 15, 36, 35, 35, 32, 3, 8, 8, 4, 8, 30, 36, 15, 30,
+)
+
+
+def test_sampling_matches_only_samples_that_can_win(monkeypatch):
+    # A sample whose CC score is not above the incumbent's (here greedy's)
+    # is not matched; the winner is scored once.
+    matchings = _counter(monkeypatch, "_assign", solvers)
+    scorings = _counter(monkeypatch, "metric_l1", solvers)
+    config = SolverConfig(epsilon=0.5, lambda_=0.9, seed=3)
+    got = combined_monroe(gen_impartial_culture(60, 40, 3), 13, config)
+    assert len(matchings) < 363
+    assert len(scorings) == 2  # the greedy pass and the winner
+    assert (got.algorithm, got.value, got.assignment.targets) == (
+        "combined_monroe[greedy+sample:363]", 2280, IC_60_40_3_TARGETS
+    )

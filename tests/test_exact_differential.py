@@ -5,6 +5,7 @@ objective must agree, or both calls must raise the same exception type with
 the same message.  Desk-scale Monroe and CC cases are also held to brute
 force over every assignment."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from prefalloc import (
     ScoringFunction,
     exact_enumeration,
     gen_identical,
+    gen_impartial_culture,
     make_cc,
     make_monroe,
 )
@@ -121,6 +123,52 @@ def test_exact_matches_per_committee_reference(system):
             if system != "general" and profile.n <= 6 and profile.m <= 5:
                 want = best_committee_value(profile, psf, k, system, objective)
                 assert got[0] == want, (profile, k, objective)
+
+
+def _large_cases():
+    """Seeded Monroe and general cases above the sweep's sizes (n in 20..40,
+    m in 6..8, Monroe committees of 2..4, general budgets of 2..4 with unit
+    or double costs), one of each per profile kind, so that identical and
+    two-order profiles make committees tie where most are skipped.  General
+    capacities let most affordable committees host everyone."""
+    rng = SplitMix64(derive_seed(SEED, 77))
+    for case in range(6):
+        case_rng = SplitMix64(derive_seed(SEED, 7700 + case))
+        n, m = 20 + rng.randrange(21), 6 + rng.randrange(3)
+        profile = _profile(n, m, KINDS[case % 3], case_rng)
+        if case < 3:
+            instance = make_monroe(profile, 2 + rng.randrange(3))
+        else:
+            instance = Instance(
+                profile=profile,
+                costs=tuple(1 + rng.randrange(2) for _ in range(m)),
+                capacities=tuple(n // 4 + 1 + rng.randrange(n // 2) for _ in range(m)),
+                budget=2 + rng.randrange(3),
+            )
+        yield instance, case_rng
+
+
+def test_exact_matches_reference_above_the_sweep():
+    for instance, rng in _large_cases():
+        for objective in OBJECTIVES:
+            _assert_same(instance, _psf(objective, instance.profile.m, rng), objective)
+
+
+# What exact_enumeration_reference, which matches all 495 committees,
+# returns under both objectives (pinned: it takes 1.9 s per call).
+IC_30_12_7_TARGETS = (11, 11, 2, 9, 2, 2, 11, 9, 9, 11, 4, 9, 2, 4, 4,
+                      9, 9, 9, 11, 2, 11, 4, 2, 11, 2, 4, 9, 4, 4, 2)
+
+
+@pytest.mark.parametrize("objective, psf, value", [("l1_dec", BD, 306), ("l1_inc", BI, 24)])
+def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objective, psf, value):
+    # An l1 committee whose CC value is not below the incumbent's is not
+    # matched: 16 matchings of 495 committees.
+    instance = make_monroe(gen_impartial_culture(30, 12, 7), 4)
+    matchings = _count_calls(monkeypatch, solvers, "_assign")
+    got = _outcome(exact_enumeration, instance, psf, objective)
+    assert len(matchings) <= math.comb(12, 4) // 10
+    assert got == (value, IC_30_12_7_TARGETS, "exact_enumeration", objective)
 
 
 def test_dfs_visits_the_old_committee_order():

@@ -22,7 +22,12 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import balanced_bounds, best_matching_value, match_egalitarian_reference
+from oracles import (
+    balanced_bounds,
+    best_matching_value,
+    feasible_assignments,
+    match_egalitarian_reference,
+)
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
@@ -255,16 +260,44 @@ def test_flow_assignments_pass_validation():
         assert validate_assignment(inst, BD, asg) == ()
 
 
+def _table(rng, m, dec):
+    """Borda, or a strictly monotone table with random steps."""
+    if rng.randrange(2):
+        return BD if dec else BI
+    values = [0]
+    for _ in range(m - 1):
+        values.append(values[-1] + 1 + rng.randrange(4))
+    if dec:
+        return ScoringFunction.from_table_dec(values[::-1])
+    return ScoringFunction.from_table_inc(values)
+
+
 def test_cc_relaxation_dominates_balanced():
+    # Each agent's least cost over the committee, summed (l1_*) or at its
+    # largest (min_dec, max_inc), bounds from below the cost of every
+    # assignment under any loads, so also the kernel's optimum: the bound
+    # exact_enumeration and combined_monroe skip committees by.
     rng = SplitMix64(80808)
     for trial in range(30):
         prof, committee, k = _random_case(rng, trial)
-        inst_cc = make_cc(prof, k)
-        free = metric_l1(inst_cc, BD, match_cc(prof, committee))
-        balanced = metric_l1(
-            make_monroe(prof, k), BD, match_monroe_l1(prof, BD, committee, BALANCED)
-        )
-        assert free >= balanced
+        n, members = prof.n, tuple(committee)
+        caps = [1 + rng.randrange(n) for _ in range(k)]
+        caps[-1] += max(0, n - sum(caps))
+        lowers = tuple(rng.randrange(min(cap, n // k) + 1) for cap in caps)
+        regimes = [balanced_bounds(n, k), ((0,) * k, tuple(caps)), (lowers, tuple(caps))]
+        for dec in (True, False):
+            rows = matching._cost_rows(prof, _table(rng, prof.m, dec))
+            best = [min(row[a - 1] for a in members) for row in rows]
+            for bounds in regimes:
+                costs = [
+                    [row[t - 1] for row, t in zip(rows, targets)]
+                    for targets in feasible_assignments(n, members, *bounds)
+                ]
+                assignment = matching._assign(prof, rows, members, *bounds)
+                total = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
+                assert sum(best) <= min(map(sum, costs)) == total
+                bottleneck = matching._bottleneck(rows, members, *bounds)
+                assert max(best) <= min(map(max, costs)) == bottleneck
 
 
 def test_matching_is_deterministic():
