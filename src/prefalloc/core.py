@@ -206,32 +206,26 @@ class ScoringFunction(_Record):
         return len(self.table) >= m
 
     def values(self, m: int) -> tuple[int, ...]:
-        """Score vector among ``m`` alternatives: ``values(m)[p - 1]`` is
-        ``score(self, p, m)``; raises its ``ValueError`` when a table does
-        not cover ``m``.  Borda vectors come straight from ``range``."""
+        """Score vector among ``m`` alternatives, ``values(m)[p - 1]`` the
+        score at rank p (:func:`score` reads it).  A decreasing table gives
+        its last ``m`` values, an increasing one its first ``m``; a table
+        that does not cover ``m`` raises ``ValueError``."""
         if self.kind == "borda_dec":
             return tuple(range(m - 1, -1, -1))
         if self.kind == "borda_inc":
             return tuple(range(m))
-        return tuple(score(self, p, m) for p in range(1, m + 1))
+        table = self.table
+        assert table is not None
+        if len(table) < m:
+            raise ValueError(f"table covers {len(table)} positions, needs {m}")
+        return table[len(table) - m:] if self.kind == "table_dec" else table[:m]
 
 
 def score(psf: ScoringFunction, position: int, m: int) -> int:
     """Value of ``psf`` at a 1-based ``position`` among ``m`` alternatives."""
     if not 1 <= position <= m:
         raise ValueError(f"position {position} out of range 1..{m}")
-    if psf.kind == "borda_dec":
-        return m - position
-    if psf.kind == "borda_inc":
-        return position - 1
-    if not psf.covers(m):
-        raise ValueError(
-            f"table covers {len(psf.table or ())} positions, needs {m}"
-        )
-    assert psf.table is not None
-    if psf.kind == "table_dec":
-        return psf.table[len(psf.table) - m + position - 1]
-    return psf.table[position - 1]
+    return psf.values(m)[position - 1]
 
 
 class Assignment(_Record):

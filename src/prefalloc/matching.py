@@ -2,11 +2,12 @@
 
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching on one integer cost table, ``rows[j][a - 1]`` (:func:`_cost_rows`).
-The total objective is solved exactly as an integer min-cost max-flow
-(successive shortest augmenting paths with potentials).  The egalitarian
-objectives find the optimal threshold (the ``ceiling``), which alone is the
-committee's egalitarian value, by growing one cost-free max-flow over
-ascending cost levels, then take the min-cost matching on the edges within it.
+Both objectives run one kernel, an integer min-cost max-flow (successive
+shortest augmenting paths with potentials).  The total objective is one
+solve.  The egalitarian objectives probe cost levels as ``ceiling``s, from a
+proven lower bound on the optimal threshold upwards (:func:`_egalitarian`);
+the least level whose solve completes is the committee's egalitarian value,
+and that solve is its matching.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -151,34 +152,6 @@ class _MinCostFlow:
             flow += push
         return flow
 
-    def augment(self, s: int, t: int, limit: int) -> int:
-        """:meth:`send` along breadth-first paths that ignore costs; each
-        path ends on a unit agent-sink edge, so it carries one unit."""
-        graph = self.graph
-        flow = 0
-        while flow < limit:
-            prev: list[tuple[int, int] | None] = [None] * len(graph)
-            prev[s] = (s, -1)
-            queue = [s]
-            for u in queue:  # the queue grows while it is read
-                if prev[t] is not None:
-                    break
-                for idx, edge in enumerate(graph[u]):
-                    if edge[1] > 0 and prev[edge[0]] is None:
-                        prev[edge[0]] = (u, idx)
-                        queue.append(edge[0])
-            if prev[t] is None:
-                break
-            v = t
-            while v != s:
-                u, idx = prev[v]  # type: ignore[misc]
-                edge = graph[u][idx]
-                edge[1] -= 1
-                graph[v][edge[3]][1] += 1
-                v = u
-            flow += 1
-        return flow
-
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
     members = tuple(committee)
@@ -269,54 +242,71 @@ def _solve_bounded(
     return tuple(targets)
 
 
-def _bottleneck(
-    rows: list[list[int]],
-    members: tuple[int, ...],
-    lowers: tuple[int, ...],
-    uppers: tuple[int, ...],
-) -> int:
-    """The optimal egalitarian threshold: the least largest edge cost of a
-    complete assignment of ``members`` under the bounds.
-
-    One network grows by ascending cost level; augmenting the flow it holds
-    yields the larger network's max-flow, so the first level whose flow
-    reaches ``n`` is the threshold.  Load totals that admit no complete
-    assignment raise :class:`InfeasibleMatchingError`.
-    """
-    n = len(rows)
-    agent0 = 2 + len(members)
-    net = _network(n, lowers, uppers)
-    levels: dict = {}
-    for i, alt in enumerate(members):
-        for j in range(n):
-            levels.setdefault(rows[j][alt - 1], []).append((2 + i, agent0 + j))
-    flow = 0
-    for best in sorted(levels):
-        for u, v in levels[best]:
-            net.add_edge(u, v, 1, 0)
-        flow += net.augment(0, len(net.graph) - 1, n - flow)
-        if flow == n:
-            break
-    return best
-
-
 def _assign(
     profile: Profile,
     rows: list[list[int]],
     members: tuple[int, ...],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
-    ceiling: int | None = None,
 ) -> Assignment:
     """The least-cost complete assignment of the sorted ``members`` under
-    the bounds, on the edges within ``ceiling`` when given; bounds of 0 and
-    ``n`` restrict nothing, so it is then :func:`match_cc`'s."""
+    the bounds; bounds of 0 and ``n`` restrict nothing, so it is then
+    :func:`match_cc`'s."""
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, members)
-    targets = _solve_bounded(rows, members, lowers, uppers, ceiling)
+    targets = _solve_bounded(rows, members, lowers, uppers, None)
     if targets is None:
         raise InfeasibleMatchingError("load bounds admit no complete assignment")
     return Assignment(targets)
+
+
+def _egalitarian(
+    profile: Profile,
+    rows: list[list[int]],
+    members: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
+    below: int | None = None,
+) -> tuple[int, Assignment] | None:
+    """The optimal egalitarian threshold of the sorted ``members`` under the
+    bounds (the least largest edge cost of a complete assignment) and the
+    least-cost assignment within it, or None if the threshold is not below
+    ``below``.
+
+    The search starts at a proven floor, the larger of two lower bounds:
+    each agent's least cost over the members, at its largest (the CC
+    bound), and for each member with a lower bound ``lo`` the ``lo``-th
+    smallest cost of its column (it carries that many agents).  It probes
+    the floor with the min-cost kernel, then bisects the cost levels above
+    it; the probe at the threshold returns the assignment.  Bounds of 0 and
+    ``n`` restrict nothing: the CC bound is the threshold and the assignment
+    is :func:`match_cc`'s.  Load totals that admit no complete assignment
+    raise :class:`InfeasibleMatchingError` from the first probe.
+    """
+    n = len(rows)
+    columns = [[row[a - 1] for row in rows] for a in members]
+    floor = max(map(min, zip(*columns)))
+    for low, column in zip(lowers, columns):
+        if 0 < low <= n:
+            floor = max(floor, sorted(column)[low - 1])
+    if below is not None and floor >= below:
+        return None
+    if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
+        return floor, match_cc(profile, members)
+    levels = sorted({c for column in columns for c in column if floor <= c})
+    if below is not None:
+        levels = [c for c in levels if c < below]
+    lo, hi, mid, best = 0, len(levels), 0, None
+    while lo < hi:
+        targets = _solve_bounded(rows, members, lowers, uppers, levels[mid])
+        if targets is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, targets
+        mid = (lo + hi) // 2
+    if best is None:
+        return None
+    return levels[hi], Assignment(best)
 
 
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
@@ -368,13 +358,11 @@ def match_egalitarian(
     one with the best total score is returned (kernel min-cost pass), which
     keeps results deterministic.
 
-    Cost: one n x m cost table; the threshold search grows one network by
-    its levels, about one cost-free max-flow (n augmenting paths, plus one
-    failed path search per level below the optimum); the min-cost pass on
-    the edges at or below the threshold (its ``ceiling``) rebuilds the
-    network and is one kernel solve, most of the call.  Load totals that
-    admit no complete assignment raise :class:`InfeasibleMatchingError`
-    before the search; every other regime reaches one at the loosest level.
+    Cost: one n x m cost table and one kernel solve per threshold probe
+    (:func:`_egalitarian`): the search probes a proven floor first, which is
+    usually the threshold, so usually one solve, and otherwise bisects the
+    cost levels above it.  Load totals that admit no complete assignment
+    raise :class:`InfeasibleMatchingError` from the first probe.
     """
     if mode not in ("max_min_sat", "min_max_dissat"):
         raise ValueError(f"unknown egalitarian mode {mode!r}")
@@ -384,6 +372,6 @@ def match_egalitarian(
         raise ValueError("min_max_dissat needs an increasing (dissatisfaction) function")
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    rows = _cost_rows(profile, psf)
-    ceiling = _bottleneck(rows, members, lowers, uppers)
-    return _assign(profile, rows, members, lowers, uppers, ceiling)
+    found = _egalitarian(profile, _cost_rows(profile, psf), members, lowers, uppers)
+    assert found is not None  # no ``below``: the loosest level completes
+    return found[1]

@@ -31,8 +31,8 @@ from .matching import (
     CapacityRegime,
     InfeasibleMatchingError,
     _assign,
-    _bottleneck,
     _cost_rows,
+    _egalitarian,
     match_cc,
 )
 from .rng import SplitMix64, derive_seed, sample_distinct
@@ -514,25 +514,30 @@ def _committees(
     ``costs`` are positive, so a prefix over the budget has no feasible
     extension.
     """
-    members: list = []
-
-    def walk(start: int, spent: int, best, size: int):
-        last = len(members) + 1 == size
-        for a in range(start, m - size + len(members) + 2):
-            cost = spent + costs[a - 1]
-            if cost > budget:
-                continue
-            col = columns[a - 1]
-            here = col if best is None else list(map(min, best, col))
-            members.append(a)
-            if last:
-                yield tuple(members), here
-            else:
-                yield from walk(a + 1, cost, here, size)
-            members.pop()
-
     for size in sizes:
-        yield from walk(1, 0, None, size)
+        yield from _walk(m, size, costs, budget, columns, [], 1, 0, None)
+
+
+def _walk(
+    m: int, size: int, costs: Sequence[int], budget: int, columns: Sequence[Sequence[int]],
+    members: list[int], start: int, spent: int, best: Sequence[int] | None,
+) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """:func:`_committees`' DFS below the prefix ``members`` (costing
+    ``spent``, with ``best`` its carried least costs), its next member
+    from ``start`` on; a module function, so no closure cycle outlives it."""
+    last = len(members) + 1 == size
+    for a in range(start, m - size + len(members) + 2):
+        cost = spent + costs[a - 1]
+        if cost > budget:
+            continue
+        col = columns[a - 1]
+        here = col if best is None else list(map(min, best, col))
+        members.append(a)
+        if last:
+            yield tuple(members), here
+        else:
+            yield from _walk(m, size, costs, budget, columns, members, a + 1, cost, here)
+        members.pop()
 
 
 def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
@@ -551,22 +556,24 @@ def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
         d += 1
     if (1 << d) - 1 >= limit:
         return limit
-    memo: dict = {}
+    return _count_subsets(costs, limit, {}, 0, budget) - 1
 
-    def count(i: int, left: int) -> int:
-        # Subsets of the alternatives after the first i costing at most
-        # ``left``, the empty one included, saturated at limit + 1.
-        if (i, left) not in memo:
-            total = 1
-            for j in range(i, len(costs)):
-                if total > limit:
-                    break
-                if costs[j] <= left:
-                    total += count(j + 1, left - costs[j])
-            memo[i, left] = min(total, limit + 1)
-        return memo[i, left]
 
-    return count(0, budget) - 1
+def _count_subsets(
+    costs: Sequence[int], limit: int, memo: dict, i: int, left: int
+) -> int:
+    """Subsets of the alternatives after the first ``i`` costing at most
+    ``left``, the empty one included, saturated at ``limit + 1`` and kept
+    in ``memo``; a module function, so no closure cycle outlives it."""
+    if (i, left) not in memo:
+        total = 1
+        for j in range(i, len(costs)):
+            if total > limit:
+                break
+            if costs[j] <= left:
+                total += _count_subsets(costs, limit, memo, j + 1, left - costs[j])
+        memo[i, left] = min(total, limit + 1)
+    return memo[i, left]
 
 
 def exact_enumeration(
@@ -594,14 +601,15 @@ def exact_enumeration(
     function's scores.  One DFS carries each agent's least cost over the
     members picked so far, so a committee's CC value (the sum or largest of
     these) costs O(n).  It is a CC committee's value, and a lower bound on a
-    Monroe or general one's under any loads.  An ``l1_*`` committee whose CC
-    value is not below the incumbent's could at best tie, and only a
-    strictly better one replaces the incumbent, so it is not matched and the
-    winner stays the same; any other costs one kernel matching, its value
-    read off the n x m cost table: one matching per committee that can
-    still win.  An egalitarian Monroe or general committee costs one
-    cost-free threshold search (its bottleneck value).  Only the winner is
-    matched (CC and egalitarian) and validated.
+    Monroe or general one's under any loads.  One skip rule serves every
+    objective: a committee whose CC value is not below the incumbent's could
+    at best tie, and only a strictly better one replaces the incumbent, so
+    it is not matched and the winner stays the same.  Any other costs one
+    kernel matching (``l1_*``, its value read off the n x m cost table) or
+    one threshold search that probes only levels below the incumbent's
+    (egalitarian; the probe at its threshold matches it, so the winner
+    needs no second pass).  Only the winner is validated, and a CC winner
+    is matched once, after the loop.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -630,12 +638,12 @@ def exact_enumeration(
     rows = _cost_rows(prof, psf)
     cc = instance.system_tag == "cc"
     total = objective.startswith("l1_")
-    incumbent: tuple | None = None  # (value, members, bounds, assignment)
+    incumbent: tuple | None = None  # (value, members, assignment)
     columns = list(zip(*rows))
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
         value = sum(best) if total else max(best)
-        if incumbent is not None and value >= incumbent[0] and (cc or total):
+        if incumbent is not None and value >= incumbent[0]:
             continue
         assignment = None
         if not cc:
@@ -647,20 +655,22 @@ def exact_enumeration(
                     assignment = _assign(prof, rows, members, *bounds)
                     value = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
                 else:
-                    value = _bottleneck(rows, members, *bounds)
+                    below = None if incumbent is None else incumbent[0]
+                    found = _egalitarian(prof, rows, members, *bounds, below)
+                    if found is None:
+                        continue
+                    value, assignment = found
             except InfeasibleMatchingError:
                 continue
         if incumbent is None or value < incumbent[0]:
-            incumbent = (value, members, bounds, assignment)
+            incumbent = (value, members, assignment)
     if incumbent is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
-    value, members, bounds, assignment = incumbent
+    value, members, assignment = incumbent
     if cc:
         assignment = match_cc(prof, members)
-    elif not total:
-        assignment = _assign(prof, rows, members, *bounds, ceiling=value)
     return SolveReport(
         assignment=assignment,
         objective=objective,

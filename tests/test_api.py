@@ -7,7 +7,9 @@ never reads fails the test (``self`` and ``cls`` are exempt).  ``cli`` is
 left out because its dispatch entries share one ``(args, profile, seed)``
 signature by design, whatever each entry reads.  The same modules may take
 no parameter annotated ``Callable``: kernel inputs such as edge costs are
-passed as data (tables), not as callbacks.
+passed as data (tables), not as callbacks.  The flow class
+``matching._MinCostFlow`` defines only ``add_edge`` and ``send``: one flow
+algorithm serves every objective.
 
 Every module, ``cli`` included, is also searched for module-level names that
 start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
@@ -33,6 +35,7 @@ from collections import Counter
 from pathlib import Path
 
 import prefalloc
+import prefalloc.matching as matching
 
 PACKAGE = Path(prefalloc.__file__).parent
 EXEMPT = {"self", "cls"}
@@ -96,6 +99,11 @@ def test_library_functions_take_no_callable_parameters():
         for function, parameter in _callable_parameters(ast.parse(path.read_text(), str(path)))
     ]
     assert callbacks == []
+
+
+def test_one_flow_algorithm():
+    methods = {name for name in vars(matching._MinCostFlow) if not name.startswith("__")}
+    assert methods == {"add_edge", "send"}
 
 
 def _private_definitions(module: ast.Module):

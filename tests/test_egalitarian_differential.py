@@ -1,16 +1,22 @@
-"""Differential sweep: ``match_egalitarian`` (one flow grown over ascending
-cost levels) against the binary threshold search it replaced
-(``oracles.match_egalitarian_reference``), at sizes brute force cannot reach.
-Targets must agree, or both calls must raise the same exception type with
-the same message.  The threshold search alone (``matching._bottleneck``, the
-value exact enumeration reads per committee) must return the largest edge
-cost of the reference's targets, or raise what the reference raises."""
+"""Differential sweep: ``match_egalitarian`` (threshold probes with the
+min-cost kernel from a proven floor, ``matching._egalitarian``) against the
+binary threshold search it replaced (``oracles.match_egalitarian_reference``),
+at sizes brute force cannot reach.  Targets must agree, or both calls must
+raise the same exception type with the same message.  The threshold the
+search returns (the value exact enumeration reads per committee) must be the
+largest edge cost of the reference's targets, and both floors at most that.
+The probe budget counts the kernel solves of each call."""
+
+import functools
+import math
 
 import prefalloc.matching as matching
 from prefalloc import (
+    Assignment,
     CapacityRegime,
     Profile,
     ScoringFunction,
+    gen_impartial_culture,
     match_egalitarian,
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
@@ -62,10 +68,21 @@ def _regime(n: int, k: int, case: int, rng: SplitMix64) -> CapacityRegime:
     return CapacityRegime.explicit(lowers, uppers)
 
 
+def _psf(m: int, rng: SplitMix64, case_rng: SplitMix64):
+    """Borda or a table function, decreasing or increasing, and its mode."""
+    decreasing = case_rng.randrange(2) == 0
+    if case_rng.randrange(5) < 3:
+        psf = BD if decreasing else BI
+    else:
+        psf = _table(m + rng.randrange(3), rng, decreasing)
+    return psf, "max_min_sat" if decreasing else "min_max_dissat"
+
+
 def _sweep_cases():
-    """Yield ``(profile, psf, committee, regime, mode)``: impartial-culture
-    and two-order profiles, n up to 200 (every fifth case large), m = 1 in
-    every eighth case, Borda and table scores in both modes."""
+    """Yield ``(kind, (profile, psf, committee, regime, mode))``:
+    impartial-culture and two-order profiles, n up to 200 (every fifth case
+    large), m = 1 in every eighth case, Borda and table scores in both
+    modes."""
     rng = SplitMix64(SEED)
     for case in range(CASES):
         case_rng = SplitMix64(derive_seed(SEED, case))
@@ -77,35 +94,135 @@ def _sweep_cases():
         else:
             pair = [shuffled(range(1, m + 1), case_rng) for _ in range(2)]
             orders = [pair[case_rng.randrange(2)] for _ in range(n)]
-        decreasing = case_rng.randrange(2) == 0
-        if case_rng.randrange(5) < 3:
-            psf = BD if decreasing else BI
-        else:
-            psf = _table(m + rng.randrange(3), rng, decreasing)
-        mode = "max_min_sat" if decreasing else "min_max_dissat"
+        psf, mode = _psf(m, rng, case_rng)
         committee = sorted(a + 1 for a in sample_distinct(m, k, case_rng))
         regime = _regime(n, k, case, case_rng)
-        yield Profile.from_orders(orders), psf, committee, regime, mode
+        kind = "ic" if case % 2 else "2-order"
+        yield kind, (Profile.from_orders(orders), psf, committee, regime, mode)
 
 
-def test_match_egalitarian_matches_threshold_search_reference():
+def _structured_cases():
+    """Identical, two- and three-order profiles with n >= 100 under balanced
+    and feasible explicit loads.  Few distinct orders make the floor miss
+    the threshold often enough that the search bisects."""
+    rng = SplitMix64(SEED + 2)
+    for case in range(10):
+        case_rng = SplitMix64(derive_seed(SEED + 2, case))
+        count = (1, 2, 3, 3, 3)[case // 2]
+        m = 4 + rng.randrange(20)
+        k = 2 + rng.randrange(min(m - 1, 5))
+        n = 100 + rng.randrange(101)
+        base = [shuffled(range(1, m + 1), case_rng) for _ in range(count)]
+        orders = [base[case_rng.randrange(count)] for _ in range(n)]
+        psf, mode = _psf(m, rng, case_rng)
+        committee = sorted(a + 1 for a in sample_distinct(m, k, case_rng))
+        regime = _regime(n, k, case % 2, case_rng)
+        kind = "identical" if count == 1 else f"{count}-order"
+        yield kind, (Profile.from_orders(orders), psf, committee, regime, mode)
+
+
+def _ic_trials():
+    """Small impartial-culture cases, n >= k so that some member has a
+    lower bound, under balanced loads or bounded explicit ones."""
+    rng = SplitMix64(8080)
+    table = ScoringFunction.from_table_dec([9, 7, 6, 4, 3, 1, 0])
+    for trial in range(60):
+        m = 1 + rng.randrange(7)
+        k = 1 + rng.randrange(min(4, m))
+        n = k + rng.randrange(10)
+        prof = gen_impartial_culture(n, m, derive_seed(8080, trial))
+        committee = sorted(a + 1 for a in sample_distinct(m, k, rng))
+        psf, mode = [(BD, "max_min_sat"), (BI, "min_max_dissat"), (table, "max_min_sat")][
+            trial % 3
+        ]
+        regime = CapacityRegime.monroe_balanced()
+        if trial % 2:
+            lowers = [rng.randrange(2) for _ in range(k)]
+            uppers = [lo + 1 + rng.randrange(n) for lo in lowers]
+            if sum(lowers) <= n <= sum(min(hi, n) for hi in uppers) and any(
+                lo > 0 or hi < n for lo, hi in zip(lowers, uppers)
+            ):
+                regime = CapacityRegime.explicit(lowers, uppers)
+        yield "ic", (prof, psf, committee, regime, mode)
+
+
+@functools.cache
+def _cases():
+    # Bounds of 0 and n (and above n) restrict nothing: match_cc assigns.
+    rng = SplitMix64(SEED + 1)
+    profile = Profile.from_orders([shuffled(range(1, 9), rng) for _ in range(30)])
+    regime = CapacityRegime.explicit((0, 0, 0), (30, 31, 30))
+    unbounded = ("ic", (profile, BI, [2, 5, 7], regime, "min_max_dissat"))
+    return [*_sweep_cases(), *_structured_cases(), *_ic_trials(), unbounded]
+
+
+@functools.cache
+def _reference(case: int):
+    """The reference outcome of a case, computed once for both tests."""
+    return _outcome(match_egalitarian_reference, *_cases()[case][1])
+
+
+def _recorded(monkeypatch, name):
+    """Patch ``matching.<name>`` to record each call: the slot a call
+    appends holds its result once it returns."""
+    results = []
+    original = getattr(matching, name)
+
+    def recorded(*args):
+        slot = len(results)
+        results.append(None)
+        results[slot] = original(*args)
+        return results[slot]
+
+    monkeypatch.setattr(matching, name, recorded)
+    return results
+
+
+def _costs(profile, psf, committee):
+    """The committee's cost columns, ``columns[i][j]`` agent j's cost for
+    its i-th member."""
+    rows = matching._cost_rows(profile, psf)
+    return [[row[a - 1] for row in rows] for a in committee]
+
+
+def _floors(profile, psf, committee, regime):
+    """The CC bound (each agent's least cost over the committee, at its
+    largest) and the load bound (the ``lo``-th smallest cost of a member
+    with lower bound ``lo``, at its largest; 0 if no member has one)."""
+    lowers, _ = regime.bounds_for(len(committee), profile.n)
+    columns = _costs(profile, psf, committee)
+    cc = max(map(min, zip(*columns)))
+    load = max(
+        (sorted(col)[lo - 1] for lo, col in zip(lowers, columns) if 0 < lo <= profile.n),
+        default=0,
+    )
+    return cc, load
+
+
+def _largest_cost(profile, psf, committee, targets):
+    """The largest edge cost of an assignment: its egalitarian threshold."""
+    rows = matching._cost_rows(profile, psf)
+    return max(row[t - 1] for row, t in zip(rows, targets))
+
+
+def test_match_egalitarian_matches_threshold_search_reference(monkeypatch):
+    searches = _recorded(monkeypatch, "_egalitarian")
     raised = 0
-    for args in _sweep_cases():
+    for case, (_, args) in enumerate(_cases()):
+        del searches[:]
         got = _outcome(match_egalitarian, *args)
-        want = _outcome(match_egalitarian_reference, *args)
-        assert got == want, (args[0].n, args[0].m, args[2], args[3], args[4])
-        raised += isinstance(got[0], type)
+        want = _reference(case)
+        assert got == want, (case, args[0].n, args[0].m, args[2], args[3], args[4])
+        if isinstance(got[0], type):
+            raised += 1
+            continue
+        profile, psf, committee, regime, _ = args
+        threshold = _largest_cost(profile, psf, committee, want)
+        assert searches == [(threshold, Assignment(want))], case
+        cc, load = _floors(profile, psf, committee, regime)
+        assert cc <= threshold and load <= threshold, case
     # The sweep reaches both outcomes: assignments and refused load totals.
     assert 0 < raised < CASES
-
-
-def _largest_cost(profile, psf, committee, regime, mode):
-    """The largest edge cost of the reference's targets, or what it raises."""
-    outcome = _outcome(match_egalitarian_reference, profile, psf, committee, regime, mode)
-    if isinstance(outcome[0], type):
-        return outcome
-    rows = matching._cost_rows(profile, psf)
-    return max(row[t - 1] for row, t in zip(rows, outcome))
 
 
 def _threshold(profile, psf, committee, regime):
@@ -113,21 +230,57 @@ def _threshold(profile, psf, committee, regime):
     lowers, uppers = regime.bounds_for(len(committee), profile.n)
     rows = matching._cost_rows(profile, psf)
     try:
-        return matching._bottleneck(rows, tuple(committee), lowers, uppers)
+        threshold, _ = matching._egalitarian(profile, rows, tuple(committee), lowers, uppers)
     except ValueError as exc:
         return type(exc), str(exc)
+    return threshold
 
 
 def test_bottleneck_is_the_reference_threshold():
-    # Bounds of 0 and n (and above n) go through the same grown network.
-    rng = SplitMix64(SEED + 1)
-    profile = Profile.from_orders([shuffled(range(1, 9), rng) for _ in range(30)])
-    regime = CapacityRegime.explicit((0, 0, 0), (30, 31, 30))
-    unbounded = (profile, BI, [2, 5, 7], regime, "min_max_dissat")
+    # Called alone, as exact enumeration calls it per committee: the
+    # threshold is the largest edge cost of the reference's targets, or the
+    # search raises what the reference raises.
     raised = 0
-    for profile, psf, committee, regime, mode in [*_sweep_cases(), unbounded]:
+    for case, (_, args) in enumerate(_cases()):
+        profile, psf, committee, regime, _ = args
         got = _threshold(profile, psf, committee, regime)
-        want = _largest_cost(profile, psf, committee, regime, mode)
-        assert got == want, (profile.n, profile.m, committee, regime, mode)
-        raised += isinstance(got, tuple)
+        want = _reference(case)
+        if isinstance(want[0], type):
+            assert got == want, case
+            raised += 1
+        else:
+            assert got == _largest_cost(profile, psf, committee, want), case
     assert 0 < raised < CASES
+
+
+def test_match_egalitarian_probe_budget(monkeypatch):
+    # One kernel solve per probed level: exactly one when the floor is the
+    # threshold, which holds on every identical case and every
+    # impartial-culture case under balanced loads, and at most
+    # 1 + ceil(log2 L) otherwise, with L the levels at or above the floor.
+    # Refused load totals raise from the first probe; bounds of 0 and n
+    # probe nothing.
+    probes = _recorded(monkeypatch, "_solve_bounded")
+    bisected = 0
+    for case, (kind, args) in enumerate(_cases()):
+        del probes[:]
+        outcome = _outcome(match_egalitarian, *args)
+        profile, psf, committee, regime, _ = args
+        lowers, uppers = regime.bounds_for(len(committee), profile.n)
+        if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
+            assert not probes, case
+            continue
+        if isinstance(outcome[0], type):
+            assert len(probes) == 1, case
+            continue
+        floor = max(_floors(profile, psf, committee, regime))
+        threshold = _largest_cost(profile, psf, committee, _reference(case))
+        if kind == "identical" or (kind == "ic" and regime.kind == "monroe_balanced"):
+            assert floor == threshold, (case, kind)
+        if floor == threshold:
+            assert len(probes) == 1, case
+        else:
+            levels = {c for col in _costs(profile, psf, committee) for c in col if c >= floor}
+            assert 1 < len(probes) <= 1 + math.ceil(math.log2(len(levels))), case
+            bisected += 1
+    assert bisected > 0

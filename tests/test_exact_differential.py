@@ -5,7 +5,9 @@ objective must agree, or both calls must raise the same exception type with
 the same message.  Desk-scale Monroe and CC cases are also held to brute
 force over every assignment."""
 
+import gc
 import math
+import types
 from itertools import combinations
 
 import pytest
@@ -155,20 +157,31 @@ def test_exact_matches_reference_above_the_sweep():
 
 
 # What exact_enumeration_reference, which matches all 495 committees,
-# returns under both objectives (pinned: it takes 1.9 s per call).
+# returns under each objective (pinned: it takes 1.9 s per call).
 IC_30_12_7_TARGETS = (11, 11, 2, 9, 2, 2, 11, 9, 9, 11, 4, 9, 2, 4, 4,
                       9, 9, 9, 11, 2, 11, 4, 2, 11, 2, 4, 9, 4, 4, 2)
+IC_30_12_7_EGALITARIAN = (11, 11, 2, 9, 9, 2, 11, 9, 9, 11, 1, 9, 2, 11, 1,
+                          9, 9, 1, 1, 9, 1, 11, 2, 11, 2, 2, 2, 1, 1, 2)
 
 
-@pytest.mark.parametrize("objective, psf, value", [("l1_dec", BD, 306), ("l1_inc", BI, 24)])
+@pytest.mark.parametrize(
+    "objective, psf, value",
+    [("l1_dec", BD, 306), ("l1_inc", BI, 24), ("min_dec", BD, 8), ("max_inc", BI, 3)],
+)
 def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objective, psf, value):
-    # An l1 committee whose CC value is not below the incumbent's is not
-    # matched: 16 matchings of 495 committees.
+    # A committee whose CC value is not below the incumbent's is not
+    # matched: 16 l1 matchings of 495 committees, and 2 threshold searches
+    # of one probe each under min_dec and max_inc.
     instance = make_monroe(gen_impartial_culture(30, 12, 7), 4)
     matchings = _count_calls(monkeypatch, solvers, "_assign")
+    searches, probes = _count_searches(monkeypatch)
     got = _outcome(exact_enumeration, instance, psf, objective)
-    assert len(matchings) <= math.comb(12, 4) // 10
-    assert got == (value, IC_30_12_7_TARGETS, "exact_enumeration", objective)
+    if objective.startswith("l1_"):
+        assert len(matchings) <= math.comb(12, 4) // 10 and not searches
+        assert got == (value, IC_30_12_7_TARGETS, "exact_enumeration", objective)
+    else:
+        assert not matchings and len(searches) == len(probes) == 2
+        assert got == (value, IC_30_12_7_EGALITARIAN, "exact_enumeration", objective)
 
 
 def test_dfs_visits_the_old_committee_order():
@@ -193,6 +206,28 @@ def test_dfs_visits_the_old_committee_order():
             ]
 
 
+def test_exact_enumeration_leaves_no_cycles():
+    # The committee DFS and the budget count are module-level recursions, so
+    # a finished call frees its frames on return: the cyclic collector finds
+    # no function or cell of it.
+    profile = _profile(12, 6, "ic", SplitMix64(17))
+    general = Instance(profile=profile, costs=(1, 2, 1, 3, 2, 1), capacities=(6,) * 6, budget=4)
+    flags = gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for instance in (make_monroe(profile, 3), make_cc(profile, 3), general):
+            for objective in OBJECTIVES:
+                exact_enumeration(instance, BD if objective.endswith("_dec") else BI, objective)
+        gc.collect()
+        left = [o for o in gc.garbage[start:] if isinstance(o, (types.FunctionType, types.CellType))]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert left == []
+
+
 def _short_table(m: int) -> ScoringFunction:
     return ScoringFunction.from_table_dec(range(m - 2, -1, -1))
 
@@ -208,7 +243,7 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
     matchings = [
         _count_calls(monkeypatch, module, name)
         for module, names in (
-            (solvers, ("match_cc", "_assign", "_bottleneck")),
+            (solvers, ("match_cc", "_assign", "_egalitarian")),
             (matching, ("match_monroe_l1", "match_egalitarian", "match_cc")),
         )
         for name in names
@@ -219,6 +254,11 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
         with pytest.raises(ValueError, match=r"^table covers 5 positions, needs 6$"):
             exact_enumeration(instance, _short_table(6), objective)
     assert not any(matchings)
+    # The egalitarian winner is matched by its own threshold probe: no
+    # _assign call, and no kernel solve outside a search.
+    searches, probes = _count_searches(monkeypatch)
+    exact_enumeration(make_monroe(_profile(2, 5, "ic", SplitMix64(3)), 4), BD, "min_dec")
+    assert searches and all(probes) and not matchings[1]  # solvers._assign
     outcomes = [
         # No committee hosts every agent; more agents than committee seats.
         _assert_same(tiny, BD, "l1_dec"),
@@ -247,6 +287,29 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_searches(monkeypatch):
+    """Record exact_enumeration's threshold searches and every kernel solve;
+    a solve records whether a search was running."""
+    searches, solves, running = [], [], []
+    search, solve = solvers._egalitarian, matching._solve_bounded
+
+    def counted_search(*args):
+        searches.append(args)
+        running.append(True)
+        try:
+            return search(*args)
+        finally:
+            running.pop()
+
+    def counted_solve(*args):
+        solves.append(bool(running))
+        return solve(*args)
+
+    monkeypatch.setattr(solvers, "_egalitarian", counted_search)
+    monkeypatch.setattr(matching, "_solve_bounded", counted_solve)
+    return searches, solves
+
+
 def _make_general(profile: Profile, k: int) -> Instance:
     """Unit costs and budget k; half of the agents fit on one member."""
     n, m = profile.n, profile.m
@@ -265,18 +328,18 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
     assigns = _count_calls(monkeypatch, solvers, "_assign")
-    min_cost_passes = _count_calls(monkeypatch, matching, "_solve_bounded")
+    searches, probes = _count_searches(monkeypatch)
     report = exact_enumeration(make(profile, 3), psf, objective)
-    egalitarian = [call for call in assigns if call[1].get("ceiling") is not None]
     assert len(validations) == 1  # 35 committees (63 for general), one validation
     if make is make_cc:
         assert len(cc_matchings) == 1 and not inner_cc_matchings
     else:
         assert not cc_matchings and not inner_cc_matchings
     if make is not make_cc and objective in ("min_dec", "max_inc"):
-        # Committees are ranked by threshold alone; only the winner is matched.
-        assert len(egalitarian) == 1 and len(min_cost_passes) == 1
+        # Committees are ranked by threshold searches; the winner's probe
+        # matches it, so no _assign call and no kernel solve outside a search.
+        assert searches and all(probes) and not assigns
     else:
-        assert not egalitarian
+        assert not searches
     reference = exact_enumeration_reference(make(profile, 3), psf, objective)
     assert report.assignment == reference.assignment

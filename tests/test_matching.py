@@ -155,37 +155,6 @@ def _count_kernel_solves(monkeypatch):
     return calls
 
 
-def test_match_egalitarian_solves_once(monkeypatch):
-    # The threshold search grows one network without _solve_bounded; the
-    # min-cost pass at the optimal threshold is the only kernel solve.
-    calls = _count_kernel_solves(monkeypatch)
-    rng = SplitMix64(8080)
-    table = ScoringFunction.from_table_dec([9, 7, 6, 4, 3, 1, 0])
-    for trial in range(60):
-        m = 1 + rng.randrange(7)
-        k = 1 + rng.randrange(min(4, m))
-        n = k + rng.randrange(10)  # n >= k: some member has a lower bound
-        prof = gen_impartial_culture(n, m, derive_seed(8080, trial))
-        committee = sorted(a + 1 for a in sample_distinct(m, k, rng))
-        psf, mode = [(BD, "max_min_sat"), (BI, "min_max_dissat"), (table, "max_min_sat")][
-            trial % 3
-        ]
-        regime = BALANCED
-        if trial % 2:
-            lowers = [rng.randrange(2) for _ in range(k)]
-            uppers = [lo + 1 + rng.randrange(n) for lo in lowers]
-            if sum(lowers) <= n <= sum(min(hi, n) for hi in uppers) and any(
-                lo > 0 or hi < n for lo, hi in zip(lowers, uppers)
-            ):
-                regime = CapacityRegime.explicit(lowers, uppers)
-        del calls[:]
-        got = match_egalitarian(prof, psf, committee, regime, mode)
-        solves = len(calls)
-        want = match_egalitarian_reference(prof, psf, committee, regime, mode)
-        assert got == want, (trial, regime)
-        assert solves == 1, (trial, regime)
-
-
 @pytest.mark.parametrize(
     "n, m, committee, lowers, uppers, message",
     [
@@ -198,7 +167,7 @@ def test_match_egalitarian_solves_once(monkeypatch):
 def test_match_egalitarian_infeasible_totals_keep_their_message(
     n, m, committee, lowers, uppers, message
 ):
-    # The network builder raises before any level is searched, m = 1 included.
+    # The first probe raises from _network, m = 1 included.
     prof = gen_impartial_culture(n, m, 5)
     regime = CapacityRegime.explicit(lowers, uppers)
     for psf, mode in ((BD, "max_min_sat"), (BI, "min_max_dissat")):
@@ -213,7 +182,7 @@ def test_match_egalitarian_single_alternative(monkeypatch):
     calls = _count_kernel_solves(monkeypatch)
     prof = gen_identical(5, 1)
     got = match_egalitarian(prof, BD, [1], BALANCED, "max_min_sat")
-    assert len(calls) == 1  # one level: the min-cost pass alone
+    assert len(calls) == 1  # one level: the floor's probe alone
     assert got == match_egalitarian_reference(prof, BD, [1], BALANCED, "max_min_sat")
     assert got.targets == (1,) * 5
 
@@ -296,8 +265,11 @@ def test_cc_relaxation_dominates_balanced():
                 assignment = matching._assign(prof, rows, members, *bounds)
                 total = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
                 assert sum(best) <= min(map(sum, costs)) == total
-                bottleneck = matching._bottleneck(rows, members, *bounds)
-                assert max(best) <= min(map(max, costs)) == bottleneck
+                found = matching._egalitarian(prof, rows, members, *bounds)
+                assert max(best) <= min(map(max, costs)) == found[0]
+                # ``below`` keeps only thresholds strictly under it.
+                assert matching._egalitarian(prof, rows, members, *bounds, found[0]) is None
+                assert matching._egalitarian(prof, rows, members, *bounds, found[0] + 1) == found
 
 
 def test_matching_is_deterministic():
