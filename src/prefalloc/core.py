@@ -144,6 +144,18 @@ class Profile(_Record):
         return self.positions[agent][alternative - 1]
 
 
+def _trusted_profile(n: int, m: int, orders: tuple[tuple[int, ...], ...]) -> Profile:
+    """A :class:`Profile` filled without the constructor's checks, for
+    ``n, m >= 1`` and ``n`` orders that the caller has already checked, or
+    built, as permutations of ``1..m`` with ``int`` entries.  Only the
+    parser and the generators in ``instances`` call it; copies and pickles
+    still go through the checking constructor."""
+    profile = object.__new__(Profile)
+    profile._fill(n, m, orders)
+    _set(profile, "_positions", None)
+    return profile
+
+
 class ScoringFunction(_Record):
     """A positional scoring function family evaluated at (position, m), as
     an immutable record.

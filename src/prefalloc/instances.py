@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from itertools import chain
 
-from .core import Instance, Profile, _Record
+from .core import Instance, Profile, _Record, _trusted_profile
 from .rng import SplitMix64, _acceptance_limit
 
 # Draws per SplitMix64.block: 256 and 1024 generate at the same speed, 4096
@@ -106,7 +106,7 @@ def gen_impartial_culture(n: int, m: int, seed: int) -> Profile:
             j = r % bound
             order[i], order[j] = order[j], order[i]
         orders.append(tuple(order))
-    return Profile(n=n, m=m, orders=tuple(orders))
+    return _trusted_profile(n, m, tuple(orders))
 
 
 def gen_identical(n: int, m: int) -> Profile:
@@ -114,7 +114,7 @@ def gen_identical(n: int, m: int) -> Profile:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     order = tuple(range(1, m + 1))
-    return Profile(n=n, m=m, orders=(order,) * n)
+    return _trusted_profile(n, m, (order,) * n)
 
 
 def _significant_lines(document: str) -> list[tuple[int, str]]:
@@ -181,7 +181,7 @@ def parse_instance(document: str) -> ParsedDocument:
                     raise ParseError(lineno, f"duplicate alternative index {v}")
                 seen.add(v)
         orders.append(order)
-    profile = Profile(n=n, m=m, orders=tuple(orders))
+    profile = _trusted_profile(n, m, tuple(orders))
 
     blocks = {}
     expected = {"costs": m, "caps": m, "budget": 1}

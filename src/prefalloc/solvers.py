@@ -540,6 +540,41 @@ def _walk(
         members.pop()
 
 
+def _cc_seed(columns: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The greedy CC committee on the agent-cost ``columns``, sorted: k
+    picks, each the first alternative that most lowers the summed least
+    costs."""
+    best: Sequence[float] = [math.inf] * len(columns[0])
+    picked: list[int] = []
+    for _ in range(k):
+        _, a = min(
+            (sum(map(min, best, column)), a)
+            for a, column in enumerate(columns, 1)
+            if a not in picked
+        )
+        picked.append(a)
+        best = list(map(min, best, columns[a - 1]))
+    return tuple(sorted(picked))
+
+
+def _matched(
+    prof: Profile,
+    rows: list[list[int]],
+    members: tuple[int, ...],
+    bounds: tuple[tuple[int, ...], tuple[int, ...]],
+    total: bool,
+    below: int | None,
+) -> tuple[int, Assignment] | None:
+    """``members``' value and optimal assignment under ``bounds``: one kernel
+    matching and its summed costs (``l1_*``; ``below`` is not read), or the
+    egalitarian threshold search, None when the threshold is not below
+    ``below``."""
+    if not total:
+        return _egalitarian(prof, rows, members, *bounds, below)
+    assignment = _assign(prof, rows, members, *bounds)
+    return sum(row[t - 1] for row, t in zip(rows, assignment.targets)), assignment
+
+
 def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
     """Nonempty subsets of the alternatives whose costs total at most
     ``budget``, or ``limit`` if there are more.
@@ -610,6 +645,20 @@ def exact_enumeration(
     (egalitarian; the probe at its threshold matches it, so the winner
     needs no second pass).  Only the winner is validated, and a CC winner
     is matched once, after the loop.
+
+    Monroe instances first match a seed, the greedy CC committee on the
+    cost table (k picks, each the first alternative that most lowers the
+    summed least costs), as the incumbent.  Committees are then ranked by
+    ``(value, members)``, which is DFS order within one size: one ahead of
+    the seed wins a tie, and its threshold search probes levels up to the
+    seed's.  A committee is skipped when its bound is not below the
+    incumbent's value in that order, the bound being the larger of its CC
+    value and a load bound (each member carries at least ``n // k`` agents:
+    the sum of those cheapest costs over the members for ``l1_*``, the
+    largest such cost for the egalitarian objectives).  On IC profiles
+    (Borda, ``l1_dec``) that matches 8 of 792 committees at n=60, m=12,
+    k=5 (97 with the CC value alone), and 3.7 of 35 per call on
+    ``perfbench``'s ``oracle_sweep`` trials (7.9).
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -637,32 +686,46 @@ def exact_enumeration(
         bounds = CapacityRegime.monroe_balanced().bounds_for(k, n)
     rows = _cost_rows(prof, psf)
     cc = instance.system_tag == "cc"
+    monroe = instance.system_tag == "monroe"
     total = objective.startswith("l1_")
+    fold = sum if total else max
     incumbent: tuple | None = None  # (value, members, assignment)
     columns = list(zip(*rows))
+    if monroe:
+        # Each member carries at least lo agents, at no less than its lo
+        # cheapest costs (l1) or its lo-th cheapest (egalitarian).
+        lo = n // k
+        loads = [sum(c[:lo]) if total else c[lo - 1] if lo else 0 for c in map(sorted, columns)]
+        seed = _cc_seed(columns, k)
+        value, assignment = _matched(prof, rows, seed, bounds, total, None)
+        incumbent = (value, seed, assignment)
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
-        value = sum(best) if total else max(best)
-        if incumbent is not None and value >= incumbent[0]:
-            continue
+        value = fold(best)
+        limit = None
+        if incumbent is not None:
+            # A committee ahead of the incumbent (only the seed can be
+            # ahead) wins a tie.
+            limit = incumbent[0] + (monroe and members < incumbent[1])
+            if value >= limit:
+                continue
+            if monroe and (
+                members == seed or fold(loads[a - 1] for a in members) >= limit
+            ):
+                continue
         assignment = None
         if not cc:
             if general:
                 caps = tuple(instance.capacities[a - 1] for a in members)
                 bounds = (0,) * len(members), caps
             try:
-                if total:
-                    assignment = _assign(prof, rows, members, *bounds)
-                    value = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
-                else:
-                    below = None if incumbent is None else incumbent[0]
-                    found = _egalitarian(prof, rows, members, *bounds, below)
-                    if found is None:
-                        continue
-                    value, assignment = found
+                found = _matched(prof, rows, members, bounds, total, limit)
             except InfeasibleMatchingError:
                 continue
-        if incumbent is None or value < incumbent[0]:
+            if found is None:
+                continue
+            value, assignment = found
+        if limit is None or value < limit:
             incumbent = (value, members, assignment)
     if incumbent is None:
         raise InfeasibleMatchingError(

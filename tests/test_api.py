@@ -18,6 +18,9 @@ code that a faster path replaced moves to ``tests/oracles.py`` instead of
 staying in the package.  The same holds for public module-level functions
 that ``prefalloc`` does not export: nothing outside the package promises them.
 
+Only ``instances`` may build a ``Profile`` through ``core._trusted_profile``,
+which skips the order checks: no other path into the package does.
+
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
 that module; ``__future__`` imports are exempt.
@@ -169,6 +172,15 @@ def test_unexported_public_functions_have_callers_in_the_package():
         if everywhere[node.name] - _references(node)[node.name] == 0
     ]
     assert dead == []
+
+
+def test_only_instances_builds_unchecked_profiles():
+    # core._trusted_profile skips the order checks of Profile(...); only the
+    # parser and the generators, whose orders are checked or permutations by
+    # construction, may call it.
+    trees, _ = _package_trees()
+    callers = {stem for stem, tree in trees.items() if _references(tree)["_trusted_profile"]}
+    assert callers == {"instances"}
 
 
 def _unread_imports(module: ast.Module):

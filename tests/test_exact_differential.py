@@ -16,6 +16,7 @@ import prefalloc.core as core
 import prefalloc.matching as matching
 import prefalloc.solvers as solvers
 from prefalloc import (
+    CapacityRegime,
     Instance,
     Profile,
     ScoringFunction,
@@ -55,8 +56,14 @@ def _assert_same(*args, **kwargs):
 
 
 def _profile(n: int, m: int, kind: str, rng: SplitMix64) -> Profile:
-    """Impartial culture, identical orders, or two orders drawn per agent
-    (ties between committees everywhere)."""
+    """Impartial culture, identical orders, two orders drawn per agent (ties
+    between committees everywhere), or ``n // 2`` IC orders each with its
+    copy under one relabelling of the alternatives (a committee ties its
+    relabelled twin, and ``n`` is rounded down to even)."""
+    if kind == "mirrored":
+        relabel = shuffled(range(1, m + 1), rng)
+        half = [shuffled(range(1, m + 1), rng) for _ in range(n // 2)]
+        return Profile.from_orders(half + [[relabel[a - 1] for a in o] for o in half])
     if kind == "identical":
         return gen_identical(n, m)
     if kind == "ic":
@@ -169,9 +176,10 @@ IC_30_12_7_EGALITARIAN = (11, 11, 2, 9, 9, 2, 11, 9, 9, 11, 1, 9, 2, 11, 1,
     [("l1_dec", BD, 306), ("l1_inc", BI, 24), ("min_dec", BD, 8), ("max_inc", BI, 3)],
 )
 def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objective, psf, value):
-    # A committee whose CC value is not below the incumbent's is not
-    # matched: 16 l1 matchings of 495 committees, and 2 threshold searches
-    # of one probe each under min_dec and max_inc.
+    # The seed and every committee whose CC value or load bound could still
+    # win are matched: 7 l1 matchings of 495 committees (16 with the CC skip
+    # alone), and 3 threshold searches of one probe each under min_dec and
+    # max_inc (2 without the seed, whose search finds the same threshold).
     instance = make_monroe(gen_impartial_culture(30, 12, 7), 4)
     matchings = _count_calls(monkeypatch, solvers, "_assign")
     searches, probes = _count_searches(monkeypatch)
@@ -180,8 +188,73 @@ def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objectiv
         assert len(matchings) <= math.comb(12, 4) // 10 and not searches
         assert got == (value, IC_30_12_7_TARGETS, "exact_enumeration", objective)
     else:
-        assert not matchings and len(searches) == len(probes) == 2
+        assert not matchings and len(searches) == len(probes) == 3
         assert got == (value, IC_30_12_7_EGALITARIAN, "exact_enumeration", objective)
+
+
+def _cost(profile: Profile, psf: ScoringFunction, members, objective: str) -> int:
+    """The optimal kernel cost of ``members`` under balanced loads."""
+    rows = matching._cost_rows(profile, psf)
+    bounds = CapacityRegime.monroe_balanced().bounds_for(len(members), profile.n)
+    return solvers._matched(profile, rows, members, bounds, objective.startswith("l1_"), None)[0]
+
+
+def test_exact_monroe_seed_keeps_the_first_optimum():
+    # Monroe starts from the greedy CC seed.  Where the seed is optimal but
+    # an equal committee comes first in DFS order, that one must still win:
+    # it ties the seed and is matched with ``below`` one above the seed's
+    # value.  Mirrored profiles make such ties for every objective.
+    rng = SplitMix64(derive_seed(SEED, 55))
+    decided = {objective: 0 for objective in OBJECTIVES}
+    for case in range(48):
+        case_rng = SplitMix64(derive_seed(SEED, 5500 + case))
+        m = 3 + rng.randrange(5)
+        n = 4 + rng.randrange(11)
+        k = 2 + rng.randrange(min(m - 1, 3))
+        profile = _profile(n, m, (*KINDS, "mirrored")[case % 4], case_rng)
+        for objective in OBJECTIVES:
+            psf = _psf(objective, m, case_rng)
+            got = _assert_same(make_monroe(profile, k), psf, objective)
+            rows = matching._cost_rows(profile, psf)
+            seed = solvers._cc_seed(list(zip(*rows)), k)
+            winner = tuple(sorted(set(got[1])))  # k <= n: every member serves
+            if winner != seed and _cost(profile, psf, winner, objective) == _cost(
+                profile, psf, seed, objective
+            ):
+                assert winner < seed
+                decided[objective] += 1
+    assert all(decided.values()), decided
+
+
+# exact_enumeration_reference's winner at IC (60, 12, 5), seed 1, l1_dec.
+IC_60_12_5_TARGETS = (7, 10, 8, 10, 5, 7, 5, 7, 9, 7, 5, 8, 9, 5, 8, 7, 10, 9, 10, 8,
+                      5, 10, 7, 5, 9, 9, 7, 7, 5, 8, 9, 7, 8, 10, 5, 5, 8, 10, 8, 9,
+                      8, 7, 7, 8, 9, 10, 8, 5, 8, 10, 7, 10, 9, 9, 9, 5, 9, 10, 5, 10)
+
+
+def test_exact_monroe_seed_counted_at_desk_scale(monkeypatch):
+    # 8 of 792 committees are matched (97 with the CC skip alone).
+    instance = make_monroe(gen_impartial_culture(60, 12, 1), 5)
+    matchings = _count_calls(monkeypatch, solvers, "_assign")
+    got = _outcome(exact_enumeration, instance, BD, "l1_dec")
+    assert got == (612, IC_60_12_5_TARGETS, "exact_enumeration", "l1_dec")
+    assert len(matchings) == 8
+
+
+def test_exact_monroe_seed_counted_over_oracle_sweep_trials(monkeypatch):
+    # perfbench's oracle_sweep Monroe oracles at seed 0: 100 IC trials,
+    # n=12, m=7, k=3, 35 committees each.  l1_dec matches 3.71 committees
+    # per call (7.91 with the CC skip alone); min_dec runs 2.23 threshold
+    # searches (3.30) and 2.45 kernel solves (2.57).
+    matchings = _count_calls(monkeypatch, solvers, "_assign")
+    searches, probes = _count_searches(monkeypatch)
+    for trial in range(100):
+        trial_seed = derive_seed(0, trial)
+        instance = make_monroe(gen_impartial_culture(12, 7, derive_seed(trial_seed, 1)), 3)
+        exact_enumeration(instance, BD, "l1_dec")
+        exact_enumeration(instance, BD, "min_dec")
+    assert (len(matchings), len(searches)) == (371, 223)
+    assert (probes.count(True), probes.count(False)) == (245, 371)  # in a search or not
 
 
 def test_dfs_visits_the_old_committee_order():
