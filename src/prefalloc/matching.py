@@ -2,12 +2,15 @@
 
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching on one integer cost table, ``rows[j][a - 1]`` (:func:`_cost_rows`).
-Both objectives run one kernel, an integer min-cost max-flow (successive
-shortest augmenting paths with potentials).  The total objective is one
-solve.  The egalitarian objectives probe cost levels as ``ceiling``s, from a
-proven lower bound on the optimal threshold upwards (:func:`_egalitarian`);
-the least level whose solve completes is the committee's egalitarian value,
-and that solve is its matching.
+Both objectives run one entry, :func:`_match`, and one kernel, an integer
+min-cost max-flow (successive shortest augmenting paths with potentials).
+The total objective is one solve.  The egalitarian objectives probe cost
+levels as ``ceiling``s, from a proven lower bound on the optimal threshold
+upwards; the least level whose solve completes is the committee's
+egalitarian value, and that solve is its matching.  The entry computes both
+proven floors (the CC floor and the load floor) and, under either
+objective, refuses a committee whose value cannot be below the caller's
+``below`` before any kernel solve: the solvers' skip rules live here alone.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -242,57 +245,55 @@ def _solve_bounded(
     return tuple(targets)
 
 
-def _assign(
+def _match(
     profile: Profile,
     rows: list[list[int]],
     members: tuple[int, ...],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
-) -> Assignment:
-    """The least-cost complete assignment of the sorted ``members`` under
-    the bounds; bounds of 0 and ``n`` restrict nothing, so it is then
-    :func:`match_cc`'s."""
-    if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, members)
-    targets = _solve_bounded(rows, members, lowers, uppers, None)
-    if targets is None:
-        raise InfeasibleMatchingError("load bounds admit no complete assignment")
-    return Assignment(targets)
-
-
-def _egalitarian(
-    profile: Profile,
-    rows: list[list[int]],
-    members: tuple[int, ...],
-    lowers: tuple[int, ...],
-    uppers: tuple[int, ...],
+    total: bool,
     below: int | None = None,
 ) -> tuple[int, Assignment] | None:
-    """The optimal egalitarian threshold of the sorted ``members`` under the
-    bounds (the least largest edge cost of a complete assignment) and the
-    least-cost assignment within it, or None if the threshold is not below
-    ``below``.
+    """The optimal value of the sorted ``members`` under the bounds and an
+    assignment that reaches it, or None if the value is not below ``below``.
 
-    The search starts at a proven floor, the larger of two lower bounds:
-    each agent's least cost over the members, at its largest (the CC
-    bound), and for each member with a lower bound ``lo`` the ``lo``-th
-    smallest cost of its column (it carries that many agents).  It probes
-    the floor with the min-cost kernel, then bisects the cost levels above
-    it; the probe at the threshold returns the assignment.  Bounds of 0 and
-    ``n`` restrict nothing: the CC bound is the threshold and the assignment
-    is :func:`match_cc`'s.  Load totals that admit no complete assignment
-    raise :class:`InfeasibleMatchingError` from the first probe.
+    The value is the sum (``total``) or the largest of the agents' edge
+    costs.  Two proven floors bound it from below, folded the same way:
+    each agent's least cost over the members (the CC floor), and for each
+    member with a lower bound ``lo`` the costs of the ``lo`` agents it must
+    carry, at least its ``lo`` cheapest (the load floor; their sum, or the
+    ``lo``-th cheapest).  A committee refused by the CC floor sorts no
+    column, and one refused by the larger floor runs no kernel solve.
+    Bounds of 0 and ``n`` restrict nothing: the CC floor is the value and
+    the assignment is :func:`match_cc`'s.
+
+    The total objective is one kernel solve.  The egalitarian threshold
+    search probes the floor with the min-cost kernel as a ``ceiling``, then
+    bisects the cost levels above it (below ``below``); the probe at the
+    threshold returns the assignment.  Load totals that admit no complete
+    assignment raise :class:`InfeasibleMatchingError` from the first solve.
     """
     n = len(rows)
+    fold = sum if total else max
     columns = [[row[a - 1] for row in rows] for a in members]
-    floor = max(map(min, zip(*columns)))
-    for low, column in zip(lowers, columns):
-        if 0 < low <= n:
-            floor = max(floor, sorted(column)[low - 1])
+    floor = fold(map(min, zip(*columns)))
     if below is not None and floor >= below:
         return None
     if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
         return floor, match_cc(profile, members)
+    loads = [fold(sorted(column)[:low]) for low, column in zip(lowers, columns) if 0 < low <= n]
+    if loads:
+        floor = max(floor, fold(loads))
+    if below is not None and floor >= below:
+        return None
+    if total:
+        targets = _solve_bounded(rows, members, lowers, uppers, None)
+        if targets is None:
+            raise InfeasibleMatchingError("load bounds admit no complete assignment")
+        value = sum(row[t - 1] for row, t in zip(rows, targets))
+        if below is not None and value >= below:
+            return None
+        return value, Assignment(targets)
     levels = sorted({c for column in columns for c in column if floor <= c})
     if below is not None:
         levels = [c for c in levels if c < below]
@@ -338,7 +339,9 @@ def match_monroe_l1(
     """
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    return _assign(profile, _cost_rows(profile, psf), members, lowers, uppers)
+    found = _match(profile, _cost_rows(profile, psf), members, lowers, uppers, True)
+    assert found is not None  # no ``below``: the optimum is returned
+    return found[1]
 
 
 def match_egalitarian(
@@ -359,7 +362,7 @@ def match_egalitarian(
     keeps results deterministic.
 
     Cost: one n x m cost table and one kernel solve per threshold probe
-    (:func:`_egalitarian`): the search probes a proven floor first, which is
+    (:func:`_match`): the search probes a proven floor first, which is
     usually the threshold, so usually one solve, and otherwise bisects the
     cost levels above it.  Load totals that admit no complete assignment
     raise :class:`InfeasibleMatchingError` from the first probe.
@@ -372,6 +375,6 @@ def match_egalitarian(
         raise ValueError("min_max_dissat needs an increasing (dissatisfaction) function")
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    found = _egalitarian(profile, _cost_rows(profile, psf), members, lowers, uppers)
+    found = _match(profile, _cost_rows(profile, psf), members, lowers, uppers, False)
     assert found is not None  # no ``below``: the loosest level completes
     return found[1]

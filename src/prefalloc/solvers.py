@@ -30,9 +30,8 @@ from .instances import make_cc, make_monroe
 from .matching import (
     CapacityRegime,
     InfeasibleMatchingError,
-    _assign,
     _cost_rows,
-    _egalitarian,
+    _match,
     match_cc,
 )
 from .rng import SplitMix64, derive_seed, sample_distinct
@@ -272,7 +271,7 @@ def sample_once_monroe(
     gen = SplitMix64(rng) if isinstance(rng, int) else rng
     bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
     members = _sample_committee(prof.m, k, gen)
-    assignment = _assign(prof, _cost_rows(prof, psf), members, *bounds)
+    _, assignment = _match(prof, _cost_rows(prof, psf), members, *bounds, True)
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
@@ -304,7 +303,7 @@ def combined_monroe(
 
     Sampling runs are ranked by their cost-table totals, and only a strictly
     better one replaces the incumbent (greedy's result, if any).  A sample
-    whose CC score (each agent at its best member, loads ignored) is no
+    whose proven floor (:func:`matching._match`'s CC or load floor) is no
     better could at best tie, so it is not matched: one kernel matching per
     sample that can still win.  Each run draws from its own
     ``derive_seed(seed, index)`` stream, so a skip moves no draw.  Only the
@@ -348,14 +347,10 @@ def combined_monroe(
         members = _sample_committee(
             prof.m, k, SplitMix64(derive_seed(config.seed, index))
         )
-        if best is not None:
-            relaxed = sum(min(row[a - 1] for a in members) for row in rows)
-            if relaxed >= best[0]:
-                continue
-        assignment = _assign(prof, rows, members, *bounds)
-        cost = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
-        if best is None or cost < best[0]:
-            best = (cost, assignment)
+        below = None if best is None else best[0]
+        found = _match(prof, rows, members, *bounds, True, below)
+        if found is not None:
+            best = found
     assert best is not None
     value = metric_l1(instance, psf, best[1])
     assert value == top - best[0]
@@ -446,35 +441,16 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
 
     Each step adds the alternative with the largest increase of the total
     best-member score; submodularity gives at least a (1 - 1/e) fraction of
-    the optimum for any decreasing scoring function.
+    the optimum for any decreasing scoring function.  A score is ``psf(1)``
+    minus a cost, so this is :func:`_cc_seed` on the Borda cost table: the
+    largest gain is the largest drop of the summed least costs, and ties go
+    to the lowest alternative index.
     """
     start = time.perf_counter()
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-    n, m = prof.n, prof.m
-    positions = prof.positions
-    vals = psf.values(m)
-    best_score = [-1] * n
-    picked: list = []
-    for _ in range(k):
-        best_alt = -1
-        best_gain = -1
-        for alt in range(1, m + 1):
-            if alt in picked:
-                continue
-            gain = 0
-            for j in range(n):
-                s = vals[positions[j][alt - 1] - 1]
-                if s > best_score[j]:
-                    gain += s - max(best_score[j], 0)
-            if gain > best_gain:
-                best_alt, best_gain = alt, gain
-        picked.append(best_alt)
-        for j in range(n):
-            s = vals[positions[j][best_alt - 1] - 1]
-            if s > best_score[j]:
-                best_score[j] = s
-    assignment = match_cc(prof, picked)
+    columns = list(zip(*_cost_rows(prof, psf)))
+    assignment = match_cc(prof, _cc_seed(columns, k))
     value = metric_l1(make_cc(prof, k), psf, assignment)
     return SolveReport(
         assignment=assignment,
@@ -544,35 +520,18 @@ def _cc_seed(columns: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
     """The greedy CC committee on the agent-cost ``columns``, sorted: k
     picks, each the first alternative that most lowers the summed least
     costs."""
-    best: Sequence[float] = [math.inf] * len(columns[0])
+    best: Sequence[int] | None = None
     picked: list[int] = []
     for _ in range(k):
         _, a = min(
-            (sum(map(min, best, column)), a)
+            (sum(column if best is None else map(min, best, column)), a)
             for a, column in enumerate(columns, 1)
             if a not in picked
         )
         picked.append(a)
-        best = list(map(min, best, columns[a - 1]))
+        col = columns[a - 1]
+        best = col if best is None else list(map(min, best, col))
     return tuple(sorted(picked))
-
-
-def _matched(
-    prof: Profile,
-    rows: list[list[int]],
-    members: tuple[int, ...],
-    bounds: tuple[tuple[int, ...], tuple[int, ...]],
-    total: bool,
-    below: int | None,
-) -> tuple[int, Assignment] | None:
-    """``members``' value and optimal assignment under ``bounds``: one kernel
-    matching and its summed costs (``l1_*``; ``below`` is not read), or the
-    egalitarian threshold search, None when the threshold is not below
-    ``below``."""
-    if not total:
-        return _egalitarian(prof, rows, members, *bounds, below)
-    assignment = _assign(prof, rows, members, *bounds)
-    return sum(row[t - 1] for row, t in zip(rows, assignment.targets)), assignment
 
 
 def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
@@ -639,8 +598,9 @@ def exact_enumeration(
     Monroe or general one's under any loads.  One skip rule serves every
     objective: a committee whose CC value is not below the incumbent's could
     at best tie, and only a strictly better one replaces the incumbent, so
-    it is not matched and the winner stays the same.  Any other costs one
-    kernel matching (``l1_*``, its value read off the n x m cost table) or
+    it is not matched and the winner stays the same.  Any other goes to
+    :func:`matching._match` with the incumbent's value as ``below``, which
+    skips it by its load floor or costs one kernel matching (``l1_*``) or
     one threshold search that probes only levels below the incumbent's
     (egalitarian; the probe at its threshold matches it, so the winner
     needs no second pass).  Only the winner is validated, and a CC winner
@@ -651,14 +611,11 @@ def exact_enumeration(
     summed least costs), as the incumbent.  Committees are then ranked by
     ``(value, members)``, which is DFS order within one size: one ahead of
     the seed wins a tie, and its threshold search probes levels up to the
-    seed's.  A committee is skipped when its bound is not below the
-    incumbent's value in that order, the bound being the larger of its CC
-    value and a load bound (each member carries at least ``n // k`` agents:
-    the sum of those cheapest costs over the members for ``l1_*``, the
-    largest such cost for the egalitarian objectives).  On IC profiles
-    (Borda, ``l1_dec``) that matches 8 of 792 committees at n=60, m=12,
-    k=5 (97 with the CC value alone), and 3.7 of 35 per call on
-    ``perfbench``'s ``oracle_sweep`` trials (7.9).
+    seed's.  A committee is skipped when its CC value, or the load floor
+    that :func:`matching._match` checks, is not below the incumbent's value
+    in that order.  On IC profiles (Borda, ``l1_dec``) that matches 8 of
+    792 committees at n=60, m=12, k=5 (97 with the CC value alone), and
+    3.7 of 35 per call on ``perfbench``'s ``oracle_sweep`` trials (7.9).
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -692,12 +649,8 @@ def exact_enumeration(
     incumbent: tuple | None = None  # (value, members, assignment)
     columns = list(zip(*rows))
     if monroe:
-        # Each member carries at least lo agents, at no less than its lo
-        # cheapest costs (l1) or its lo-th cheapest (egalitarian).
-        lo = n // k
-        loads = [sum(c[:lo]) if total else c[lo - 1] if lo else 0 for c in map(sorted, columns)]
         seed = _cc_seed(columns, k)
-        value, assignment = _matched(prof, rows, seed, bounds, total, None)
+        value, assignment = _match(prof, rows, seed, *bounds, total)
         incumbent = (value, seed, assignment)
     committees = _committees(m, sizes, instance.costs, instance.budget, columns)
     for members, best in committees:
@@ -707,11 +660,7 @@ def exact_enumeration(
             # A committee ahead of the incumbent (only the seed can be
             # ahead) wins a tie.
             limit = incumbent[0] + (monroe and members < incumbent[1])
-            if value >= limit:
-                continue
-            if monroe and (
-                members == seed or fold(loads[a - 1] for a in members) >= limit
-            ):
+            if value >= limit or (monroe and members == seed):
                 continue
         assignment = None
         if not cc:
@@ -719,14 +668,13 @@ def exact_enumeration(
                 caps = tuple(instance.capacities[a - 1] for a in members)
                 bounds = (0,) * len(members), caps
             try:
-                found = _matched(prof, rows, members, bounds, total, limit)
+                found = _match(prof, rows, members, *bounds, total, limit)
             except InfeasibleMatchingError:
                 continue
             if found is None:
                 continue
             value, assignment = found
-        if limit is None or value < limit:
-            incumbent = (value, members, assignment)
+        incumbent = (value, members, assignment)
     if incumbent is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"

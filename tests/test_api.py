@@ -21,6 +21,11 @@ that ``prefalloc`` does not export: nothing outside the package promises them.
 Only ``instances`` may build a ``Profile`` through ``core._trusted_profile``,
 which skips the order checks: no other path into the package does.
 
+Only ``matching`` references the kernel entry ``_solve_bounded``, and
+``solvers`` imports no private ``matching`` name but ``_cost_rows`` and
+``_match``: the matcher owns both proven floors and the ``below`` refusal,
+so no solver grows its own floor or calls the kernel directly.
+
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
 that module; ``__future__`` imports are exempt.
@@ -181,6 +186,19 @@ def test_only_instances_builds_unchecked_profiles():
     trees, _ = _package_trees()
     callers = {stem for stem, tree in trees.items() if _references(tree)["_trusted_profile"]}
     assert callers == {"instances"}
+
+
+def test_solvers_match_only_through_one_entry():
+    trees, _ = _package_trees()
+    callers = {stem for stem, tree in trees.items() if _references(tree)["_solve_bounded"]}
+    assert callers == {"matching"}
+    imported = {
+        alias.name
+        for node in trees["solvers"].body
+        if isinstance(node, ast.ImportFrom) and node.module == "matching"
+        for alias in node.names
+    }
+    assert {name for name in imported if name.startswith("_")} == {"_cost_rows", "_match"}
 
 
 def _unread_imports(module: ast.Module):

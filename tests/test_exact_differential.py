@@ -181,8 +181,7 @@ def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objectiv
     # alone), and 3 threshold searches of one probe each under min_dec and
     # max_inc (2 without the seed, whose search finds the same threshold).
     instance = make_monroe(gen_impartial_culture(30, 12, 7), 4)
-    matchings = _count_calls(monkeypatch, solvers, "_assign")
-    searches, probes = _count_searches(monkeypatch)
+    matchings, searches, probes = _count_solves(monkeypatch)
     got = _outcome(exact_enumeration, instance, psf, objective)
     if objective.startswith("l1_"):
         assert len(matchings) <= math.comb(12, 4) // 10 and not searches
@@ -196,7 +195,7 @@ def _cost(profile: Profile, psf: ScoringFunction, members, objective: str) -> in
     """The optimal kernel cost of ``members`` under balanced loads."""
     rows = matching._cost_rows(profile, psf)
     bounds = CapacityRegime.monroe_balanced().bounds_for(len(members), profile.n)
-    return solvers._matched(profile, rows, members, bounds, objective.startswith("l1_"), None)[0]
+    return matching._match(profile, rows, members, *bounds, objective.startswith("l1_"))[0]
 
 
 def test_exact_monroe_seed_keeps_the_first_optimum():
@@ -235,7 +234,7 @@ IC_60_12_5_TARGETS = (7, 10, 8, 10, 5, 7, 5, 7, 9, 7, 5, 8, 9, 5, 8, 7, 10, 9, 1
 def test_exact_monroe_seed_counted_at_desk_scale(monkeypatch):
     # 8 of 792 committees are matched (97 with the CC skip alone).
     instance = make_monroe(gen_impartial_culture(60, 12, 1), 5)
-    matchings = _count_calls(monkeypatch, solvers, "_assign")
+    matchings, _, _ = _count_solves(monkeypatch)
     got = _outcome(exact_enumeration, instance, BD, "l1_dec")
     assert got == (612, IC_60_12_5_TARGETS, "exact_enumeration", "l1_dec")
     assert len(matchings) == 8
@@ -246,15 +245,13 @@ def test_exact_monroe_seed_counted_over_oracle_sweep_trials(monkeypatch):
     # n=12, m=7, k=3, 35 committees each.  l1_dec matches 3.71 committees
     # per call (7.91 with the CC skip alone); min_dec runs 2.23 threshold
     # searches (3.30) and 2.45 kernel solves (2.57).
-    matchings = _count_calls(monkeypatch, solvers, "_assign")
-    searches, probes = _count_searches(monkeypatch)
+    matchings, searches, probes = _count_solves(monkeypatch)
     for trial in range(100):
         trial_seed = derive_seed(0, trial)
         instance = make_monroe(gen_impartial_culture(12, 7, derive_seed(trial_seed, 1)), 3)
         exact_enumeration(instance, BD, "l1_dec")
         exact_enumeration(instance, BD, "min_dec")
-    assert (len(matchings), len(searches)) == (371, 223)
-    assert (probes.count(True), probes.count(False)) == (245, 371)  # in a search or not
+    assert (len(matchings), len(searches), len(probes)) == (371, 223, 245)
 
 
 def test_dfs_visits_the_old_committee_order():
@@ -316,8 +313,8 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
     matchings = [
         _count_calls(monkeypatch, module, name)
         for module, names in (
-            (solvers, ("match_cc", "_assign", "_egalitarian")),
-            (matching, ("match_monroe_l1", "match_egalitarian", "match_cc")),
+            (solvers, ("match_cc", "_match")),
+            (matching, ("match_monroe_l1", "match_egalitarian", "match_cc", "_solve_bounded")),
         )
         for name in names
     ]
@@ -327,11 +324,11 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
         with pytest.raises(ValueError, match=r"^table covers 5 positions, needs 6$"):
             exact_enumeration(instance, _short_table(6), objective)
     assert not any(matchings)
-    # The egalitarian winner is matched by its own threshold probe: no
-    # _assign call, and no kernel solve outside a search.
-    searches, probes = _count_searches(monkeypatch)
+    # The egalitarian winner is matched by its own threshold probe: every
+    # kernel solve is a probe of a search, none an l1 matching.
+    l1_matchings, searches, probes = _count_solves(monkeypatch)
     exact_enumeration(make_monroe(_profile(2, 5, "ic", SplitMix64(3)), 4), BD, "min_dec")
-    assert searches and all(probes) and not matchings[1]  # solvers._assign
+    assert searches and probes and not l1_matchings
     outcomes = [
         # No committee hosts every agent; more agents than committee seats.
         _assert_same(tiny, BD, "l1_dec"),
@@ -360,27 +357,29 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _count_searches(monkeypatch):
-    """Record exact_enumeration's threshold searches and every kernel solve;
-    a solve records whether a search was running."""
-    searches, solves, running = [], [], []
-    search, solve = solvers._egalitarian, matching._solve_bounded
+def _count_solves(monkeypatch):
+    """Record exact_enumeration's kernel solves as ``(matchings, searches,
+    probes)``: an l1 matching is a solve with no ceiling, a probe is a solve
+    with one, and a threshold search is a call of ``solvers._match`` that
+    ran at least one probe."""
+    matchings, searches, probes = [], [], []
+    solve, match = matching._solve_bounded, solvers._match
 
-    def counted_search(*args):
-        searches.append(args)
-        running.append(True)
+    def counted_solve(rows, members, lowers, uppers, ceiling):
+        (matchings if ceiling is None else probes).append(members)
+        return solve(rows, members, lowers, uppers, ceiling)
+
+    def counted_match(*args):
+        before = len(probes)
         try:
-            return search(*args)
+            return match(*args)
         finally:
-            running.pop()
+            if len(probes) > before:
+                searches.append(args)
 
-    def counted_solve(*args):
-        solves.append(bool(running))
-        return solve(*args)
-
-    monkeypatch.setattr(solvers, "_egalitarian", counted_search)
     monkeypatch.setattr(matching, "_solve_bounded", counted_solve)
-    return searches, solves
+    monkeypatch.setattr(solvers, "_match", counted_match)
+    return matchings, searches, probes
 
 
 def _make_general(profile: Profile, k: int) -> Instance:
@@ -400,8 +399,7 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     validations = _count_calls(monkeypatch, core, "validate_assignment")
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
-    assigns = _count_calls(monkeypatch, solvers, "_assign")
-    searches, probes = _count_searches(monkeypatch)
+    l1_matchings, searches, _ = _count_solves(monkeypatch)
     report = exact_enumeration(make(profile, 3), psf, objective)
     assert len(validations) == 1  # 35 committees (63 for general), one validation
     if make is make_cc:
@@ -410,8 +408,8 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
         assert not cc_matchings and not inner_cc_matchings
     if make is not make_cc and objective in ("min_dec", "max_inc"):
         # Committees are ranked by threshold searches; the winner's probe
-        # matches it, so no _assign call and no kernel solve outside a search.
-        assert searches and all(probes) and not assigns
+        # matches it, so every kernel solve is a probe, none an l1 matching.
+        assert searches and not l1_matchings
     else:
         assert not searches
     reference = exact_enumeration_reference(make(profile, 3), psf, objective)

@@ -244,8 +244,11 @@ def _table(rng, m, dec):
 def test_cc_relaxation_dominates_balanced():
     # Each agent's least cost over the committee, summed (l1_*) or at its
     # largest (min_dec, max_inc), bounds from below the cost of every
-    # assignment under any loads, so also the kernel's optimum: the bound
-    # exact_enumeration and combined_monroe skip committees by.
+    # assignment under any loads, so also the kernel's optimum: the CC
+    # floor _match refuses committees by.  So does the load floor: a member
+    # with lower bound lo carries at least its lo cheapest costs (summed) or
+    # its lo-th cheapest (largest).  ``below`` keeps only values strictly
+    # under it, for both objectives.
     rng = SplitMix64(80808)
     for trial in range(30):
         prof, committee, k = _random_case(rng, trial)
@@ -262,14 +265,17 @@ def test_cc_relaxation_dominates_balanced():
                     [row[t - 1] for row, t in zip(rows, targets)]
                     for targets in feasible_assignments(n, members, *bounds)
                 ]
-                assignment = matching._assign(prof, rows, members, *bounds)
-                total = sum(row[t - 1] for row, t in zip(rows, assignment.targets))
-                assert sum(best) <= min(map(sum, costs)) == total
-                found = matching._egalitarian(prof, rows, members, *bounds)
-                assert max(best) <= min(map(max, costs)) == found[0]
-                # ``below`` keeps only thresholds strictly under it.
-                assert matching._egalitarian(prof, rows, members, *bounds, found[0]) is None
-                assert matching._egalitarian(prof, rows, members, *bounds, found[0] + 1) == found
+                columns = [sorted(row[a - 1] for row in rows) for a in members]
+                for total, fold in ((True, sum), (False, max)):
+                    loads = [fold(c[:lo]) for lo, c in zip(bounds[0], columns) if lo]
+                    found = matching._match(prof, rows, members, *bounds, total)
+                    value, assignment = found
+                    optimum = min(map(fold, costs))
+                    assert fold(best) <= optimum == value
+                    assert fold([0, *loads]) <= optimum
+                    assert fold(row[t - 1] for row, t in zip(rows, assignment.targets)) == value
+                    assert matching._match(prof, rows, members, *bounds, total, value) is None
+                    assert matching._match(prof, rows, members, *bounds, total, value + 1) == found
 
 
 def test_matching_is_deterministic():
