@@ -11,7 +11,6 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
@@ -90,7 +89,7 @@ class Violation(_Record):
     """One violated feasibility constraint (an immutable record).
 
     ``kind`` is one of ``shape``, ``target_range``, ``budget``, ``capacity``,
-    ``scoring``.
+    ``balance``, ``scoring``.
     """
 
     __slots__ = __match_args__ = ("kind", "detail")
@@ -139,9 +138,6 @@ class Profile(_Record):
                 table.append(tuple(row))
             _set(self, "_positions", tuple(table))
         return self._positions
-
-    def position(self, agent: int, alternative: int) -> int:
-        return self.positions[agent][alternative - 1]
 
 
 def _trusted_profile(n: int, m: int, orders: tuple[tuple[int, ...], ...]) -> Profile:
@@ -263,6 +259,12 @@ class Assignment(_Record):
         return self._committee
 
 
+def _balanced_loads(n: int, k: int) -> tuple[int, int]:
+    """The least and the most agents each member of a Monroe committee of
+    size ``k`` carries: ``floor(n/k)`` and ``ceil(n/k)``."""
+    return n // k, -(-n // k)
+
+
 class Instance(_Record):
     """A full allocation instance: profile plus costs, capacities and budget
     (an immutable record).  Every agent counts once: a member's load is the
@@ -302,7 +304,7 @@ class Instance(_Record):
                 raise ValueError(f"{system_tag} instance needs 1 <= K <= {m}")
             if any(c != 1 for c in costs) or budget != k:
                 raise ValueError(f"{system_tag} instance needs unit costs and budget K")
-            cap = math.ceil(n / k) if system_tag == "monroe" else n
+            cap = _balanced_loads(n, k)[1] if system_tag == "monroe" else n
             if any(c != cap for c in capacities):
                 raise ValueError(
                     f"{system_tag} instance needs every capacity equal to {cap}"
@@ -339,7 +341,9 @@ def validate_assignment(
 
     Returns the (possibly empty) tuple of violated constraints instead of
     raising, so callers decide severity.  ``psf`` is optional and only
-    checked for covering ``m``.
+    checked for covering ``m``.  A Monroe assignment must also be balanced:
+    ``min(n, K)`` members, each carrying at least ``floor(n/K)`` agents (the
+    capacity clause holds each to ``ceil(n/K)``).
     """
     n, m = instance.profile.n, instance.profile.m
     violations = []
@@ -382,6 +386,25 @@ def validate_assignment(
                     f"{instance.capacities[a - 1]}",
                 )
             )
+    if instance.system_tag == "monroe":
+        k = instance.committee_size
+        assert k is not None
+        if len(committee) != min(n, k):
+            violations.append(
+                Violation(
+                    "balance",
+                    f"committee has {len(committee)} members, Monroe needs {min(n, k)}",
+                )
+            )
+        least = _balanced_loads(n, k)[0]
+        for a in committee:
+            if load[a] < least:
+                violations.append(
+                    Violation(
+                        "balance",
+                        f"alternative {a} carries {load[a]} agents, minimum {least}",
+                    )
+                )
     return tuple(violations)
 
 

@@ -16,11 +16,10 @@ solver sampling never share an RNG stream.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from itertools import chain
 
-from .core import Instance, Profile, _Record, _trusted_profile
+from .core import Instance, Profile, _balanced_loads, _Record, _trusted_profile
 from .rng import SplitMix64, _acceptance_limit
 
 # Draws per SplitMix64.block: 256 and 1024 generate at the same speed, 4096
@@ -57,7 +56,7 @@ def _restriction(profile: Profile, k: int, tag: str) -> Instance:
     capacity ``ceil(n/k)`` or ``n`` for every alternative."""
     if not 1 <= k <= profile.m:
         raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
-    capacity = math.ceil(profile.n / k) if tag == "monroe" else profile.n
+    capacity = _balanced_loads(profile.n, k)[1] if tag == "monroe" else profile.n
     return Instance(
         profile=profile,
         costs=(1,) * profile.m,

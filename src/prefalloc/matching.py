@@ -2,12 +2,13 @@
 
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching on one integer cost table, ``rows[j][a - 1]`` (:func:`_cost_rows`).
-Both objectives run one entry, :func:`_match`, and one kernel, an integer
-min-cost max-flow (successive shortest augmenting paths with potentials).
-The total objective is one solve.  The egalitarian objectives probe cost
-levels as ``ceiling``s, from a proven lower bound on the optimal threshold
-upwards; the least level whose solve completes is the committee's
-egalitarian value, and that solve is its matching.  The entry computes both
+Both objectives run one entry, :func:`_match`, and one kernel function,
+:func:`_solve_bounded`, which builds the flow network and runs integer
+successive shortest augmenting paths with potentials on it.  The total
+objective is one solve.  The egalitarian objectives probe cost levels as
+``ceiling``s, from a proven lower bound on the optimal threshold upwards;
+the least level whose solve completes is the committee's egalitarian value,
+and that solve is its matching.  The entry computes both
 proven floors (the CC floor and the load floor) and, under either
 objective, refuses a committee whose value cannot be below the caller's
 ``below`` before any kernel solve: the solvers' skip rules live here alone.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 
-from .core import Assignment, Profile, ScoringFunction, _integers, _Record
+from .core import Assignment, Profile, ScoringFunction, _balanced_loads, _integers, _Record
 
 REGIME_KINDS = ("monroe_balanced", "explicit")
 
@@ -86,74 +87,14 @@ class CapacityRegime(_Record):
         """Resolve (lowers, uppers) for a committee of the given size."""
         k = committee_size
         if self.kind == "monroe_balanced":
-            return (n // k,) * k, (-(-n // k),) * k
+            least, most = _balanced_loads(n, k)
+            return (least,) * k, (most,) * k
         assert self.lowers is not None and self.uppers is not None
         if len(self.lowers) != k:
             raise ValueError(
                 f"explicit bounds cover {len(self.lowers)} members, committee has {k}"
             )
         return self.lowers, self.uppers
-
-
-class _MinCostFlow:
-    """Successive shortest augmenting paths with Johnson potentials.
-
-    Works on integer capacities and nonnegative integer costs.  Edges are
-    stored as mutable ``[to, cap, cost, rev_index]`` records; the residual of
-    a saturated unit edge is 0.
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        self.graph: list[list[list]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> None:
-        self.graph[u].append([v, cap, cost, len(self.graph[v])])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
-
-    def send(self, s: int, t: int, limit: int) -> int:
-        """Push up to ``limit`` units from s to t; returns the flow sent."""
-        n = len(self.graph)
-        inf = float("inf")
-        potential = [0] * n
-        flow = 0
-        while flow < limit:
-            dist = [inf] * n
-            dist[s] = 0
-            prev: list[tuple[int, int] | None] = [None] * n
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for idx, edge in enumerate(self.graph[u]):
-                    v, cap, cost, _ = edge
-                    if cap <= 0:
-                        continue
-                    nd = d + cost + potential[u] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = (u, idx)
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == inf:
-                break
-            for v in range(n):
-                if dist[v] < inf:
-                    potential[v] += dist[v]
-            push = limit - flow
-            v = t
-            while v != s:
-                u, idx = prev[v]  # type: ignore[misc]
-                push = min(push, self.graph[u][idx][1])
-                v = u
-            v = t
-            while v != s:
-                u, idx = prev[v]  # type: ignore[misc]
-                edge = self.graph[u][idx]
-                edge[1] -= push
-                self.graph[edge[0]][edge[3]][1] += push
-                v = u
-            flow += push
-        return flow
 
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
@@ -168,45 +109,6 @@ def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int,
     if members[0] < 1 or members[-1] > profile.m:
         raise ValueError(f"committee members must lie in 1..{profile.m}")
     return members
-
-
-def _network(n: int, lowers: tuple[int, ...], uppers: tuple[int, ...]) -> _MinCostFlow:
-    """The b-matching network without its member-agent edges.
-
-    Node 0 is the source and node 1 the slack pool; the ``k`` members follow
-    from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
-    The source, pool and agent-sink edges are in place.  Raises
-    :class:`InfeasibleMatchingError` when the load totals admit no complete
-    assignment.
-    """
-    k = len(lowers)
-    total_lo = sum(lowers)
-    total_hi = sum(min(hi, n) for hi in uppers)
-    if total_hi < n:
-        raise InfeasibleMatchingError(
-            f"member upper bounds admit only {total_hi} agents, instance has {n}"
-        )
-    if total_lo > n:
-        raise InfeasibleMatchingError(
-            f"member lower bounds require {total_lo} agents, instance has {n}"
-        )
-    source, pool = 0, 1
-    member0 = 2
-    agent0 = 2 + k
-    sink = 2 + k + n
-    net = _MinCostFlow(sink + 1)
-    for i in range(k):
-        if lowers[i] > 0:
-            net.add_edge(source, member0 + i, lowers[i], 0)
-    if n - total_lo > 0:
-        net.add_edge(source, pool, n - total_lo, 0)
-        for i in range(k):
-            slack = min(uppers[i], n) - lowers[i]
-            if slack > 0:
-                net.add_edge(pool, member0 + i, slack, 0)
-    for j in range(n):
-        net.add_edge(agent0 + j, sink, 1, 0)
-    return net
 
 
 def _cost_rows(profile: Profile, psf: ScoringFunction) -> list[list[int]]:
@@ -226,20 +128,86 @@ def _solve_bounded(
     uppers: tuple[int, ...],
     ceiling: int | None,
 ) -> tuple[int, ...] | None:
-    """Min-cost full b-matching on the edges within ``ceiling``, or None if none."""
-    n = len(rows)
-    net = _network(n, lowers, uppers)
-    agent0, sink = 2 + len(committee), len(net.graph) - 1
+    """Min-cost full b-matching on the edges within ``ceiling``, or None if none.
+
+    Node 0 is the source and node 1 the slack pool; the ``k`` members follow
+    from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
+    Edges are mutable ``[to, cap, cost, rev_index]`` records.  Successive
+    shortest paths with Johnson potentials: every path ends on a unit
+    agent-sink edge, so each carries one unit, and ``n`` of them complete the
+    matching.  Raises :class:`InfeasibleMatchingError` when the load totals
+    admit no complete assignment.
+    """
+    n, k = len(rows), len(committee)
+    total_lo = sum(lowers)
+    total_hi = sum(min(hi, n) for hi in uppers)
+    if total_hi < n:
+        raise InfeasibleMatchingError(
+            f"member upper bounds admit only {total_hi} agents, instance has {n}"
+        )
+    if total_lo > n:
+        raise InfeasibleMatchingError(
+            f"member lower bounds require {total_lo} agents, instance has {n}"
+        )
+    agent0 = 2 + k
+    sink = agent0 + n
+    graph: list[list[list[int]]] = [[] for _ in range(sink + 1)]
+
+    def add(u: int, v: int, cap: int, cost: int) -> None:
+        graph[u].append([v, cap, cost, len(graph[v])])
+        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
+
+    for i in range(k):
+        if lowers[i] > 0:
+            add(0, 2 + i, lowers[i], 0)
+    if n - total_lo > 0:
+        add(0, 1, n - total_lo, 0)
+        for i in range(k):
+            slack = min(uppers[i], n) - lowers[i]
+            if slack > 0:
+                add(1, 2 + i, slack, 0)
+    for j in range(n):
+        add(agent0 + j, sink, 1, 0)
     for i, alt in enumerate(committee):
         for j in range(n):
             cost = rows[j][alt - 1]
             if ceiling is None or cost <= ceiling:
-                net.add_edge(2 + i, agent0 + j, 1, cost)
-    if net.send(0, sink, n) < n:
-        return None
+                add(2 + i, agent0 + j, 1, cost)
+    inf = float("inf")
+    potential = [0] * (sink + 1)
+    for _ in range(n):
+        dist = [inf] * (sink + 1)
+        dist[0] = 0
+        prev: list[list[int]] = [[]] * (sink + 1)  # the edge that reached each node
+        heap = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for edge in graph[u]:
+                v, cap, cost, _ = edge
+                if cap <= 0:
+                    continue
+                nd = d + cost + potential[u] - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = edge
+                    heapq.heappush(heap, (nd, v))
+        if dist[sink] == inf:
+            return None
+        for v in range(sink + 1):
+            if dist[v] < inf:
+                potential[v] += dist[v]
+        v = sink
+        while v != 0:
+            edge = prev[v]
+            edge[1] -= 1
+            back = graph[v][edge[3]]
+            back[1] += 1
+            v = back[0]
     targets = [0] * n
     for i, alt in enumerate(committee):
-        for v, cap, _, _ in net.graph[2 + i]:  # a saturated agent edge serves v
+        for v, cap, _, _ in graph[2 + i]:  # a saturated agent edge serves v
             if v >= agent0 and cap == 0:
                 targets[v - agent0] = alt
     return tuple(targets)

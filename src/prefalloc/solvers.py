@@ -257,20 +257,15 @@ def _sample_committee(m: int, k: int, gen: SplitMix64) -> tuple[int, ...]:
     return tuple(sorted(a + 1 for a in sample_distinct(m, k, gen)))
 
 
-def sample_once_monroe(
-    profile: Profile, k: int, rng: int | SplitMix64
-) -> SolveReport:
-    """One sampling step: a uniform k-subset of alternatives, matched optimally.
-
-    Accepts a seed or a live generator; a seed is recorded in the report.
-    """
+def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
+    """One sampling step: a uniform k-subset of alternatives drawn from
+    ``SplitMix64(seed)``, matched optimally; the seed is recorded in the
+    report."""
     start = time.perf_counter()
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-    seed = rng if isinstance(rng, int) else None
-    gen = SplitMix64(rng) if isinstance(rng, int) else rng
     bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
-    members = _sample_committee(prof.m, k, gen)
+    members = _sample_committee(prof.m, k, SplitMix64(seed))
     _, assignment = _match(prof, _cost_rows(prof, psf), members, *bounds, True)
     return SolveReport(
         assignment=assignment,
@@ -459,19 +454,6 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
         algorithm="maxcover_cc_baseline",
         elapsed=time.perf_counter() - start,
     )
-
-
-def _objective_value(
-    instance: Instance,
-    psf: ScoringFunction,
-    assignment: Assignment,
-    objective: str,
-) -> int:
-    if objective in ("l1_dec", "l1_inc"):
-        return metric_l1(instance, psf, assignment)
-    if objective == "min_dec":
-        return metric_extreme(instance, psf, assignment, "min")
-    return metric_extreme(instance, psf, assignment, "max")
 
 
 def _committees(
@@ -679,13 +661,17 @@ def exact_enumeration(
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
-    value, members, assignment = incumbent
+    _, members, assignment = incumbent
     if cc:
         assignment = match_cc(prof, members)
+    if total:
+        value = metric_l1(instance, psf, assignment)
+    else:
+        value = metric_extreme(instance, psf, assignment, "min" if psf.is_decreasing else "max")
     return SolveReport(
         assignment=assignment,
         objective=objective,
-        value=_objective_value(instance, psf, assignment, objective),
+        value=value,
         algorithm="exact_enumeration",
         elapsed=time.perf_counter() - start,
     )

@@ -73,7 +73,7 @@ def feasible_assignments(n, committee, lowers, uppers):
 
 def agent_scores(profile: Profile, psf: ScoringFunction, targets):
     return [
-        score(psf, profile.position(i, targets[i]), profile.m)
+        score(psf, profile.positions[i][targets[i] - 1], profile.m)
         for i in range(profile.n)
     ]
 

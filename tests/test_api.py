@@ -7,9 +7,9 @@ never reads fails the test (``self`` and ``cls`` are exempt).  ``cli`` is
 left out because its dispatch entries share one ``(args, profile, seed)``
 signature by design, whatever each entry reads.  The same modules may take
 no parameter annotated ``Callable``: kernel inputs such as edge costs are
-passed as data (tables), not as callbacks.  The flow class
-``matching._MinCostFlow`` defines only ``add_edge`` and ``send``: one flow
-algorithm serves every objective.
+passed as data (tables), not as callbacks.  One flow algorithm serves every
+objective: only ``matching._solve_bounded`` uses ``heapq``, and ``matching``
+defines no class but ``CapacityRegime`` and ``InfeasibleMatchingError``.
 
 Every module, ``cli`` included, is also searched for module-level names that
 start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
@@ -43,7 +43,6 @@ from collections import Counter
 from pathlib import Path
 
 import prefalloc
-import prefalloc.matching as matching
 
 PACKAGE = Path(prefalloc.__file__).parent
 EXEMPT = {"self", "cls"}
@@ -109,11 +108,6 @@ def test_library_functions_take_no_callable_parameters():
     assert callbacks == []
 
 
-def test_one_flow_algorithm():
-    methods = {name for name in vars(matching._MinCostFlow) if not name.startswith("__")}
-    assert methods == {"add_edge", "send"}
-
-
 def _private_definitions(module: ast.Module):
     """``(name, node)`` for each private module-level definition."""
     for node in module.body:
@@ -155,7 +149,7 @@ def test_private_module_names_have_callers_in_the_package():
         (stem, name, node) for stem, tree in trees.items()
         for name, node in _private_definitions(tree)
     ]
-    assert any(name == "_MinCostFlow" for _, name, _ in definitions)
+    assert any(name == "_solve_bounded" for _, name, _ in definitions)
     dead = [
         f"{stem}.{name}" for stem, name, node in definitions
         if everywhere[name] - _references(node)[name] == 0
@@ -177,6 +171,20 @@ def test_unexported_public_functions_have_callers_in_the_package():
         if everywhere[node.name] - _references(node)[node.name] == 0
     ]
     assert dead == []
+
+
+def test_one_flow_algorithm():
+    trees, _ = _package_trees()
+    users = [
+        f"{stem}.{getattr(node, 'name', node.lineno)}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+        or (not isinstance(node, ast.Import) and _references(node)["heapq"])
+    ]
+    assert users == ["matching._solve_bounded"]
+    classes = {node.name for node in ast.walk(trees["matching"]) if isinstance(node, ast.ClassDef)}
+    assert classes == {"CapacityRegime", "InfeasibleMatchingError"}
 
 
 def test_only_instances_builds_unchecked_profiles():

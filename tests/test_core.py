@@ -17,6 +17,7 @@ from prefalloc import (
     ValidationError,
     Violation,
     assignment_cost,
+    exact_enumeration,
     gen_identical,
     gen_impartial_culture,
     make_cc,
@@ -54,9 +55,9 @@ def test_profile_rejects_non_permutations():
 
 def test_positions_are_inverse_of_orders():
     prof = Profile.from_orders([(3, 1, 2), (2, 3, 1)])
-    assert prof.position(0, 3) == 1
-    assert prof.position(0, 1) == 2
-    assert prof.position(1, 1) == 3
+    assert prof.positions[0][3 - 1] == 1
+    assert prof.positions[0][1 - 1] == 2
+    assert prof.positions[1][1 - 1] == 3
     for i in range(prof.n):
         assert sorted(prof.positions[i]) == list(range(1, prof.m + 1))
 
@@ -218,8 +219,36 @@ def test_validate_capacity_violation():
     prof = gen_impartial_culture(4, 3, 5)
     inst = make_monroe(prof, 2)  # capacity 2 each
     violations = validate_assignment(inst, BD, Assignment((1, 1, 1, 2)))
-    assert [v.kind for v in violations] == ["capacity"]
+    assert [v.kind for v in violations] == ["capacity", "balance"]
     assert "alternative 1" in violations[0].detail
+    assert violations[1].detail == "alternative 2 carries 1 agents, minimum 2"
+
+
+def test_validate_monroe_needs_balanced_loads():
+    # Four members of three agents each fit the capacity ceil(12/5) = 3, but
+    # a Monroe committee of five carries 2..3 agents on each of five members;
+    # metric_l1 would score this 42, above the Monroe optimum of 39.
+    inst = make_monroe(gen_identical(12, 6), 5)
+    unbalanced = Assignment((1,) * 3 + (2,) * 3 + (3,) * 3 + (4,) * 3)
+    violations = validate_assignment(inst, BD, unbalanced)
+    assert violations == (Violation("balance", "committee has 4 members, Monroe needs 5"),)
+    with pytest.raises(ValidationError):
+        metric_l1(inst, BD, unbalanced)
+    assert exact_enumeration(inst, BD, "l1_dec").value == 39
+    assert validate_assignment(make_cc(gen_identical(12, 6), 5), BD, unbalanced) == ()
+
+
+def test_validate_monroe_with_fewer_agents_than_members():
+    # n < K: min(n, K) = n members, each carrying exactly one agent.
+    prof = gen_impartial_culture(2, 4, 7)
+    inst = make_monroe(prof, 3)
+    assert validate_assignment(inst, BD, Assignment((1, 2))) == ()
+    violations = validate_assignment(inst, BD, Assignment((3, 3)))
+    assert [v.kind for v in violations] == ["capacity", "balance"]
+    assert violations[1].detail == "committee has 1 members, Monroe needs 2"
+    best = exact_enumeration(inst, BD, "l1_dec").assignment
+    assert validate_assignment(inst, BD, best) == ()
+    assert len(best.committee) == 2
 
 
 def test_validate_cc_never_hits_capacity():

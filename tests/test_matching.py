@@ -1,5 +1,7 @@
 """Fixed-committee matching against enumeration oracles."""
 
+import hashlib
+
 import pytest
 
 import prefalloc.matching as matching
@@ -27,6 +29,7 @@ from oracles import (
     best_matching_value,
     feasible_assignments,
     match_egalitarian_reference,
+    shuffled,
 )
 
 BD = ScoringFunction.borda_dec()
@@ -167,7 +170,7 @@ def _count_kernel_solves(monkeypatch):
 def test_match_egalitarian_infeasible_totals_keep_their_message(
     n, m, committee, lowers, uppers, message
 ):
-    # The first probe raises from _network, m = 1 included.
+    # The first probe raises from _solve_bounded, m = 1 included.
     prof = gen_impartial_culture(n, m, 5)
     regime = CapacityRegime.explicit(lowers, uppers)
     for psf, mode in ((BD, "max_min_sat"), (BI, "min_max_dissat")):
@@ -295,3 +298,60 @@ def test_explicit_regime_lower_bounds_enforced():
     regime = CapacityRegime.explicit((3, 0), (4, 4))
     asg = match_monroe_l1(prof, BD, [1, 2], regime)
     assert sum(1 for t in asg.targets if t == 1) >= 3
+
+
+KERNEL_TARGETS_SHA256 = "7e039f5811b73205b57a75447d2d48aa2d4ba5a6e91a7f8e1945dd4bcfd352ad"
+
+
+def _kernel_case(rng, trial):
+    """An IC, identical or two-order profile (n <= 60, m <= 10), a committee
+    and a Borda cost table in either direction."""
+    n, m = 1 + rng.randrange(60), 1 + rng.randrange(10)
+    kind = trial % 3
+    if kind == 0:
+        prof = Profile.from_orders([shuffled(range(1, m + 1), rng) for _ in range(n)])
+    elif kind == 1:
+        prof = gen_identical(n, m)
+    else:
+        distinct = [shuffled(range(1, m + 1), rng) for _ in range(2)]
+        prof = Profile.from_orders([distinct[rng.randrange(2)] for _ in range(n)])
+    members = tuple(sorted(a + 1 for a in sample_distinct(m, 1 + rng.randrange(m), rng)))
+    psf = BD if rng.randrange(2) else BI
+    return prof, members, psf
+
+
+def _outcome(solve, *args):
+    try:
+        return repr(solve(*args))
+    except InfeasibleMatchingError as error:
+        return f"infeasible: {error}"
+
+
+def _egalitarian_targets(*args):
+    return match_egalitarian(*args).targets
+
+
+def test_kernel_targets_golden():
+    # The reference implementations call this same kernel, so no oracle sees
+    # a tie that moves: this digest pins what the kernel returns (targets,
+    # None or the error message) and match_egalitarian's targets, under
+    # balanced and explicit bounds (nonzero lowers, feasible or not) and with
+    # no ceiling or a middle cost level.
+    rng = SplitMix64(181818)
+    digest = hashlib.sha256()
+    for trial in range(48):
+        prof, members, psf = _kernel_case(rng, trial)
+        n, k = prof.n, len(members)
+        rows = matching._cost_rows(prof, psf)
+        lowers = tuple(rng.randrange(n // k + 2) for _ in range(k))
+        uppers = tuple(lo + rng.randrange(n // k + 2) for lo in lowers)
+        levels = sorted({row[a - 1] for row in rows for a in members})
+        mode = "max_min_sat" if psf.is_decreasing else "min_max_dissat"
+        for regime in (BALANCED, CapacityRegime.explicit(lowers, uppers)):
+            bounds = regime.bounds_for(k, n)
+            for ceiling in (None, levels[len(levels) // 2]):
+                outcome = _outcome(matching._solve_bounded, rows, members, *bounds, ceiling)
+                digest.update(f"{outcome}\n".encode())
+            outcome = _outcome(_egalitarian_targets, prof, psf, members, regime, mode)
+            digest.update(f"{outcome}\n".encode())
+    assert digest.hexdigest() == KERNEL_TARGETS_SHA256
