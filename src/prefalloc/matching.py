@@ -1,7 +1,8 @@
 """Optimal agent-to-committee matchings for a fixed committee.
 
 Given the committee, the remaining problem is a degree-constrained bipartite
-b-matching on one integer cost table, ``rows[j][a - 1]`` (:func:`_cost_rows`).
+b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
+agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, and one kernel function,
 :func:`_solve_bounded`, which builds the flow network and runs integer
 successive shortest augmenting paths with potentials on it.  The total
@@ -111,18 +112,19 @@ def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int,
     return members
 
 
-def _cost_rows(profile: Profile, psf: ScoringFunction) -> list[list[int]]:
-    """The cost table: ``rows[j][a - 1]`` is agent j's nonnegative cost for
-    alternative a, the score for an increasing function and ``psf(1) - score``
-    for a decreasing one, so the min-cost kernel serves both directions."""
+def _cost_table(profile: Profile, psf: ScoringFunction) -> list[tuple[int, ...]]:
+    """The cost table, column-major, one tuple per alternative:
+    ``table[a - 1][j]`` is agent j's nonnegative cost for alternative a, the
+    score for an increasing function and ``psf(1) - score`` for a decreasing
+    one, so the min-cost kernel serves both directions."""
     costs = psf.values(profile.m)
     if psf.is_decreasing:
         costs = tuple(costs[0] - c for c in costs)
-    return [[costs[p - 1] for p in row] for row in profile.positions]
+    return [tuple([costs[p - 1] for p in ranks]) for ranks in zip(*profile.positions)]
 
 
 def _solve_bounded(
-    rows: list[list[int]],
+    table: list[tuple[int, ...]],
     committee: tuple[int, ...],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
@@ -138,7 +140,7 @@ def _solve_bounded(
     matching.  Raises :class:`InfeasibleMatchingError` when the load totals
     admit no complete assignment.
     """
-    n, k = len(rows), len(committee)
+    n, k = len(table[0]), len(committee)
     total_lo = sum(lowers)
     total_hi = sum(min(hi, n) for hi in uppers)
     if total_hi < n:
@@ -169,8 +171,7 @@ def _solve_bounded(
     for j in range(n):
         add(agent0 + j, sink, 1, 0)
     for i, alt in enumerate(committee):
-        for j in range(n):
-            cost = rows[j][alt - 1]
+        for j, cost in enumerate(table[alt - 1]):
             if ceiling is None or cost <= ceiling:
                 add(2 + i, agent0 + j, 1, cost)
     inf = float("inf")
@@ -215,7 +216,7 @@ def _solve_bounded(
 
 def _match(
     profile: Profile,
-    rows: list[list[int]],
+    table: list[tuple[int, ...]],
     members: tuple[int, ...],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
@@ -241,9 +242,9 @@ def _match(
     threshold returns the assignment.  Load totals that admit no complete
     assignment raise :class:`InfeasibleMatchingError` from the first solve.
     """
-    n = len(rows)
+    n = profile.n
     fold = sum if total else max
-    columns = [[row[a - 1] for row in rows] for a in members]
+    columns = [table[a - 1] for a in members]
     floor = fold(map(min, zip(*columns)))
     if below is not None and floor >= below:
         return None
@@ -255,10 +256,10 @@ def _match(
     if below is not None and floor >= below:
         return None
     if total:
-        targets = _solve_bounded(rows, members, lowers, uppers, None)
+        targets = _solve_bounded(table, members, lowers, uppers, None)
         if targets is None:
             raise InfeasibleMatchingError("load bounds admit no complete assignment")
-        value = sum(row[t - 1] for row, t in zip(rows, targets))
+        value = sum(table[t - 1][j] for j, t in enumerate(targets))
         if below is not None and value >= below:
             return None
         return value, Assignment(targets)
@@ -267,7 +268,7 @@ def _match(
         levels = [c for c in levels if c < below]
     lo, hi, mid, best = 0, len(levels), 0, None
     while lo < hi:
-        targets = _solve_bounded(rows, members, lowers, uppers, levels[mid])
+        targets = _solve_bounded(table, members, lowers, uppers, levels[mid])
         if targets is None:
             lo = mid + 1
         else:
@@ -303,11 +304,11 @@ def match_monroe_l1(
 
     Maximizes the total score for a decreasing (satisfaction) function and
     minimizes it for an increasing (dissatisfaction) one: both minimize the
-    total :func:`_cost_rows` cost, and the optimum is exact.
+    total :func:`_cost_table` cost, and the optimum is exact.
     """
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    found = _match(profile, _cost_rows(profile, psf), members, lowers, uppers, True)
+    found = _match(profile, _cost_table(profile, psf), members, lowers, uppers, True)
     assert found is not None  # no ``below``: the optimum is returned
     return found[1]
 
@@ -343,6 +344,6 @@ def match_egalitarian(
         raise ValueError("min_max_dissat needs an increasing (dissatisfaction) function")
     members = _checked_committee(profile, committee)
     lowers, uppers = regime.bounds_for(len(members), profile.n)
-    found = _match(profile, _cost_rows(profile, psf), members, lowers, uppers, False)
+    found = _match(profile, _cost_table(profile, psf), members, lowers, uppers, False)
     assert found is not None  # no ``below``: the loosest level completes
     return found[1]

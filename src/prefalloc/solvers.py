@@ -14,6 +14,7 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import (
     Assignment,
@@ -21,19 +22,15 @@ from .core import (
     Profile,
     ScoringFunction,
     SolveReport,
+    _balanced_loads,
+    _integers,
     _Record,
     metric_extreme,
     metric_l1,
     metric_min_delta,
 )
 from .instances import make_cc, make_monroe
-from .matching import (
-    CapacityRegime,
-    InfeasibleMatchingError,
-    _cost_rows,
-    _match,
-    match_cc,
-)
+from .matching import InfeasibleMatchingError, _cost_table, _match, match_cc
 from .rng import SplitMix64, derive_seed, sample_distinct
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -76,6 +73,8 @@ class SolverConfig(_Record):
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if not 0 < lambda_ < 1:
             raise ValueError("lambda must lie strictly inside (0, 1)")
+        if not _integers((seed, enumeration_cap)):
+            raise ValueError("seed and enumeration cap must be integers")
         if enumeration_cap < 1:
             raise ValueError("enumeration cap must be at least 1")
         self._fill(epsilon, lambda_, seed, enumeration_cap)
@@ -144,9 +143,20 @@ def _as_profile(prof: Profile, k: int) -> Profile:
             "approximation solvers take a Profile and ignore costs, capacities "
             "and budget; pass instance.profile"
         )
-    if not 1 <= k <= prof.m:
+    if not (_integers((k,)) and 1 <= k <= prof.m):
         raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
     return prof
+
+
+def _loads(
+    instance: Instance, members: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The members' load bounds on the instance: at least ``floor(n/K)``
+    agents each on a Monroe instance and none otherwise, at most their
+    capacities."""
+    k = len(members)
+    least = _balanced_loads(instance.profile.n, k)[0] if instance.system_tag == "monroe" else 0
+    return (least,) * k, tuple(instance.capacities[a - 1] for a in members)
 
 
 def _batch_sizes(n: int, k: int) -> list[int]:
@@ -263,14 +273,15 @@ def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
     report."""
     start = time.perf_counter()
     prof = _as_profile(profile, k)
-    psf = ScoringFunction.borda_dec()
-    bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
+    if not _integers((seed,)):
+        raise ValueError("seed must be an integer")
+    psf, instance = ScoringFunction.borda_dec(), make_monroe(prof, k)
     members = _sample_committee(prof.m, k, SplitMix64(seed))
-    _, assignment = _match(prof, _cost_rows(prof, psf), members, *bounds, True)
+    _, assignment = _match(prof, _cost_table(prof, psf), members, *_loads(instance, members), True)
     return SolveReport(
         assignment=assignment,
         objective="l1_dec",
-        value=metric_l1(make_monroe(prof, k), psf, assignment),
+        value=metric_l1(instance, psf, assignment),
         algorithm="sample_once_monroe",
         seed=seed,
         elapsed=time.perf_counter() - start,
@@ -327,7 +338,7 @@ def combined_monroe(
             elapsed=time.perf_counter() - start,
         )
 
-    rows, instance = _cost_rows(prof, psf), make_monroe(prof, k)
+    table, instance = _cost_table(prof, psf), make_monroe(prof, k)
     top = prof.n * psf.values(prof.m)[0]  # a cost is psf(1) minus the score
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
     greedy = greedy_monroe(prof, k) if k > 2 else None
@@ -337,13 +348,12 @@ def combined_monroe(
         # The run count grows as 1/(k eps^2), so it is largest exactly where
         # the exact branch is due: do no more matchings than the enumeration.
         runs = min(runs, config.enumeration_cap)
-    bounds = CapacityRegime.monroe_balanced().bounds_for(k, prof.n)
     for index in range(runs):
         members = _sample_committee(
             prof.m, k, SplitMix64(derive_seed(config.seed, index))
         )
         below = None if best is None else best[0]
-        found = _match(prof, rows, members, *bounds, True, below)
+        found = _match(prof, table, members, *_loads(instance, members), True, below)
         if found is not None:
             best = found
     assert best is not None
@@ -444,8 +454,7 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     start = time.perf_counter()
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-    columns = list(zip(*_cost_rows(prof, psf)))
-    assignment = match_cc(prof, _cc_seed(columns, k))
+    assignment = match_cc(prof, _cc_seed(_cost_table(prof, psf), k))
     value = metric_l1(make_cc(prof, k), psf, assignment)
     return SolveReport(
         assignment=assignment,
@@ -461,23 +470,23 @@ def _committees(
     sizes: Iterable[int],
     costs: Sequence[int],
     budget: int,
-    columns: Sequence[Sequence[int]],
+    table: Sequence[Sequence[int]],
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
     """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
     ``budget``, by size and then lexicographically, from one DFS.
 
-    Yields ``(members, best)``: with ``columns[a - 1][j]`` agent j's cost
-    for alternative a, ``best[j]`` is agent j's least cost over the members,
+    Yields ``(members, best)``: with ``table[a - 1][j]`` agent j's cost for
+    alternative a, ``best[j]`` is agent j's least cost over the members,
     carried down the DFS so that a committee costs O(n).  The alternatives'
     ``costs`` are positive, so a prefix over the budget has no feasible
     extension.
     """
     for size in sizes:
-        yield from _walk(m, size, costs, budget, columns, [], 1, 0, None)
+        yield from _walk(m, size, costs, budget, table, [], 1, 0, None)
 
 
 def _walk(
-    m: int, size: int, costs: Sequence[int], budget: int, columns: Sequence[Sequence[int]],
+    m: int, size: int, costs: Sequence[int], budget: int, table: Sequence[Sequence[int]],
     members: list[int], start: int, spent: int, best: Sequence[int] | None,
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
     """:func:`_committees`' DFS below the prefix ``members`` (costing
@@ -488,30 +497,30 @@ def _walk(
         cost = spent + costs[a - 1]
         if cost > budget:
             continue
-        col = columns[a - 1]
+        col = table[a - 1]
         here = col if best is None else list(map(min, best, col))
         members.append(a)
         if last:
             yield tuple(members), here
         else:
-            yield from _walk(m, size, costs, budget, columns, members, a + 1, cost, here)
+            yield from _walk(m, size, costs, budget, table, members, a + 1, cost, here)
         members.pop()
 
 
-def _cc_seed(columns: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
-    """The greedy CC committee on the agent-cost ``columns``, sorted: k
-    picks, each the first alternative that most lowers the summed least
-    costs."""
+def _cc_seed(table: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The greedy CC committee on the cost ``table`` (``table[a - 1][j]``),
+    sorted: k picks, each the first alternative that most lowers the summed
+    least costs."""
     best: Sequence[int] | None = None
     picked: list[int] = []
     for _ in range(k):
         _, a = min(
             (sum(column if best is None else map(min, best, column)), a)
-            for a, column in enumerate(columns, 1)
+            for a, column in enumerate(table, 1)
             if a not in picked
         )
         picked.append(a)
-        col = columns[a - 1]
+        col = table[a - 1]
         best = col if best is None else list(map(min, best, col))
     return tuple(sorted(picked))
 
@@ -523,6 +532,8 @@ def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
     Every subset of an affordable committee is affordable, so one of ``d``
     members makes at least ``2 ** d - 1`` of them; below the limit that
     keeps ``d``, and so the recursion depth, under ``log2(limit) + 1``.
+    The count takes the costs largest first, so the cheap ones it reaches
+    last soon fit whole within what is left.
     """
     d = spent = 0
     for cost in sorted(costs):
@@ -532,22 +543,27 @@ def _budget_subsets(costs: Sequence[int], budget: int, limit: int) -> int:
         d += 1
     if (1 << d) - 1 >= limit:
         return limit
-    return _count_subsets(costs, limit, {}, 0, budget) - 1
+    costs = sorted(costs, reverse=True)
+    tails = [*accumulate(reversed(costs), initial=0)][::-1]
+    return _count_subsets(costs, tails, limit, {}, 0, budget) - 1
 
 
 def _count_subsets(
-    costs: Sequence[int], limit: int, memo: dict, i: int, left: int
+    costs: Sequence[int], tails: Sequence[int], limit: int, memo: dict, i: int, left: int
 ) -> int:
     """Subsets of the alternatives after the first ``i`` costing at most
     ``left``, the empty one included, saturated at ``limit + 1`` and kept
-    in ``memo``; a module function, so no closure cycle outlives it."""
+    in ``memo``; all of them if their total ``tails[i]`` fits.  A module
+    function, so no closure cycle outlives it."""
+    if tails[i] <= left:
+        return min(1 << (len(costs) - i), limit + 1)
     if (i, left) not in memo:
         total = 1
         for j in range(i, len(costs)):
             if total > limit:
                 break
             if costs[j] <= left:
-                total += _count_subsets(costs, limit, memo, j + 1, left - costs[j])
+                total += _count_subsets(costs, tails, limit, memo, j + 1, left - costs[j])
         memo[i, left] = min(total, limit + 1)
     return memo[i, left]
 
@@ -561,10 +577,8 @@ def exact_enumeration(
     """Brute-force oracle: enumerate budget-feasible committees, value each
     under its optimal matching, return the best.
 
-    The loads come from the instance: Monroe and CC instances enumerate the
-    ``C(m, K)`` size-K committees under balanced loads and no loads
-    respectively; general instances enumerate every budget-feasible subset
-    under its explicit capacities.  Refuses with
+    Monroe and CC instances enumerate the ``C(m, K)`` size-K committees,
+    general instances every budget-feasible subset.  Refuses with
     :class:`EnumerationCapExceeded` rather than hanging when the committee
     count exceeds ``enumeration_cap`` (for general instances, the count of
     budget-feasible subsets, stopped once it passes the cap); a scoring table
@@ -574,30 +588,26 @@ def exact_enumeration(
 
     Every objective minimizes the sum (``l1_*``) or the largest (``min_dec``,
     ``max_inc``) of the agents' kernel edge costs, which flip a decreasing
-    function's scores.  One DFS carries each agent's least cost over the
-    members picked so far, so a committee's CC value (the sum or largest of
-    these) costs O(n).  It is a CC committee's value, and a lower bound on a
-    Monroe or general one's under any loads.  One skip rule serves every
-    objective: a committee whose CC value is not below the incumbent's could
-    at best tie, and only a strictly better one replaces the incumbent, so
-    it is not matched and the winner stays the same.  Any other goes to
-    :func:`matching._match` with the incumbent's value as ``below``, which
-    skips it by its load floor or costs one kernel matching (``l1_*``) or
-    one threshold search that probes only levels below the incumbent's
-    (egalitarian; the probe at its threshold matches it, so the winner
-    needs no second pass).  Only the winner is validated, and a CC winner
-    is matched once, after the loop.
+    function's scores.  Each committee takes its load bounds from the
+    instance (:func:`_loads`).  One DFS carries each agent's least cost over
+    the members picked so far, so a committee's CC value (the sum or largest
+    of these) costs O(n); it bounds the committee's value under any loads
+    from below, and it is the value of a CC committee.
 
-    Monroe instances first match a seed, the greedy CC committee on the
-    cost table (k picks, each the first alternative that most lowers the
-    summed least costs), as the incumbent.  Committees are then ranked by
-    ``(value, members)``, which is DFS order within one size: one ahead of
-    the seed wins a tie, and its threshold search probes levels up to the
-    seed's.  A committee is skipped when its CC value, or the load floor
-    that :func:`matching._match` checks, is not below the incumbent's value
-    in that order.  On IC profiles (Borda, ``l1_dec``) that matches 8 of
-    792 committees at n=60, m=12, k=5 (97 with the CC value alone), and
-    3.7 of 35 per call on ``perfbench``'s ``oracle_sweep`` trials (7.9).
+    Monroe and CC instances start from a seed incumbent, the greedy CC
+    committee on the cost table (k picks, each the first alternative that
+    most lowers the summed least costs); general instances start from none.
+    Committees are ranked by ``(value, members)``, which is DFS order within
+    one size, so only a committee ahead of the seed wins a tie with the
+    incumbent.  A committee whose CC value is not below the incumbent's in
+    that order could not win and is skipped.  Any other goes to
+    :func:`matching._match` with that limit as ``below``, which refuses it
+    by its load floor or values it: a CC committee by its CC value and
+    :func:`match_cc`'s assignment, with no kernel solve; any other by one
+    kernel matching (``l1_*``) or one threshold search that probes only
+    levels below the limit (egalitarian; the probe at its threshold matches
+    it).  A committee whose loads admit no complete assignment is skipped.
+    Only the winner is validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -609,8 +619,10 @@ def exact_enumeration(
             f"{'decreasing' if wants_dec else 'increasing'} scoring function"
         )
     cap = enumeration_cap
+    if not _integers((cap,)):
+        raise ValueError("enumeration cap must be an integer")
     prof = instance.profile
-    n, m = prof.n, prof.m
+    m = prof.m
     general = instance.system_tag == "general"
     if general:
         if _budget_subsets(instance.costs, instance.budget, cap + 1) > cap:
@@ -622,48 +634,31 @@ def exact_enumeration(
         if math.comb(m, k) > cap:
             raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-        bounds = CapacityRegime.monroe_balanced().bounds_for(k, n)
-    rows = _cost_rows(prof, psf)
-    cc = instance.system_tag == "cc"
-    monroe = instance.system_tag == "monroe"
+    table = _cost_table(prof, psf)
     total = objective.startswith("l1_")
     fold = sum if total else max
-    incumbent: tuple | None = None  # (value, members, assignment)
-    columns = list(zip(*rows))
-    if monroe:
-        seed = _cc_seed(columns, k)
-        value, assignment = _match(prof, rows, seed, *bounds, total)
-        incumbent = (value, seed, assignment)
-    committees = _committees(m, sizes, instance.costs, instance.budget, columns)
-    for members, best in committees:
+    seed = incumbent = None  # incumbent: (value, assignment, members)
+    if not general:
+        seed = _cc_seed(table, k)
+        incumbent = (*_match(prof, table, seed, *_loads(instance, seed), total), seed)
+    for members, best in _committees(m, sizes, instance.costs, instance.budget, table):
         value = fold(best)
         limit = None
         if incumbent is not None:
-            # A committee ahead of the incumbent (only the seed can be
-            # ahead) wins a tie.
-            limit = incumbent[0] + (monroe and members < incumbent[1])
-            if value >= limit or (monroe and members == seed):
+            limit = incumbent[0] + (incumbent[2] is seed and members < seed)
+            if value >= limit or members == seed:
                 continue
-        assignment = None
-        if not cc:
-            if general:
-                caps = tuple(instance.capacities[a - 1] for a in members)
-                bounds = (0,) * len(members), caps
-            try:
-                found = _match(prof, rows, members, *bounds, total, limit)
-            except InfeasibleMatchingError:
-                continue
-            if found is None:
-                continue
-            value, assignment = found
-        incumbent = (value, members, assignment)
+        try:
+            found = _match(prof, table, members, *_loads(instance, members), total, limit)
+        except InfeasibleMatchingError:
+            continue
+        if found is not None:
+            incumbent = (*found, members)
     if incumbent is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )
-    _, members, assignment = incumbent
-    if cc:
-        assignment = match_cc(prof, members)
+    assignment = incumbent[1]
     if total:
         value = metric_l1(instance, psf, assignment)
     else:

@@ -298,13 +298,13 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, members)
-    rows = matching._cost_rows(profile, psf)
-    levels = sorted(set(rows[0]))
+    table = matching._cost_table(profile, psf)
+    levels = sorted({c for column in table for c in column})
 
     def feasible(ceiling):
         # Zero-cost edges at or below the ceiling; the others cost 1 and are
         # left out by a ceiling of 0.
-        flags = [[0 if c <= ceiling else 1 for c in row] for row in rows]
+        flags = [[0 if c <= ceiling else 1 for c in column] for column in table]
         return matching._solve_bounded(flags, members, lowers, uppers, 0) is not None
 
     if not feasible(levels[-1]):
@@ -316,7 +316,7 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
             hi = mid
         else:
             lo = mid + 1
-    return Assignment(matching._solve_bounded(rows, members, lowers, uppers, levels[lo]))
+    return Assignment(matching._solve_bounded(table, members, lowers, uppers, levels[lo]))
 
 
 def combined_monroe_reference(profile, k, config=None):

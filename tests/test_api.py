@@ -22,9 +22,11 @@ Only ``instances`` may build a ``Profile`` through ``core._trusted_profile``,
 which skips the order checks: no other path into the package does.
 
 Only ``matching`` references the kernel entry ``_solve_bounded``, and
-``solvers`` imports no private ``matching`` name but ``_cost_rows`` and
+``solvers`` imports no private ``matching`` name but ``_cost_table`` and
 ``_match``: the matcher owns both proven floors and the ``below`` refusal,
-so no solver grows its own floor or calls the kernel directly.
+so no solver grows its own floor or calls the kernel directly.  Nor does
+``solvers`` import ``CapacityRegime``: a solver's load bounds come from
+its instance.
 
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
@@ -206,7 +208,8 @@ def test_solvers_match_only_through_one_entry():
         if isinstance(node, ast.ImportFrom) and node.module == "matching"
         for alias in node.names
     }
-    assert {name for name in imported if name.startswith("_")} == {"_cost_rows", "_match"}
+    assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
+    assert "CapacityRegime" not in imported
 
 
 def _unread_imports(module: ast.Module):

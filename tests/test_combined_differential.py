@@ -92,7 +92,7 @@ def _counter(monkeypatch, name, *modules):
 
 
 def test_one_cost_table_per_call_and_one_instance_per_sampling_branch(monkeypatch):
-    tables = _counter(monkeypatch, "_cost_rows", matching, solvers)
+    tables = _counter(monkeypatch, "_cost_table", matching, solvers)
     instances = _counter(monkeypatch, "make_monroe", solvers)
     profile = gen_impartial_culture(14, 9, SEED)
     general = Instance(profile=profile, costs=(1,) * 9, capacities=(7,) * 9, budget=3)

@@ -181,8 +181,8 @@ def _recorded(monkeypatch, name):
 def _costs(profile, psf, committee):
     """The committee's cost columns, ``columns[i][j]`` agent j's cost for
     its i-th member."""
-    rows = matching._cost_rows(profile, psf)
-    return [[row[a - 1] for row in rows] for a in committee]
+    table = matching._cost_table(profile, psf)
+    return [table[a - 1] for a in committee]
 
 
 def _floors(profile, psf, committee, regime):
@@ -201,8 +201,8 @@ def _floors(profile, psf, committee, regime):
 
 def _largest_cost(profile, psf, committee, targets):
     """The largest edge cost of an assignment: its egalitarian threshold."""
-    rows = matching._cost_rows(profile, psf)
-    return max(row[t - 1] for row, t in zip(rows, targets))
+    table = matching._cost_table(profile, psf)
+    return max(table[t - 1][j] for j, t in enumerate(targets))
 
 
 def test_match_egalitarian_matches_threshold_search_reference(monkeypatch):
@@ -228,9 +228,9 @@ def test_match_egalitarian_matches_threshold_search_reference(monkeypatch):
 def _threshold(profile, psf, committee, regime):
     """What the threshold search returns, or the type and message it raises."""
     lowers, uppers = regime.bounds_for(len(committee), profile.n)
-    rows = matching._cost_rows(profile, psf)
+    table = matching._cost_table(profile, psf)
     try:
-        threshold, _ = matching._match(profile, rows, tuple(committee), lowers, uppers, False)
+        threshold, _ = matching._match(profile, table, tuple(committee), lowers, uppers, False)
     except ValueError as exc:
         return type(exc), str(exc)
     return threshold

@@ -6,6 +6,7 @@ the same message.  Desk-scale Monroe and CC cases are also held to brute
 force over every assignment."""
 
 import gc
+import hashlib
 import math
 import types
 from itertools import combinations
@@ -123,6 +124,53 @@ def _sweep(system: str):
         yield profile, instance, k, case_rng
 
 
+def _golden_cases():
+    """Seeded ``(instance, psf, objective, cap)`` calls: Monroe, CC and
+    general instances on every profile kind, all four objectives, Borda and
+    random tables, and a cap that is sometimes below the committee count.
+    General instances draw costs, capacities and budgets; some admit no
+    committee that hosts every agent."""
+    rng = SplitMix64(derive_seed(SEED, 88))
+    kinds = (*KINDS, "mirrored")
+    for case in range(240):
+        system = SYSTEMS[case % 3]
+        max_n, max_m = {"monroe": (14, 8), "cc": (40, 9), "general": (10, 7)}[system]
+        m = 1 + rng.randrange(max_m)
+        n = 2 + rng.randrange(max_n)
+        k = 1 + rng.randrange(min(m, 4))
+        profile = _profile(n, m, kinds[case % 4], rng)
+        if system == "monroe":
+            instance = make_monroe(profile, k)
+        elif system == "cc":
+            instance = make_cc(profile, k)
+        else:
+            costs = tuple(1 + rng.randrange(4) for _ in range(m))
+            instance = Instance(
+                profile=profile,
+                costs=costs,
+                capacities=tuple(1 + rng.randrange(n + 1) for _ in range(m)),
+                budget=1 + rng.randrange(sum(costs)),
+            )
+        cap = 1 + rng.randrange(40) if case % 5 == 0 else solvers.DEFAULT_ENUMERATION_CAP
+        for objective in OBJECTIVES:
+            yield instance, _psf(objective, m, rng), objective, cap
+
+
+# The digest of every outcome of _golden_cases (value, targets, algorithm
+# and objective, or exception type and message), one repr per line.
+ENUMERATION_SHA256 = "b57deb19d1aa405f0b6f0b0e6676b06a0224d216779d0a2058664b08f38482f0"
+
+
+def test_exact_enumeration_golden():
+    digest = hashlib.sha256()
+    for instance, psf, objective, cap in _golden_cases():
+        got = _outcome(exact_enumeration, instance, psf, objective, cap)
+        if isinstance(got[0], type):
+            got = (got[0].__name__, got[1])
+        digest.update(f"{got!r}\n".encode())
+    assert digest.hexdigest() == ENUMERATION_SHA256
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_exact_matches_per_committee_reference(system):
     for profile, instance, k, rng in _sweep(system):
@@ -193,9 +241,9 @@ def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objectiv
 
 def _cost(profile: Profile, psf: ScoringFunction, members, objective: str) -> int:
     """The optimal kernel cost of ``members`` under balanced loads."""
-    rows = matching._cost_rows(profile, psf)
+    table = matching._cost_table(profile, psf)
     bounds = CapacityRegime.monroe_balanced().bounds_for(len(members), profile.n)
-    return matching._match(profile, rows, members, *bounds, objective.startswith("l1_"))[0]
+    return matching._match(profile, table, members, *bounds, objective.startswith("l1_"))[0]
 
 
 def test_exact_monroe_seed_keeps_the_first_optimum():
@@ -214,8 +262,7 @@ def test_exact_monroe_seed_keeps_the_first_optimum():
         for objective in OBJECTIVES:
             psf = _psf(objective, m, case_rng)
             got = _assert_same(make_monroe(profile, k), psf, objective)
-            rows = matching._cost_rows(profile, psf)
-            seed = solvers._cc_seed(list(zip(*rows)), k)
+            seed = solvers._cc_seed(matching._cost_table(profile, psf), k)
             winner = tuple(sorted(set(got[1])))  # k <= n: every member serves
             if winner != seed and _cost(profile, psf, winner, objective) == _cost(
                 profile, psf, seed, objective
@@ -252,6 +299,20 @@ def test_exact_monroe_seed_counted_over_oracle_sweep_trials(monkeypatch):
         exact_enumeration(instance, BD, "l1_dec")
         exact_enumeration(instance, BD, "min_dec")
     assert (len(matchings), len(searches), len(probes)) == (371, 223, 245)
+
+
+def test_exact_cc_counted_over_oracle_sweep_trials(monkeypatch):
+    # perfbench's oracle_sweep CC oracles at seed 0: 100 IC trials, n=60,
+    # m=12, k=4, 495 committees each.  Each call matches its greedy seed and
+    # every committee that improves on the incumbent (0.69 per call) through
+    # _match, whose unbounded branch runs no kernel solve.
+    matches = _count_calls(monkeypatch, solvers, "_match")
+    solves = _count_calls(monkeypatch, matching, "_solve_bounded")
+    for trial in range(100):
+        trial_seed = derive_seed(0, trial)
+        instance = make_cc(gen_impartial_culture(60, 12, derive_seed(trial_seed, 0)), 4)
+        exact_enumeration(instance, BD, "l1_dec")
+    assert (len(matches), len(solves)) == (169, 0)
 
 
 def test_dfs_visits_the_old_committee_order():
@@ -365,9 +426,9 @@ def _count_solves(monkeypatch):
     matchings, searches, probes = [], [], []
     solve, match = matching._solve_bounded, solvers._match
 
-    def counted_solve(rows, members, lowers, uppers, ceiling):
+    def counted_solve(table, members, lowers, uppers, ceiling):
         (matchings if ceiling is None else probes).append(members)
-        return solve(rows, members, lowers, uppers, ceiling)
+        return solve(table, members, lowers, uppers, ceiling)
 
     def counted_match(*args):
         before = len(probes)
@@ -399,13 +460,18 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     validations = _count_calls(monkeypatch, core, "validate_assignment")
     cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
     inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
-    l1_matchings, searches, _ = _count_solves(monkeypatch)
+    l1_matchings, searches, probes = _count_solves(monkeypatch)
+    matches = _count_calls(monkeypatch, solvers, "_match")
     report = exact_enumeration(make(profile, 3), psf, objective)
     assert len(validations) == 1  # 35 committees (63 for general), one validation
+    assert not cc_matchings
     if make is make_cc:
-        assert len(cc_matchings) == 1 and not inner_cc_matchings
+        # The seed and each improvement take _match's unbounded branch:
+        # match_cc, and no kernel solve.
+        assert len(inner_cc_matchings) == len(matches) >= 1
+        assert not l1_matchings and not probes
     else:
-        assert not cc_matchings and not inner_cc_matchings
+        assert not inner_cc_matchings
     if make is not make_cc and objective in ("min_dec", "max_inc"):
         # Committees are ranked by threshold searches; the winner's probe
         # matches it, so every kernel solve is a probe, none an l1 matching.

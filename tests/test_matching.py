@@ -261,24 +261,24 @@ def test_cc_relaxation_dominates_balanced():
         lowers = tuple(rng.randrange(min(cap, n // k) + 1) for cap in caps)
         regimes = [balanced_bounds(n, k), ((0,) * k, tuple(caps)), (lowers, tuple(caps))]
         for dec in (True, False):
-            rows = matching._cost_rows(prof, _table(rng, prof.m, dec))
-            best = [min(row[a - 1] for a in members) for row in rows]
+            table = matching._cost_table(prof, _table(rng, prof.m, dec))
+            best = [min(table[a - 1][j] for a in members) for j in range(n)]
             for bounds in regimes:
                 costs = [
-                    [row[t - 1] for row, t in zip(rows, targets)]
+                    [table[t - 1][j] for j, t in enumerate(targets)]
                     for targets in feasible_assignments(n, members, *bounds)
                 ]
-                columns = [sorted(row[a - 1] for row in rows) for a in members]
+                columns = [sorted(table[a - 1]) for a in members]
                 for total, fold in ((True, sum), (False, max)):
                     loads = [fold(c[:lo]) for lo, c in zip(bounds[0], columns) if lo]
-                    found = matching._match(prof, rows, members, *bounds, total)
+                    found = matching._match(prof, table, members, *bounds, total)
                     value, assignment = found
                     optimum = min(map(fold, costs))
                     assert fold(best) <= optimum == value
                     assert fold([0, *loads]) <= optimum
-                    assert fold(row[t - 1] for row, t in zip(rows, assignment.targets)) == value
-                    assert matching._match(prof, rows, members, *bounds, total, value) is None
-                    assert matching._match(prof, rows, members, *bounds, total, value + 1) == found
+                    assert fold(table[t - 1][j] for j, t in enumerate(assignment.targets)) == value
+                    assert matching._match(prof, table, members, *bounds, total, value) is None
+                    assert matching._match(prof, table, members, *bounds, total, value + 1) == found
 
 
 def test_matching_is_deterministic():
@@ -342,15 +342,15 @@ def test_kernel_targets_golden():
     for trial in range(48):
         prof, members, psf = _kernel_case(rng, trial)
         n, k = prof.n, len(members)
-        rows = matching._cost_rows(prof, psf)
+        table = matching._cost_table(prof, psf)
         lowers = tuple(rng.randrange(n // k + 2) for _ in range(k))
         uppers = tuple(lo + rng.randrange(n // k + 2) for lo in lowers)
-        levels = sorted({row[a - 1] for row in rows for a in members})
+        levels = sorted({c for a in members for c in table[a - 1]})
         mode = "max_min_sat" if psf.is_decreasing else "min_max_dissat"
         for regime in (BALANCED, CapacityRegime.explicit(lowers, uppers)):
             bounds = regime.bounds_for(k, n)
             for ceiling in (None, levels[len(levels) // 2]):
-                outcome = _outcome(matching._solve_bounded, rows, members, *bounds, ceiling)
+                outcome = _outcome(matching._solve_bounded, table, members, *bounds, ceiling)
                 digest.update(f"{outcome}\n".encode())
             outcome = _outcome(_egalitarian_targets, prof, psf, members, regime, mode)
             digest.update(f"{outcome}\n".encode())

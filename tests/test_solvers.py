@@ -95,6 +95,36 @@ def test_solver_config_validation():
         SolverConfig(enumeration_cap=0)
 
 
+IC_40_30 = gen_impartial_culture(40, 30, 1)
+NOT_INTEGERS = "seed and enumeration cap must be integers"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: combined_monroe(
+            IC_40_30, 12, SolverConfig(epsilon=0.5, lambda_=0.5, enumeration_cap=2.5)
+        ), NOT_INTEGERS),
+        (lambda: combined_monroe(
+            IC_40_30, 12, SolverConfig(epsilon=0.5, lambda_=0.5, enumeration_cap=True)
+        ), NOT_INTEGERS),
+        (lambda: SolverConfig(seed=1.5), NOT_INTEGERS),
+        (lambda: greedy_monroe(IC_40_30, 3.5), "committee size must lie in 1..30, got 3.5"),
+        (lambda: greedy_cc(IC_40_30, True), "committee size must lie in 1..30, got True"),
+        (lambda: exact_enumeration(make_cc(IC_40_30, 2), BD, "l1_dec", 2.5),
+         "enumeration cap must be an integer"),
+        (lambda: sample_once_monroe(IC_40_30, 3, 1.5), "seed must be an integer"),
+    ],
+    ids=["cap-float", "cap-bool", "seed-float", "k-float", "k-bool", "exact-cap", "sample-seed"],
+)
+def test_non_integer_sizes_seeds_and_caps_are_refused(call, message):
+    # Without the check a float reaches range() or SplitMix64, and a bool
+    # passes as 1 into the algorithm string.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------- greedy (monroe)
 
 
@@ -522,6 +552,29 @@ def test_budget_subsets_counts_affordable_committees_up_to_the_limit():
         assert _budget_subsets(costs, budget, limit) == min(affordable, limit)
     # Wide instances are refused without walking their subsets.
     assert _budget_subsets((1,) * 1500, 1400, 2_000_001) == 2_000_001
+
+
+def test_budget_subsets_refuses_distinct_large_costs_quickly(monkeypatch):
+    # Sixty distinct costs up to 10**6 against a budget of 10**6: memo keys
+    # rarely repeat, so counting the cheapest costs first walked about 2e6
+    # subsets before passing the cap.  Largest first, the remaining cheap
+    # costs soon fit whole and are counted at once.
+    calls = []
+    count = solvers._count_subsets
+
+    def counted(*args):
+        calls.append(None)
+        return count(*args)
+
+    monkeypatch.setattr(solvers, "_count_subsets", counted)
+    costs = tuple(3**i % 1000003 + 1 for i in range(60))
+    inst = Instance(
+        profile=gen_identical(1, 60), costs=costs, capacities=(1,) * 60, budget=10**6
+    )
+    with pytest.raises(EnumerationCapExceeded) as info:
+        exact_enumeration(inst, BD, "l1_dec")
+    assert str(info.value) == "exact enumeration needs more than 2000000 committees, cap is 2000000"
+    assert len(calls) < 100_000
 
 
 def test_exact_objective_psf_pairing():
