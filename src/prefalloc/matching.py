@@ -4,15 +4,17 @@ Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
 agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, and one kernel function,
-:func:`_solve_bounded`, which builds the flow network and runs integer
-successive shortest augmenting paths with potentials on it.  The total
-objective is one solve.  The egalitarian objectives probe cost levels as
-``ceiling``s, from a proven lower bound on the optimal threshold upwards;
-the least level whose solve completes is the committee's egalitarian value,
-and that solve is its matching.  The entry computes both
-proven floors (the CC floor and the load floor) and, under either
-objective, refuses a committee whose value cannot be below the caller's
-``below`` before any kernel solve: the solvers' skip rules live here alone.
+:func:`_solve_bounded`: integer successive shortest augmenting paths with
+potentials on a flow network kept in arrays, where each Dijkstra search
+pushes no agent that can relax nothing and stops once no heap entry can
+relax anything.  The total objective is one solve.  The egalitarian
+objectives probe cost levels as ``ceiling``s, from a proven lower bound on
+the optimal threshold upwards; the least level whose solve completes is the
+committee's egalitarian value, and that solve is its matching.  The entry
+computes both proven floors (the CC floor and the load floor) and, under
+either objective, refuses a committee whose value cannot be below the
+caller's ``below`` before any kernel solve: the solvers' skip rules live
+here alone.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -134,11 +136,37 @@ def _solve_bounded(
 
     Node 0 is the source and node 1 the slack pool; the ``k`` members follow
     from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
-    Edges are mutable ``[to, cap, cost, rev_index]`` records.  Successive
-    shortest paths with Johnson potentials: every path ends on a unit
-    agent-sink edge, so each carries one unit, and ``n`` of them complete the
-    matching.  Raises :class:`InfeasibleMatchingError` when the load totals
-    admit no complete assignment.
+    Successive shortest paths with Johnson potentials: every path ends on a
+    unit agent-sink edge, so each carries one unit, and ``n`` of them
+    complete the matching.  Raises :class:`InfeasibleMatchingError` when the
+    load totals admit no complete assignment.
+
+    The residual network is plain arrays: ``head[j]``, the one node agent j
+    has an edge to (its member, or the sink while unmatched); ``edges[i]``,
+    the agents member i has an edge to, those within the ceiling;
+    ``rows[i][j]``, the edge's cost, infinite while it carries j;
+    ``matched``, the sink's costs back to the agents; and the flows on the
+    lower, slack and pool edges.  A search keeps ``label = dist + potential``
+    per node and pops ``(dist, node)`` keys, packed as ``dist * size +
+    node``; the first strict improvement of a label wins, so ties go to the
+    least key.  Nodes relax edges in the order of an edge-list network: the
+    source, lower edges by member, then the pool; the pool, slack edges by
+    member; a member, its reverse slack edge, then agents by index; an
+    agent, its one edge; the sink, matched agents by index.  No node has two
+    edges to one node, so this order moves no tie, and no edge back to the
+    source can improve its distance of 0.
+
+    Two savings leave every label, path and potential as a search that pops
+    every entry would leave them:
+
+    - Once the node an agent's edge leads to has settled, popping the agent
+      can improve nothing, since reduced costs are at least 0: the agent is
+      labelled but not pushed.  Keys pop in one total order, so dropping
+      entries whose pops do nothing moves no other pop.
+    - ``live`` counts the heap entries whose pop may relax something: all
+      but those of agents whose node has settled (``waiting`` counts them
+      per node).  At 0 the search stops: only members and the sink relax
+      agents, so every label is final.
     """
     n, k = len(table[0]), len(committee)
     total_lo = sum(lowers)
@@ -151,67 +179,105 @@ def _solve_bounded(
         raise InfeasibleMatchingError(
             f"member lower bounds require {total_lo} agents, instance has {n}"
         )
+    heappop, heappush = heapq.heappop, heapq.heappush
     agent0 = 2 + k
     sink = agent0 + n
-    graph: list[list[list[int]]] = [[] for _ in range(sink + 1)]
-
-    def add(u: int, v: int, cap: int, cost: int) -> None:
-        graph[u].append([v, cap, cost, len(graph[v])])
-        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
-
-    for i in range(k):
-        if lowers[i] > 0:
-            add(0, 2 + i, lowers[i], 0)
-    if n - total_lo > 0:
-        add(0, 1, n - total_lo, 0)
-        for i in range(k):
-            slack = min(uppers[i], n) - lowers[i]
-            if slack > 0:
-                add(1, 2 + i, slack, 0)
-    for j in range(n):
-        add(agent0 + j, sink, 1, 0)
-    for i, alt in enumerate(committee):
-        for j, cost in enumerate(table[alt - 1]):
-            if ceiling is None or cost <= ceiling:
-                add(2 + i, agent0 + j, 1, cost)
+    size = sink + 1
     inf = float("inf")
-    potential = [0] * (sink + 1)
+    agents = range(n)
+    columns = [table[alt - 1] for alt in committee]
+    edges = [[j for j, c in enumerate(col) if ceiling is None or c <= ceiling] for col in columns]
+    rows = [list(col) for col in columns]
+    slacks = [min(hi, n) - lo for lo, hi in zip(lowers, uppers)]
+    head = [sink] * n
+    matched = [inf] * n
+    lower_flow, slack_flow, pool_flow = [0] * k, [0] * k, 0
+    potential = [0] * size
     for _ in range(n):
-        dist = [inf] * (sink + 1)
-        dist[0] = 0
-        prev: list[list[int]] = [[]] * (sink + 1)  # the edge that reached each node
-        heap = [(0, 0)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for edge in graph[u]:
-                v, cap, cost, _ = edge
-                if cap <= 0:
+        label = [inf] * size
+        label[0] = 0
+        prev = [0] * size
+        settled = [False] * size
+        waiting = [0] * size
+        heap = [0]
+        live = 1
+        while live:
+            d, u = divmod(heappop(heap), size)
+            base = d + potential[u]
+            if agent0 <= u < sink:
+                j = u - agent0
+                v = head[j]
+                if settled[v]:
+                    continue  # left the live count when v settled
+                live -= 1
+                waiting[v] -= 1
+                if base > label[u]:
                     continue
-                nd = d + cost + potential[u] - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = edge
-                    heapq.heappush(heap, (nd, v))
-        if dist[sink] == inf:
+                if v != sink:
+                    base -= columns[v - 2][j]
+                if base < label[v]:
+                    label[v] = base
+                    prev[v] = u
+                    heappush(heap, (base - potential[v]) * size + v)
+                    live += 1
+                continue
+            live -= 1
+            if base > label[u]:
+                continue
+            settled[u] = True
+            live -= waiting[u]
+            arcs, row, ends = [], (), ()
+            if u == 0:
+                arcs = [2 + i for i in range(k) if lower_flow[i] < lowers[i]]
+                if pool_flow < n - total_lo:
+                    arcs.append(1)
+            elif u == 1:
+                arcs = [2 + i for i in range(k) if slack_flow[i] < slacks[i]]
+            elif u == sink:
+                row, ends = matched, agents
+            else:
+                row, ends = rows[u - 2], edges[u - 2]
+                if slack_flow[u - 2]:
+                    arcs = [1]
+            for v in arcs:  # zero-cost edges out of the source, the pool or a member
+                if base < label[v]:
+                    label[v] = base
+                    prev[v] = u
+                    heappush(heap, (base - potential[v]) * size + v)
+                    live += 1
+            for j in [j for j in ends if base + row[j] < label[agent0 + j]]:
+                v = agent0 + j
+                label[v] = at = base + row[j]
+                prev[v] = u
+                w = head[j]
+                if not settled[w]:
+                    heappush(heap, (at - potential[v]) * size + v)
+                    live += 1
+                    waiting[w] += 1
+        if label[sink] == inf:
             return None
-        for v in range(sink + 1):
-            if dist[v] < inf:
-                potential[v] += dist[v]
+        potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist
         v = sink
-        while v != 0:
-            edge = prev[v]
-            edge[1] -= 1
-            back = graph[v][edge[3]]
-            back[1] += 1
-            v = back[0]
-    targets = [0] * n
-    for i, alt in enumerate(committee):
-        for v, cap, _, _ in graph[2 + i]:  # a saturated agent edge serves v
-            if v >= agent0 and cap == 0:
-                targets[v - agent0] = alt
-    return tuple(targets)
+        while v:
+            u = prev[v]
+            if v == sink:
+                matched[u - agent0] = 0
+            elif agent0 <= v:  # member u now carries agent v
+                head[v - agent0] = u
+                rows[u - 2][v - agent0] = inf
+            elif agent0 <= u:  # agent u leaves member v
+                rows[v - 2][u - agent0] = columns[v - 2][u - agent0]
+            elif v == 1:
+                if u == 0:
+                    pool_flow += 1
+                else:
+                    slack_flow[u - 2] -= 1
+            elif u == 0:
+                lower_flow[v - 2] += 1
+            else:
+                slack_flow[v - 2] += 1
+            v = u
+    return tuple(committee[v - 2] for v in head)
 
 
 def _match(

@@ -10,13 +10,16 @@ per candidate), the per-committee enumeration loop (a fresh matching,
 validation and re-score for every committee), the egalitarian binary
 threshold search (one cold kernel solve per probe) and the combined solver's
 sampling loop (a fresh draw, public ``match_monroe_l1`` call and instance per
-run).  They do use the flow kernel; the differential tests hold the solvers
-to them at sizes brute force cannot reach.  The file ends with the samplers
+run), and the flow kernel itself as a network of edge records
+(``solve_bounded_reference``).  Most of them do use a flow kernel; the
+differential tests hold the solvers to them at sizes brute force cannot
+reach.  The file ends with the samplers
 that block draws and a sparse swap map replaced: ``shuffled`` and
 ``sample_distinct_reference`` call ``randrange`` once per position of a full
 list.
 """
 
+import heapq
 import math
 import time
 from itertools import combinations
@@ -288,12 +291,104 @@ def exact_enumeration_reference(
     )
 
 
+def solve_bounded_reference(
+    table: list[tuple[int, ...]],
+    committee: tuple[int, ...],
+    lowers: tuple[int, ...],
+    uppers: tuple[int, ...],
+    ceiling: int | None,
+) -> tuple[int, ...] | None:
+    """The matching kernel as an edge-list network: min-cost full b-matching
+    on the edges within ``ceiling``, or None if none.
+
+    Node 0 is the source and node 1 the slack pool; the ``k`` members follow
+    from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
+    Edges are mutable ``[to, cap, cost, rev_index]`` records.  Successive
+    shortest paths with Johnson potentials: every path ends on a unit
+    agent-sink edge, so each carries one unit, and ``n`` of them complete the
+    matching.  Raises :class:`InfeasibleMatchingError` when the load totals
+    admit no complete assignment.
+    """
+    n, k = len(table[0]), len(committee)
+    total_lo = sum(lowers)
+    total_hi = sum(min(hi, n) for hi in uppers)
+    if total_hi < n:
+        raise InfeasibleMatchingError(
+            f"member upper bounds admit only {total_hi} agents, instance has {n}"
+        )
+    if total_lo > n:
+        raise InfeasibleMatchingError(
+            f"member lower bounds require {total_lo} agents, instance has {n}"
+        )
+    agent0 = 2 + k
+    sink = agent0 + n
+    graph: list[list[list[int]]] = [[] for _ in range(sink + 1)]
+
+    def add(u: int, v: int, cap: int, cost: int) -> None:
+        graph[u].append([v, cap, cost, len(graph[v])])
+        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
+
+    for i in range(k):
+        if lowers[i] > 0:
+            add(0, 2 + i, lowers[i], 0)
+    if n - total_lo > 0:
+        add(0, 1, n - total_lo, 0)
+        for i in range(k):
+            slack = min(uppers[i], n) - lowers[i]
+            if slack > 0:
+                add(1, 2 + i, slack, 0)
+    for j in range(n):
+        add(agent0 + j, sink, 1, 0)
+    for i, alt in enumerate(committee):
+        for j, cost in enumerate(table[alt - 1]):
+            if ceiling is None or cost <= ceiling:
+                add(2 + i, agent0 + j, 1, cost)
+    inf = float("inf")
+    potential = [0] * (sink + 1)
+    for _ in range(n):
+        dist = [inf] * (sink + 1)
+        dist[0] = 0
+        prev: list[list[int]] = [[]] * (sink + 1)  # the edge that reached each node
+        heap = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for edge in graph[u]:
+                v, cap, cost, _ = edge
+                if cap <= 0:
+                    continue
+                nd = d + cost + potential[u] - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = edge
+                    heapq.heappush(heap, (nd, v))
+        if dist[sink] == inf:
+            return None
+        for v in range(sink + 1):
+            if dist[v] < inf:
+                potential[v] += dist[v]
+        v = sink
+        while v != 0:
+            edge = prev[v]
+            edge[1] -= 1
+            back = graph[v][edge[3]]
+            back[1] += 1
+            v = back[0]
+    targets = [0] * n
+    for i, alt in enumerate(committee):
+        for v, cap, _, _ in graph[2 + i]:  # a saturated agent edge serves v
+            if v >= agent0 and cap == 0:
+                targets[v - agent0] = alt
+    return tuple(targets)
+
+
 def match_egalitarian_reference(profile, psf, committee, regime, mode):
     """The egalitarian matching as a binary threshold search: one cold
     feasibility solve of the loosest threshold, about ``log2(m)`` more for
-    the search, then the min-cost pass at the optimal threshold.  Kernel
-    solves go through ``matching._solve_bounded`` so that tests can count
-    them."""
+    the search, then the min-cost pass at the optimal threshold.  Every
+    solve runs :func:`solve_bounded_reference`, so the kernel under test
+    runs only on the other side of a differential."""
     members = tuple(sorted(committee))
     lowers, uppers = regime.bounds_for(len(members), profile.n)
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
@@ -305,7 +400,7 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
         # Zero-cost edges at or below the ceiling; the others cost 1 and are
         # left out by a ceiling of 0.
         flags = [[0 if c <= ceiling else 1 for c in column] for column in table]
-        return matching._solve_bounded(flags, members, lowers, uppers, 0) is not None
+        return solve_bounded_reference(flags, members, lowers, uppers, 0) is not None
 
     if not feasible(levels[-1]):
         raise InfeasibleMatchingError("load bounds admit no complete assignment")
@@ -316,7 +411,7 @@ def match_egalitarian_reference(profile, psf, committee, regime, mode):
             hi = mid
         else:
             lo = mid + 1
-    return Assignment(matching._solve_bounded(table, members, lowers, uppers, levels[lo]))
+    return Assignment(solve_bounded_reference(table, members, lowers, uppers, levels[lo]))
 
 
 def combined_monroe_reference(profile, k, config=None):

@@ -332,11 +332,13 @@ def _egalitarian_targets(*args):
 
 
 def test_kernel_targets_golden():
-    # The reference implementations call this same kernel, so no oracle sees
-    # a tie that moves: this digest pins what the kernel returns (targets,
-    # None or the error message) and match_egalitarian's targets, under
-    # balanced and explicit bounds (nonzero lowers, feasible or not) and with
-    # no ceiling or a middle cost level.
+    # The kernel is held to the edge-list reference it replaced
+    # (test_kernel_differential.py); this digest pins both at once, so a tie
+    # that moves shows here even if the reference moves with it.  It covers
+    # what the kernel returns (targets, None or the error message) and
+    # match_egalitarian's targets, under balanced and explicit bounds
+    # (nonzero lowers, feasible or not) and with no ceiling or a middle cost
+    # level.
     rng = SplitMix64(181818)
     digest = hashlib.sha256()
     for trial in range(48):
