@@ -32,72 +32,48 @@ from .solvers import (
 )
 
 RANDOMIZED = frozenset({"sample", "combined"})
+ALGORITHMS = ("greedy", "sample", "combined", "maxcover", "exact")
+# The algorithms each --system serves; any other exits 2.
+_SERVED = {
+    "monroe": ("greedy", "sample", "combined", "exact"),
+    "cc": ("greedy", "maxcover", "exact"),
+}
 
 
 class CLIError(Exception):
     """Inconsistent or missing flags; maps to exit status 2."""
 
 
-def _exact(make):
-    """Solver call enumerating ``make(profile, k)`` under ``--objective``."""
-
-    def solve(args, profile: Profile, seed: int | None) -> SolveReport:
+def _solve(name: str, args, profile: Profile, seed: int | None) -> SolveReport:
+    """``name``'s report on ``profile`` for ``--system``; ``seed`` seeds the
+    randomized algorithms."""
+    if name == "exact":
         dec = args.objective.endswith("_dec")
         psf = ScoringFunction.borda_dec() if dec else ScoringFunction.borda_inc()
-        instance = make(profile, args.k)
-        return exact_enumeration(instance, psf, args.objective, args.enumeration_cap)
+        make = make_monroe if args.system == "monroe" else make_cc
+        return exact_enumeration(make(profile, args.k), psf, args.objective, args.enumeration_cap)
+    if name == "greedy":
+        greedy = greedy_monroe if args.system == "monroe" else greedy_cc
+        return greedy(profile, args.k)
+    if name == "sample":
+        return sample_once_monroe(profile, args.k, seed)
+    if name == "combined":
+        config = SolverConfig(args.epsilon, args.lambda_, seed, args.enumeration_cap)
+        return combined_monroe(profile, args.k, config)
+    return maxcover_cc_baseline(profile, args.k)
 
-    return solve
 
-
-def _oracle_floor(share: float):
-    return lambda profile, k, oracle: None if oracle is None else share * oracle
-
-
-def _no_floor(profile: Profile, k: int, oracle: int | None) -> None:
-    return None
-
-
-# The (algorithm, system) pairs the CLI serves; a missing pair exits 2.  Each
-# entry is (solver call, floor): the call takes (args, profile, seed) and the
-# floor (profile, k, oracle) gives the proven lower bound on the l1_dec value,
-# or None when none applies (oracle is the exact optimum, when known).
-_SOLVERS = {
-    ("greedy", "monroe"): (
-        lambda args, profile, seed: greedy_monroe(profile, args.k),
-        lambda profile, k, oracle: (
-            float(greedy_monroe_bound(profile.n, profile.m, k)) if k >= 3 else None
-        ),
-    ),
-    ("greedy", "cc"): (
-        lambda args, profile, seed: greedy_cc(profile, args.k),
-        lambda profile, k, oracle: greedy_cc_bound(profile.n, profile.m, k),
-    ),
-    ("sample", "monroe"): (
-        lambda args, profile, seed: sample_once_monroe(profile, args.k, seed),
-        _no_floor,
-    ),
-    ("combined", "monroe"): (
-        lambda args, profile, seed: combined_monroe(
-            profile,
-            args.k,
-            SolverConfig(
-                epsilon=args.epsilon,
-                lambda_=args.lambda_,
-                seed=seed,
-                enumeration_cap=args.enumeration_cap,
-            ),
-        ),
-        _no_floor,
-    ),
-    ("maxcover", "cc"): (
-        lambda args, profile, seed: maxcover_cc_baseline(profile, args.k),
-        _oracle_floor(1.0 - 1.0 / math.e),
-    ),
-    ("exact", "monroe"): (_exact(make_monroe), _oracle_floor(1.0)),
-    ("exact", "cc"): (_exact(make_cc), _oracle_floor(1.0)),
-}
-ALGORITHMS = tuple(dict.fromkeys(name for name, _ in _SOLVERS))
+def _floor(name: str, system: str, profile: Profile, k: int, oracle: int | None) -> float | None:
+    """The proven floor of ``name``'s l1_dec value, or None when none applies.
+    ``oracle`` is the exact optimum, or None when unknown: ``solve`` knows
+    none, so ``exact``, the one algorithm that takes other objectives, gets
+    no floor there."""
+    if name == "greedy" and system == "cc":
+        return greedy_cc_bound(profile.n, profile.m, k)
+    if name == "greedy":
+        return float(greedy_monroe_bound(profile.n, profile.m, k)) if k >= 3 else None
+    share = {"maxcover": 1.0 - 1.0 / math.e, "exact": 1.0}.get(name)
+    return None if share is None or oracle is None else share * oracle
 
 
 def _read_profile(path: str) -> Profile:
@@ -122,11 +98,12 @@ def _check_algorithms(args, names) -> None:
     """Refuse algorithms without a solver for ``--system``, flags that the
     listed algorithms cannot use or need but lack, and flag values out of
     range."""
+    served = _SERVED[args.system]
     for name in names:
-        if (name, args.system) not in _SOLVERS:
-            served = ", ".join(a for a, s in _SOLVERS if s == args.system)
+        if name not in served:
             raise CLIError(
-                f"no {name!r} solver for --system {args.system}; choose from {served}"
+                f"no {name!r} solver for --system {args.system}; "
+                f"choose from {', '.join(served)}"
             )
         if name in RANDOMIZED and args.seed is None:
             raise CLIError(f"algorithm {name!r} requires an explicit --seed")
@@ -205,9 +182,8 @@ def cmd_solve(args) -> int:
     profile = _read_profile(args.path)
     if not 1 <= args.k <= profile.m:
         raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
-    solver, floor = _SOLVERS[args.algorithm, args.system]
-    report = solver(args, profile, args.seed)
-    bound = floor(profile, args.k, None) if args.objective == "l1_dec" else None
+    report = _solve(args.algorithm, args, profile, args.seed)
+    bound = _floor(args.algorithm, args.system, profile, args.k, None)
     fields = [
         ("instance", args.path),
         ("system", args.system),
@@ -231,7 +207,7 @@ def _report(reports: dict, name: str, args, profile: Profile, seed) -> SolveRepo
     otherwise the solver runs and, unless randomized, its report is kept."""
     if name in reports:
         return reports[name]
-    report = _SOLVERS[name, args.system][0](args, profile, seed)
+    report = _solve(name, args, profile, seed)
     if name not in RANDOMIZED:
         reports[name] = report
     return report
@@ -288,11 +264,10 @@ def cmd_ratio(args) -> int:
             continue
         oracle = exact.value
         for index, name in enumerate(algorithms):
-            floor = _SOLVERS[name, args.system][1]
             run_seed = derive_seed(trial_seed, 1 + index)
             report = _report(reports, name, args, profile, run_seed)
             ratio = report.value / oracle if oracle else 1.0
-            bound = floor(profile, args.k, oracle)
+            bound = _floor(name, args.system, profile, args.k, oracle)
             violated = bound is not None and report.value < bound - 1e-9
             if violated:
                 violations[name] += 1

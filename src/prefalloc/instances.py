@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import chain
 
-from .core import Instance, Profile, _balanced_loads, _Record, _trusted_profile
+from .core import Instance, Profile, _balanced_loads, _integers, _Record, _trusted_profile
 from .rng import SplitMix64, _acceptance_limit
 
 # Draws per SplitMix64.block: 256 and 1024 generate at the same speed, 4096
@@ -215,7 +215,17 @@ def write_instance(
     caps: Sequence[int] | None = None,
     budget: int | None = None,
 ) -> str:
-    """Render a profile (plus optional general blocks) in the file grammar."""
+    """Render a profile (plus optional general blocks) in the file grammar.
+
+    Raises ``ValueError`` on a block that :func:`parse_instance` would
+    refuse, so that every document written reads back."""
+    for name, block in (("costs", costs), ("caps", caps)):
+        if block is not None and not (
+            len(block) == profile.m and _integers(block) and min(block) >= 1
+        ):
+            raise ValueError(f"block {name!r} needs {profile.m} positive integer entries")
+    if budget is not None and not (_integers((budget,)) and budget >= 1):
+        raise ValueError("block 'budget' needs one positive integer")
     out = [f"{profile.n} {profile.m}"]
     for order in profile.orders:
         out.append(" ".join(str(a) for a in order))

@@ -80,10 +80,17 @@ class SolverConfig(_Record):
         self._fill(epsilon, lambda_, seed, enumeration_cap)
 
 
+def _check_positive(k: int, what: str = "committee size") -> None:
+    """Refuse ``k`` unless it is an ``int`` (not a ``bool``) of at least 1."""
+    if not _integers((k,)):
+        raise ValueError(f"{what} must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"{what} must be positive")
+
+
 def harmonic(k: int) -> Fraction:
     """Exact k-th harmonic number 1 + 1/2 + ... + 1/k."""
-    if k < 1:
-        raise ValueError("harmonic number index must be positive")
+    _check_positive(k, "harmonic number index")
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
@@ -95,6 +102,8 @@ def lambert_w(x: float) -> float:
     """
     if x < 0:
         raise ValueError("lambert_w is only defined for nonnegative arguments")
+    if not math.isfinite(x):
+        raise ValueError(f"lambert_w needs a finite argument, got {x!r}")
     if x == 0:
         return 0.0
     w = math.log1p(x)
@@ -111,8 +120,7 @@ def sampling_run_count(k: int, epsilon: float, lambda_: float) -> int:
     """Number of sampling repetitions that make the combined solver reach its
     ratio with probability ``lambda_``: ``ceil(-512 ln(1 - lambda) / (K eps^2))``.
     """
-    if k < 1:
-        raise ValueError("committee size must be positive")
+    _check_positive(k)
     if not 0 < epsilon < 1 or not 0 < lambda_ < 1:
         raise ValueError("epsilon and lambda must lie strictly inside (0, 1)")
     return math.ceil(-512.0 * math.log(1.0 - lambda_) / (k * epsilon * epsilon))
@@ -121,6 +129,8 @@ def sampling_run_count(k: int, epsilon: float, lambda_: float) -> int:
 def greedy_monroe_bound(n: int, m: int, k: int) -> Fraction:
     """Proven floor of the greedy balanced-committee solver's total score for
     k >= 3: ``(m-1) n (1 - (k-1)/(2(m-1)) - H_k/k)``."""
+    if not (_integers((k,)) and 3 <= k <= m):
+        raise ValueError(f"greedy_monroe_bound needs an integer k in 3..{m}, got {k!r}")
     return (
         (m - 1)
         * n
@@ -131,6 +141,7 @@ def greedy_monroe_bound(n: int, m: int, k: int) -> Fraction:
 def greedy_cc_bound(n: int, m: int, k: int) -> float:
     """Proven floor of the greedy cover solver's total score:
     ``(1 - 2 w(k)/k) (m-1) n``."""
+    _check_positive(k)
     return (1.0 - 2.0 * lambert_w(k) / k) * (m - 1) * n
 
 
@@ -224,6 +235,16 @@ def _greedy_picks(
     return targets, picked
 
 
+def _exact_monroe(
+    prof: Profile, k: int, algorithm: str, seed: int | None, cap: int, start: float
+) -> SolveReport:
+    """The exact Monroe ``l1_dec`` optimum as ``algorithm``'s report, timed
+    from ``start``: the exact branch of the Monroe solvers."""
+    inner = exact_enumeration(make_monroe(prof, k), ScoringFunction.borda_dec(), "l1_dec", cap)
+    elapsed = time.perf_counter() - start
+    return SolveReport(inner.assignment, "l1_dec", inner.value, algorithm, seed, elapsed)
+
+
 def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     """Greedy balanced-committee solver for the Monroe restriction.
 
@@ -242,14 +263,8 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
     if k <= 2:
-        inner = exact_enumeration(make_monroe(prof, k), psf, "l1_dec")
-        return SolveReport(
-            assignment=inner.assignment,
-            objective=inner.objective,
-            value=inner.value,
-            algorithm="greedy_monroe[exact:k<=2]",
-            elapsed=time.perf_counter() - start,
-        )
+        algorithm = "greedy_monroe[exact:k<=2]"
+        return _exact_monroe(prof, k, algorithm, None, DEFAULT_ENUMERATION_CAP, start)
     targets, _ = _greedy_picks(prof, _batch_sizes(prof.n, k), psf.values(prof.m))
     assignment = Assignment(tuple(targets))
     value = metric_l1(make_monroe(prof, k), psf, assignment)
@@ -326,17 +341,8 @@ def combined_monroe(
     else:
         branch = None
     if branch is not None and math.comb(prof.m, k) <= config.enumeration_cap:
-        inner = exact_enumeration(
-            make_monroe(prof, k), psf, "l1_dec", config.enumeration_cap
-        )
-        return SolveReport(
-            assignment=inner.assignment,
-            objective=inner.objective,
-            value=inner.value,
-            algorithm=f"combined_monroe[{branch}]",
-            seed=config.seed,
-            elapsed=time.perf_counter() - start,
-        )
+        algorithm = f"combined_monroe[{branch}]"
+        return _exact_monroe(prof, k, algorithm, config.seed, config.enumeration_cap, start)
 
     table, instance = _cost_table(prof, psf), make_monroe(prof, k)
     top = prof.n * psf.values(prof.m)[0]  # a cost is psf(1) minus the score
@@ -438,6 +444,7 @@ def cover_depth_majority(m: int, k: int, delta: float) -> int:
     """Cover depth used by :func:`greedy_cc_majority` (exposed for reporting)."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie strictly inside (0, 1), got {delta!r}")
+    _check_positive(k)
     return min(m, math.ceil(-m * math.log(delta) / k))
 
 

@@ -1,19 +1,17 @@
 """Library surface: every parameter a library function takes is one it reads,
 and every private module-level name is one the package uses.
 
-Each module under ``src/prefalloc`` except ``cli`` is parsed with ``ast``;
-any parameter of a function, method, nested function or lambda that its body
-never reads fails the test (``self`` and ``cls`` are exempt).  ``cli`` is
-left out because its dispatch entries share one ``(args, profile, seed)``
-signature by design, whatever each entry reads.  The same modules may take
+Each module under ``src/prefalloc`` is parsed with ``ast``; any parameter
+of a function, method, nested function or lambda that its body never reads
+fails the test (``self`` and ``cls`` are exempt).  The same modules may take
 no parameter annotated ``Callable``: kernel inputs such as edge costs are
 passed as data (tables), not as callbacks.  One flow algorithm serves every
 objective: only ``matching._solve_bounded`` uses ``heapq``, and ``matching``
 defines no class but ``CapacityRegime`` and ``InfeasibleMatchingError``.
 
-Every module, ``cli`` included, is also searched for module-level names that
-start with ``_`` (dunders exempt) and that no code under ``src/prefalloc``
-references outside the name's own definition.  Callers in tests do not count:
+Every module is also searched for module-level names that start with ``_``
+(dunders exempt) and that no code under ``src/prefalloc`` references
+outside the name's own definition.  Callers in tests do not count:
 code that a faster path replaced moves to ``tests/oracles.py`` instead of
 staying in the package.  The same holds for public module-level functions
 that ``prefalloc`` does not export: nothing outside the package promises them.
@@ -80,7 +78,7 @@ def _unread(module: ast.Module):
 
 
 def test_library_functions_read_every_parameter():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert {p.stem for p in modules} >= {"core", "matching", "solvers", "instances", "rng"}
     unread = [
         f"{path.stem}.{function}: {parameter}"
@@ -100,7 +98,7 @@ def _callable_parameters(module: ast.Module):
 
 
 def test_library_functions_take_no_callable_parameters():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert {p.stem for p in modules} >= {"core", "matching", "solvers"}
     callbacks = [
         f"{path.stem}.{function}: {parameter}"

@@ -239,6 +239,31 @@ def test_solve_flag_consistency(identical_12_8, capsys):
         assert stdout == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "algorithm, system, served",
+    [
+        ("sample", "cc", "greedy, maxcover, exact"),
+        ("combined", "cc", "greedy, maxcover, exact"),
+        ("maxcover", "monroe", "greedy, sample, combined, exact"),
+    ],
+)
+def test_solve_refuses_algorithms_the_system_lacks(identical_12_8, capsys, algorithm, system, served):
+    code, stdout, err = run_cli(
+        capsys, "solve", identical_12_8, "--system", system, "--k", "3", "--algorithm", algorithm
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: no {algorithm!r} solver for --system {system}; choose from {served}\n"
+
+
+def test_solve_help_lists_every_algorithm(capsys):
+    # Only the choices are pinned: argparse words the rest differently across versions.
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert "{greedy,sample,combined,maxcover,exact}" in capsys.readouterr().out
+
+
 def test_solve_cap_error_surfaces_verbatim(identical_12_8, capsys):
     code, _, err = run_cli(
         capsys,

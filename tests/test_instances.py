@@ -147,6 +147,35 @@ def test_round_trip_with_general_blocks():
     assert inst.budget == 5
 
 
+def test_write_refuses_blocks_the_parser_rejects():
+    # Before the check this wrote a document that parse_instance refused
+    # (line 4: block 'costs' has 2 entries, expected 3).
+    with pytest.raises(ValueError, match="block 'costs' needs 3 positive integer entries"):
+        write_instance(gen_identical(2, 3), costs=[0, 1], budget=-1)
+    prof = gen_identical(2, 3)
+    for bad in ([1, 2], [1, 2, 0], [1, 2.0, 3], [1, True, 3]):
+        for block in ("costs", "caps"):
+            with pytest.raises(ValueError, match=f"block '{block}' needs 3"):
+                write_instance(prof, **{block: bad})
+    for bad in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="block 'budget' needs one positive integer"):
+            write_instance(prof, budget=bad)
+
+
+def test_write_then_parse_round_trip_with_valid_blocks():
+    rng = SplitMix64(4040)
+    for trial in range(40):
+        n, m = 1 + rng.randrange(6), 1 + rng.randrange(6)
+        prof = gen_impartial_culture(n, m, derive_seed(4040, trial))
+        costs = tuple(1 + rng.randrange(9) for _ in range(m)) if rng.randrange(2) else None
+        caps = tuple(1 + rng.randrange(9) for _ in range(m)) if rng.randrange(2) else None
+        budget = 1 + rng.randrange(20) if rng.randrange(2) else None
+        parsed = parse_instance(write_instance(prof, costs, caps, budget))
+        assert (parsed.profile, parsed.costs, parsed.caps, parsed.budget) == (
+            prof, costs, caps, budget
+        )
+
+
 def test_parse_normalizes_comments_and_crlf():
     text = "# profile\r\n2 3 # header\r\n\r\n1 2 3\r\n3 2 1\r\n"
     parsed = parse_instance(text)

@@ -86,6 +86,37 @@ def test_sampling_run_count_formula():
         sampling_run_count(10, 1.5, 0.9)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # Before the checks: 568, 1420, 1, -2.01, nan and nan.
+        (lambda: sampling_run_count(2.5, 0.5, 0.5), "committee size must be an integer, got 2.5"),
+        (lambda: sampling_run_count(True, 0.5, 0.5), "committee size must be an integer, got True"),
+        (lambda: harmonic(True), "harmonic number index must be an integer, got True"),
+        (lambda: greedy_cc_bound(5, 4, True), "committee size must be an integer, got True"),
+        (lambda: lambert_w(math.inf), "lambert_w needs a finite argument, got inf"),
+        (lambda: lambert_w(math.nan), "lambert_w needs a finite argument, got nan"),
+        # Before the checks: ZeroDivisionError.
+        (lambda: greedy_cc_bound(5, 4, 0), "committee size must be positive"),
+        (lambda: cover_depth_majority(10, 0, 0.5), "committee size must be positive"),
+        (lambda: greedy_monroe_bound(5, 1, 1), "greedy_monroe_bound needs an integer k in 3..1, got 1"),
+        # Outside the stated range 3..m.
+        (lambda: greedy_monroe_bound(6, 4, 2), "greedy_monroe_bound needs an integer k in 3..4, got 2"),
+        (lambda: greedy_monroe_bound(6, 4, 5), "greedy_monroe_bound needs an integer k in 3..4, got 5"),
+        (lambda: greedy_monroe_bound(6, 4, 3.0), "greedy_monroe_bound needs an integer k in 3..4, got 3.0"),
+    ],
+    ids=[
+        "runs-float", "runs-bool", "harmonic-bool", "cc-bound-bool", "w-inf", "w-nan",
+        "cc-bound-zero", "depth-zero", "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
+        "monroe-bound-float",
+    ],
+)
+def test_numeric_helpers_refuse_out_of_domain_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
