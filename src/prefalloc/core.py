@@ -106,6 +106,8 @@ class Profile(_Record):
     __slots__ = __match_args__ + ("_positions",)
 
     def __init__(self, n: int, m: int, orders: tuple[tuple[int, ...], ...]) -> None:
+        if not _integers((n, m)):
+            raise ValueError("profile sizes n and m must be integers")
         if n < 1 or m < 1:
             raise ValueError("profile needs at least one agent and one alternative")
         if len(orders) != n:
@@ -172,6 +174,8 @@ class ScoringFunction(_Record):
         if kind.startswith("table"):
             if not table:
                 raise ValueError("table kinds need a non-empty value table")
+            if not _integers(table):
+                raise ValueError("table entries must be integers")
             diffs = [b - a for a, b in zip(table, table[1:])]
             if kind == "table_dec":
                 if any(d >= 0 for d in diffs) or table[-1] != 0:
@@ -196,12 +200,12 @@ class ScoringFunction(_Record):
         return cls("borda_inc")
 
     @classmethod
-    def from_table_dec(cls, values: Sequence[int]) -> ScoringFunction:
-        return cls("table_dec", tuple(int(v) for v in values))
+    def from_table_dec(cls, values: Iterable[int]) -> ScoringFunction:
+        return cls("table_dec", tuple(values))
 
     @classmethod
-    def from_table_inc(cls, values: Sequence[int]) -> ScoringFunction:
-        return cls("table_inc", tuple(int(v) for v in values))
+    def from_table_inc(cls, values: Iterable[int]) -> ScoringFunction:
+        return cls("table_inc", tuple(values))
 
     @property
     def is_decreasing(self) -> bool:

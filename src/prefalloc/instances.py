@@ -85,6 +85,8 @@ def gen_impartial_culture(n: int, m: int, seed: int) -> Profile:
     would: the draws come from :meth:`SplitMix64.block`, and a draw that
     ``randrange`` rejects is skipped for the next one of the same stream.
     """
+    if not _integers((n, m, seed)):
+        raise ValueError("n, m and seed must be integers")
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     rng = SplitMix64(seed)
@@ -110,6 +112,8 @@ def gen_impartial_culture(n: int, m: int, seed: int) -> Profile:
 
 def gen_identical(n: int, m: int) -> Profile:
     """Profile where every agent ranks the alternatives 1, 2, ..., m."""
+    if not _integers((n, m)):
+        raise ValueError("n and m must be integers")
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     order = tuple(range(1, m + 1))

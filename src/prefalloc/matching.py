@@ -32,72 +32,11 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 
-from .core import Assignment, Profile, ScoringFunction, _balanced_loads, _integers, _Record
-
-REGIME_KINDS = ("monroe_balanced", "explicit")
+from .core import Assignment, Profile, ScoringFunction, _balanced_loads, _integers
 
 
 class InfeasibleMatchingError(ValueError):
     """No assignment satisfies the requested load bounds."""
-
-
-class CapacityRegime(_Record):
-    """Per-member load bounds imposed on the matching, as an immutable record.
-
-    ``monroe_balanced`` spreads the ``n`` agents as evenly as possible over a
-    committee of size ``K`` (each member carries between ``floor(n/K)`` and
-    ``ceil(n/K)`` agents); ``explicit`` carries caller-supplied bounds aligned
-    with the sorted committee.  Bounds of 0 and ``n`` restrict nothing, and
-    the matchers then assign as :func:`match_cc` does.
-    """
-
-    __slots__ = __match_args__ = ("kind", "lowers", "uppers")
-
-    def __init__(
-        self,
-        kind: str,
-        lowers: tuple[int, ...] | None = None,
-        uppers: tuple[int, ...] | None = None,
-    ) -> None:
-        if kind not in REGIME_KINDS:
-            raise ValueError(f"unknown capacity regime {kind!r}")
-        if kind == "explicit":
-            if lowers is None or uppers is None:
-                raise ValueError("explicit regime needs lower and upper bounds")
-            if len(lowers) != len(uppers):
-                raise ValueError("lower and upper bound lists differ in length")
-            if not _integers((*lowers, *uppers)):
-                raise ValueError("bounds must be integers")
-            if any(lo < 0 for lo in lowers):
-                raise ValueError("lower bounds must be nonnegative")
-            if any(hi < lo for lo, hi in zip(lowers, uppers)):
-                raise ValueError("upper bounds must dominate lower bounds")
-        elif lowers is not None or uppers is not None:
-            raise ValueError(f"{kind} regime takes no explicit bounds")
-        self._fill(kind, lowers, uppers)
-
-    @classmethod
-    def monroe_balanced(cls) -> CapacityRegime:
-        return cls("monroe_balanced")
-
-    @classmethod
-    def explicit(
-        cls, lowers: Sequence[int], uppers: Sequence[int]
-    ) -> CapacityRegime:
-        return cls("explicit", tuple(lowers), tuple(uppers))
-
-    def bounds_for(self, committee_size: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Resolve (lowers, uppers) for a committee of the given size."""
-        k = committee_size
-        if self.kind == "monroe_balanced":
-            least, most = _balanced_loads(n, k)
-            return (least,) * k, (most,) * k
-        assert self.lowers is not None and self.uppers is not None
-        if len(self.lowers) != k:
-            raise ValueError(
-                f"explicit bounds cover {len(self.lowers)} members, committee has {k}"
-            )
-        return self.lowers, self.uppers
 
 
 def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int, ...]:
@@ -112,6 +51,31 @@ def _checked_committee(profile: Profile, committee: Sequence[int]) -> tuple[int,
     if members[0] < 1 or members[-1] > profile.m:
         raise ValueError(f"committee members must lie in 1..{profile.m}")
     return members
+
+
+def _bounds(
+    n: int, k: int, lowers: Sequence[int] | None, uppers: Sequence[int] | None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (lowers, uppers) of a committee of size ``k``: balanced Monroe
+    loads (``floor(n/k)`` to ``ceil(n/k)`` each) when both are None, else
+    the given bounds, checked."""
+    if lowers is None and uppers is None:
+        least, most = _balanced_loads(n, k)
+        return (least,) * k, (most,) * k
+    if lowers is None or uppers is None:
+        raise ValueError("explicit bounds need lower and upper bounds")
+    lowers, uppers = tuple(lowers), tuple(uppers)
+    if len(lowers) != len(uppers):
+        raise ValueError("lower and upper bound lists differ in length")
+    if not _integers((*lowers, *uppers)):
+        raise ValueError("bounds must be integers")
+    if any(lo < 0 for lo in lowers):
+        raise ValueError("lower bounds must be nonnegative")
+    if any(hi < lo for lo, hi in zip(lowers, uppers)):
+        raise ValueError("upper bounds must dominate lower bounds")
+    if len(lowers) != k:
+        raise ValueError(f"explicit bounds cover {len(lowers)} members, committee has {k}")
+    return lowers, uppers
 
 
 def _cost_table(profile: Profile, psf: ScoringFunction) -> list[tuple[int, ...]]:
@@ -142,9 +106,9 @@ def _solve_bounded(
     load totals admit no complete assignment.
 
     The residual network is plain arrays: ``head[j]``, the one node agent j
-    has an edge to (its member, or the sink while unmatched); ``edges[i]``,
-    the agents member i has an edge to, those within the ceiling;
-    ``rows[i][j]``, the edge's cost, infinite while it carries j;
+    has an edge to (its member, or the sink while unmatched);
+    ``rows[i][j]``, the cost of member i's edge to agent j, infinite above
+    the ceiling and while the edge carries j;
     ``matched``, the sink's costs back to the agents; and the flows on the
     lower, slack and pool edges.  A search keeps ``label = dist + potential``
     per node and pops ``(dist, node)`` keys, packed as ``dist * size +
@@ -186,8 +150,7 @@ def _solve_bounded(
     inf = float("inf")
     agents = range(n)
     columns = [table[alt - 1] for alt in committee]
-    edges = [[j for j, c in enumerate(col) if ceiling is None or c <= ceiling] for col in columns]
-    rows = [list(col) for col in columns]
+    rows = [[c if ceiling is None or c <= ceiling else inf for c in col] for col in columns]
     slacks = [min(hi, n) - lo for lo, hi in zip(lowers, uppers)]
     head = [sink] * n
     matched = [inf] * n
@@ -236,7 +199,7 @@ def _solve_bounded(
             elif u == sink:
                 row, ends = matched, agents
             else:
-                row, ends = rows[u - 2], edges[u - 2]
+                row, ends = rows[u - 2], agents
                 if slack_flow[u - 2]:
                     arcs = [1]
             for v in arcs:  # zero-cost edges out of the source, the pool or a member
@@ -265,7 +228,7 @@ def _solve_bounded(
             elif agent0 <= v:  # member u now carries agent v
                 head[v - agent0] = u
                 rows[u - 2][v - agent0] = inf
-            elif agent0 <= u:  # agent u leaves member v
+            elif agent0 <= u:  # agent u leaves member v, its edge within the ceiling
                 rows[v - 2][u - agent0] = columns[v - 2][u - agent0]
             elif v == 1:
                 if u == 0:
@@ -364,17 +327,22 @@ def match_monroe_l1(
     profile: Profile,
     psf: ScoringFunction,
     committee: Sequence[int],
-    regime: CapacityRegime,
+    lowers: Sequence[int] | None = None,
+    uppers: Sequence[int] | None = None,
 ) -> Assignment:
-    """Optimal total-objective matching under the regime's load bounds.
+    """Optimal total-objective matching under the members' load bounds.
 
+    ``lowers`` and ``uppers`` bound the agents each member carries, aligned
+    with the sorted committee; with neither given, each member carries
+    ``floor(n/K)`` to ``ceil(n/K)`` agents (Monroe).  Bounds of 0 and ``n``
+    restrict nothing, and the matching is then :func:`match_cc`'s.
     Maximizes the total score for a decreasing (satisfaction) function and
     minimizes it for an increasing (dissatisfaction) one: both minimize the
     total :func:`_cost_table` cost, and the optimum is exact.
     """
     members = _checked_committee(profile, committee)
-    lowers, uppers = regime.bounds_for(len(members), profile.n)
-    found = _match(profile, _cost_table(profile, psf), members, lowers, uppers, True)
+    bounds = _bounds(profile.n, len(members), lowers, uppers)
+    found = _match(profile, _cost_table(profile, psf), members, *bounds, True)
     assert found is not None  # no ``below``: the optimum is returned
     return found[1]
 
@@ -383,14 +351,15 @@ def match_egalitarian(
     profile: Profile,
     psf: ScoringFunction,
     committee: Sequence[int],
-    regime: CapacityRegime,
-    mode: str,
+    lowers: Sequence[int] | None = None,
+    uppers: Sequence[int] | None = None,
 ) -> Assignment:
-    """Optimal extreme-agent matching under the regime's load bounds.
+    """Optimal extreme-agent matching under the members' load bounds, taken
+    as :func:`match_monroe_l1` takes them.
 
-    ``max_min_sat`` maximizes the least satisfied agent's score (decreasing
-    function); ``min_max_dissat`` minimizes the most dissatisfied agent's
-    score (increasing function).  The optimal threshold is the best of the
+    A decreasing (satisfaction) function maximizes the least satisfied
+    agent's score; an increasing (dissatisfaction) one minimizes the most
+    dissatisfied agent's score.  The optimal threshold is the best of the
     committee's score values at which a saturating b-matching exists on the
     agent-member edges that meet it.  Among matchings at that threshold, the
     one with the best total score is returned (kernel min-cost pass), which
@@ -402,14 +371,8 @@ def match_egalitarian(
     cost levels above it.  Load totals that admit no complete assignment
     raise :class:`InfeasibleMatchingError` from the first probe.
     """
-    if mode not in ("max_min_sat", "min_max_dissat"):
-        raise ValueError(f"unknown egalitarian mode {mode!r}")
-    if mode == "max_min_sat" and not psf.is_decreasing:
-        raise ValueError("max_min_sat needs a decreasing (satisfaction) function")
-    if mode == "min_max_dissat" and psf.is_decreasing:
-        raise ValueError("min_max_dissat needs an increasing (dissatisfaction) function")
     members = _checked_committee(profile, committee)
-    lowers, uppers = regime.bounds_for(len(members), profile.n)
-    found = _match(profile, _cost_table(profile, psf), members, lowers, uppers, False)
+    bounds = _bounds(profile.n, len(members), lowers, uppers)
+    found = _match(profile, _cost_table(profile, psf), members, *bounds, False)
     assert found is not None  # no ``below``: the loosest level completes
     return found[1]

@@ -27,7 +27,6 @@ from itertools import combinations
 import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
-    CapacityRegime,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     InfeasibleMatchingError,
@@ -233,11 +232,10 @@ def exact_enumeration_reference(
         count = math.comb(prof.m, k)
         if count > enumeration_cap:
             raise EnumerationCapExceeded(count, enumeration_cap)
-        regime = (
-            CapacityRegime.monroe_balanced()
-            if instance.system_tag == "monroe"
-            else CapacityRegime.explicit((0,) * k, (prof.n,) * k)
-        )
+        if instance.system_tag == "monroe":
+            bounds = balanced_bounds(prof.n, k)
+        else:
+            bounds = (0,) * k, (prof.n,) * k
         committees = combinations(range(1, prof.m + 1), k)
     else:
         committees = [
@@ -256,15 +254,14 @@ def exact_enumeration_reference(
             caps = tuple(instance.capacities[a - 1] for a in committee)
             if sum(caps) < prof.n:
                 continue
-            local_regime = CapacityRegime.explicit((0,) * len(committee), caps)
+            local_bounds = (0,) * len(committee), caps
         else:
-            local_regime = regime
+            local_bounds = bounds
         try:
             if objective in ("l1_dec", "l1_inc"):
-                assignment = match_monroe_l1(prof, psf, committee, local_regime)
+                assignment = match_monroe_l1(prof, psf, committee, *local_bounds)
             else:
-                mode = "max_min_sat" if objective == "min_dec" else "min_max_dissat"
-                assignment = match_egalitarian(prof, psf, committee, local_regime, mode)
+                assignment = match_egalitarian(prof, psf, committee, *local_bounds)
         except InfeasibleMatchingError:
             continue
         if objective in ("l1_dec", "l1_inc"):
@@ -383,14 +380,16 @@ def solve_bounded_reference(
     return tuple(targets)
 
 
-def match_egalitarian_reference(profile, psf, committee, regime, mode):
+def match_egalitarian_reference(profile, psf, committee, lowers=None, uppers=None):
     """The egalitarian matching as a binary threshold search: one cold
     feasibility solve of the loosest threshold, about ``log2(m)`` more for
     the search, then the min-cost pass at the optimal threshold.  Every
     solve runs :func:`solve_bounded_reference`, so the kernel under test
-    runs only on the other side of a differential."""
+    runs only on the other side of a differential.  Bounds are given as
+    ``match_egalitarian`` takes them, balanced when both are None."""
     members = tuple(sorted(committee))
-    lowers, uppers = regime.bounds_for(len(members), profile.n)
+    if lowers is None:
+        lowers, uppers = balanced_bounds(profile.n, len(members))
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
         return match_cc(profile, members)
     table = matching._cost_table(profile, psf)
@@ -447,9 +446,7 @@ def combined_monroe_reference(profile, k, config=None):
     for index in range(runs):
         gen = SplitMix64(derive_seed(config.seed, index))
         committee = sorted(a + 1 for a in sample_distinct(profile.m, k, gen))
-        assignment = match_monroe_l1(
-            profile, psf, committee, CapacityRegime.monroe_balanced()
-        )
+        assignment = match_monroe_l1(profile, psf, committee)
         value = metric_l1(make_monroe(profile, k), psf, assignment)
         if best is None or value > best.value:
             best = SolveReport(assignment, "l1_dec", value, "sample_once_monroe")

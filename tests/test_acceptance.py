@@ -35,7 +35,6 @@ from prefalloc import (
     sampling_run_count,
     write_instance,
     SolverConfig,
-    CapacityRegime,
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
@@ -43,7 +42,6 @@ from oracles import balanced_bounds, best_matching_value
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
-BALANCED = CapacityRegime.monroe_balanced()
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -115,19 +113,11 @@ def test_criterion_04_matching_oracle_equivalence():
     for profile, committee, k in _matching_sweep_cases(200):
         lowers, uppers = balanced_bounds(profile.n, k)
         inst = make_monroe(profile, k)
-        got_l1 = metric_l1(
-            inst, BD, match_monroe_l1(profile, BD, committee, BALANCED)
-        )
+        got_l1 = metric_l1(inst, BD, match_monroe_l1(profile, BD, committee))
         want_l1 = best_matching_value(profile, BD, committee, lowers, uppers, "l1_dec")
-        got_min = metric_extreme(
-            inst, BD, match_egalitarian(profile, BD, committee, BALANCED, "max_min_sat"),
-            "min",
-        )
+        got_min = metric_extreme(inst, BD, match_egalitarian(profile, BD, committee), "min")
         want_min = best_matching_value(profile, BD, committee, lowers, uppers, "min_dec")
-        got_max = metric_extreme(
-            inst, BI, match_egalitarian(profile, BI, committee, BALANCED, "min_max_dissat"),
-            "max",
-        )
+        got_max = metric_extreme(inst, BI, match_egalitarian(profile, BI, committee), "max")
         want_max = best_matching_value(profile, BI, committee, lowers, uppers, "max_inc")
         if (got_l1, got_min, got_max) != (want_l1, want_min, want_max):
             mismatches += 1

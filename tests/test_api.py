@@ -7,7 +7,8 @@ fails the test (``self`` and ``cls`` are exempt).  The same modules may take
 no parameter annotated ``Callable``: kernel inputs such as edge costs are
 passed as data (tables), not as callbacks.  One flow algorithm serves every
 objective: only ``matching._solve_bounded`` uses ``heapq``, and ``matching``
-defines no class but ``CapacityRegime`` and ``InfeasibleMatchingError``.
+defines no class but ``InfeasibleMatchingError``: load bounds are passed as
+data (``lowers``, ``uppers``), not as a record.
 
 Every module is also searched for module-level names that start with ``_``
 (dunders exempt) and that no code under ``src/prefalloc`` references
@@ -22,9 +23,7 @@ which skips the order checks: no other path into the package does.
 Only ``matching`` references the kernel entry ``_solve_bounded``, and
 ``solvers`` imports no private ``matching`` name but ``_cost_table`` and
 ``_match``: the matcher owns both proven floors and the ``below`` refusal,
-so no solver grows its own floor or calls the kernel directly.  Nor does
-``solvers`` import ``CapacityRegime``: a solver's load bounds come from
-its instance.
+so no solver grows its own floor or calls the kernel directly.
 
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
@@ -184,7 +183,7 @@ def test_one_flow_algorithm():
     ]
     assert users == ["matching._solve_bounded"]
     classes = {node.name for node in ast.walk(trees["matching"]) if isinstance(node, ast.ClassDef)}
-    assert classes == {"CapacityRegime", "InfeasibleMatchingError"}
+    assert classes == {"InfeasibleMatchingError"}
 
 
 def test_only_instances_builds_unchecked_profiles():
@@ -207,7 +206,6 @@ def test_solvers_match_only_through_one_entry():
         for alias in node.names
     }
     assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
-    assert "CapacityRegime" not in imported
 
 
 def _unread_imports(module: ast.Module):

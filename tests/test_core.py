@@ -8,7 +8,6 @@ import pytest
 
 from prefalloc import (
     Assignment,
-    CapacityRegime,
     Instance,
     Profile,
     ScoringFunction,
@@ -105,6 +104,40 @@ def test_table_invariants_enforced():
         score(short, 1, 4)
     with pytest.raises(ValueError, match=r"^table covers 3 positions, needs 4$"):
         short.values(4)
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("table_dec", (3.7, 1.2, 0)),
+        ("table_inc", (0, True, 2.9)),
+        ("table_dec", (3.5, 1.0, 0)),
+        ("table_inc", (0, 1, "2")),
+    ],
+)
+def test_table_entries_must_be_integers(kind, values):
+    # Entries are not truncated: 3.7 is no score, and a float score would
+    # reach the matching kernel's integer costs.
+    make = getattr(ScoringFunction, "from_" + kind)
+    for build in (make, lambda v: make(iter(v)), lambda v: ScoringFunction(kind, v)):
+        with pytest.raises(ValueError, match=r"^table entries must be integers$"):
+            build(values)
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [
+        pytest.param(True, 2, "profile sizes n and m must be integers", id="bool-n"),
+        pytest.param(1, True, "profile sizes n and m must be integers", id="bool-m"),
+        pytest.param(1.0, 2, "profile sizes n and m must be integers", id="float-n"),
+        pytest.param(1, "2", "profile sizes n and m must be integers", id="str-m"),
+        pytest.param(0, 2, "profile needs at least one agent and one alternative", id="zero-n"),
+        pytest.param(1, 0, "profile needs at least one agent and one alternative", id="zero-m"),
+    ],
+)
+def test_profile_sizes_must_be_positive_integers(n, m, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Profile(n=n, m=m, orders=((1, 2),))
 
 
 def test_score_is_strictly_monotone():
@@ -371,7 +404,6 @@ RECORDS = {
     "Instance": lambda: make_monroe(Profile.from_orders([(1, 2, 3), (3, 1, 2)]), 2),
     "SolveReport": lambda: SolveReport(Assignment((1, 3)), "l1_dec", 3, "x", seed=4),
     "ParsedDocument": lambda: parse_instance("2 3\n1 2 3\n3 1 2\nbudget: 2\n"),
-    "CapacityRegime": lambda: CapacityRegime.explicit([0, 1], [2, 2]),
     "SolverConfig": lambda: SolverConfig(epsilon=0.5, seed=3),
 }
 

@@ -13,7 +13,6 @@ import math
 import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
-    CapacityRegime,
     Profile,
     ScoringFunction,
     gen_impartial_culture,
@@ -21,7 +20,7 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import match_egalitarian_reference, shuffled
+from oracles import balanced_bounds, match_egalitarian_reference, shuffled
 
 SEED = 5005
 CASES = 48
@@ -48,12 +47,13 @@ def _table(length: int, rng: SplitMix64, decreasing: bool) -> ScoringFunction:
     return ScoringFunction.from_table_inc(values)
 
 
-def _regime(n: int, k: int, case: int, rng: SplitMix64) -> CapacityRegime:
-    """Balanced loads, explicit bounds whose totals admit n agents, or
-    explicit bounds drawn without regard to n (often infeasible totals)."""
+def _bounds(n: int, k: int, case: int, rng: SplitMix64) -> tuple:
+    """(lowers, uppers): None for balanced loads, explicit bounds whose
+    totals admit n agents, or explicit bounds drawn without regard to n
+    (often infeasible totals)."""
     kind = case % 3
     if kind == 0:
-        return CapacityRegime.monroe_balanced()
+        return None, None
     if kind == 1:
         lowers = [rng.randrange(n // k + 1) for _ in range(k)]
         uppers = [lo + rng.randrange(n + 1) for lo in lowers]
@@ -61,28 +61,26 @@ def _regime(n: int, k: int, case: int, rng: SplitMix64) -> CapacityRegime:
         if short > 0:
             uppers[rng.randrange(k)] += short
         if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
-            lowers[0] = 1  # keep the regime bounded
-        return CapacityRegime.explicit(lowers, uppers)
+            lowers[0] = 1  # keep the loads bounded
+        return lowers, uppers
     lowers = [rng.randrange(2 * n // k + 1) for _ in range(k)]
     uppers = [lo + rng.randrange(2 * n // k + 1) for lo in lowers]
-    return CapacityRegime.explicit(lowers, uppers)
+    return lowers, uppers
 
 
 def _psf(m: int, rng: SplitMix64, case_rng: SplitMix64):
-    """Borda or a table function, decreasing or increasing, and its mode."""
+    """Borda or a table function, decreasing or increasing."""
     decreasing = case_rng.randrange(2) == 0
     if case_rng.randrange(5) < 3:
-        psf = BD if decreasing else BI
-    else:
-        psf = _table(m + rng.randrange(3), rng, decreasing)
-    return psf, "max_min_sat" if decreasing else "min_max_dissat"
+        return BD if decreasing else BI
+    return _table(m + rng.randrange(3), rng, decreasing)
 
 
 def _sweep_cases():
-    """Yield ``(kind, (profile, psf, committee, regime, mode))``:
+    """Yield ``(kind, (profile, psf, committee, lowers, uppers))``:
     impartial-culture and two-order profiles, n up to 200 (every fifth case
     large), m = 1 in every eighth case, Borda and table scores in both
-    modes."""
+    directions."""
     rng = SplitMix64(SEED)
     for case in range(CASES):
         case_rng = SplitMix64(derive_seed(SEED, case))
@@ -94,11 +92,11 @@ def _sweep_cases():
         else:
             pair = [shuffled(range(1, m + 1), case_rng) for _ in range(2)]
             orders = [pair[case_rng.randrange(2)] for _ in range(n)]
-        psf, mode = _psf(m, rng, case_rng)
+        psf = _psf(m, rng, case_rng)
         committee = sorted(a + 1 for a in sample_distinct(m, k, case_rng))
-        regime = _regime(n, k, case, case_rng)
+        bounds = _bounds(n, k, case, case_rng)
         kind = "ic" if case % 2 else "2-order"
-        yield kind, (Profile.from_orders(orders), psf, committee, regime, mode)
+        yield kind, (Profile.from_orders(orders), psf, committee, *bounds)
 
 
 def _structured_cases():
@@ -114,11 +112,11 @@ def _structured_cases():
         n = 100 + rng.randrange(101)
         base = [shuffled(range(1, m + 1), case_rng) for _ in range(count)]
         orders = [base[case_rng.randrange(count)] for _ in range(n)]
-        psf, mode = _psf(m, rng, case_rng)
+        psf = _psf(m, rng, case_rng)
         committee = sorted(a + 1 for a in sample_distinct(m, k, case_rng))
-        regime = _regime(n, k, case % 2, case_rng)
+        bounds = _bounds(n, k, case % 2, case_rng)
         kind = "identical" if count == 1 else f"{count}-order"
-        yield kind, (Profile.from_orders(orders), psf, committee, regime, mode)
+        yield kind, (Profile.from_orders(orders), psf, committee, *bounds)
 
 
 def _ic_trials():
@@ -132,18 +130,16 @@ def _ic_trials():
         n = k + rng.randrange(10)
         prof = gen_impartial_culture(n, m, derive_seed(8080, trial))
         committee = sorted(a + 1 for a in sample_distinct(m, k, rng))
-        psf, mode = [(BD, "max_min_sat"), (BI, "min_max_dissat"), (table, "max_min_sat")][
-            trial % 3
-        ]
-        regime = CapacityRegime.monroe_balanced()
+        psf = (BD, BI, table)[trial % 3]
+        bounds = None, None
         if trial % 2:
             lowers = [rng.randrange(2) for _ in range(k)]
             uppers = [lo + 1 + rng.randrange(n) for lo in lowers]
             if sum(lowers) <= n <= sum(min(hi, n) for hi in uppers) and any(
                 lo > 0 or hi < n for lo, hi in zip(lowers, uppers)
             ):
-                regime = CapacityRegime.explicit(lowers, uppers)
-        yield "ic", (prof, psf, committee, regime, mode)
+                bounds = lowers, uppers
+        yield "ic", (prof, psf, committee, *bounds)
 
 
 @functools.cache
@@ -151,8 +147,7 @@ def _cases():
     # Bounds of 0 and n (and above n) restrict nothing: match_cc assigns.
     rng = SplitMix64(SEED + 1)
     profile = Profile.from_orders([shuffled(range(1, 9), rng) for _ in range(30)])
-    regime = CapacityRegime.explicit((0, 0, 0), (30, 31, 30))
-    unbounded = ("ic", (profile, BI, [2, 5, 7], regime, "min_max_dissat"))
+    unbounded = ("ic", (profile, BI, [2, 5, 7], (0, 0, 0), (30, 31, 30)))
     return [*_sweep_cases(), *_structured_cases(), *_ic_trials(), unbounded]
 
 
@@ -185,11 +180,18 @@ def _costs(profile, psf, committee):
     return [table[a - 1] for a in committee]
 
 
-def _floors(profile, psf, committee, regime):
+def _resolved(profile, committee, lowers, uppers):
+    """The bounds a call with these arguments runs under."""
+    if lowers is None:
+        return balanced_bounds(profile.n, len(committee))
+    return lowers, uppers
+
+
+def _floors(profile, psf, committee, lowers, uppers):
     """The CC bound (each agent's least cost over the committee, at its
     largest) and the load bound (the ``lo``-th smallest cost of a member
     with lower bound ``lo``, at its largest; 0 if no member has one)."""
-    lowers, _ = regime.bounds_for(len(committee), profile.n)
+    lowers, _ = _resolved(profile, committee, lowers, uppers)
     columns = _costs(profile, psf, committee)
     cc = max(map(min, zip(*columns)))
     load = max(
@@ -216,18 +218,18 @@ def test_match_egalitarian_matches_threshold_search_reference(monkeypatch):
         if isinstance(got[0], type):
             raised += 1
             continue
-        profile, psf, committee, regime, _ = args
+        profile, psf, committee = args[:3]
         threshold = _largest_cost(profile, psf, committee, want)
         assert searches == [(threshold, Assignment(want))], case
-        cc, load = _floors(profile, psf, committee, regime)
+        cc, load = _floors(*args)
         assert cc <= threshold and load <= threshold, case
     # The sweep reaches both outcomes: assignments and refused load totals.
     assert 0 < raised < CASES
 
 
-def _threshold(profile, psf, committee, regime):
+def _threshold(profile, psf, committee, lowers, uppers):
     """What the threshold search returns, or the type and message it raises."""
-    lowers, uppers = regime.bounds_for(len(committee), profile.n)
+    lowers, uppers = _resolved(profile, committee, lowers, uppers)
     table = matching._cost_table(profile, psf)
     try:
         threshold, _ = matching._match(profile, table, tuple(committee), lowers, uppers, False)
@@ -242,8 +244,8 @@ def test_bottleneck_is_the_reference_threshold():
     # search raises what the reference raises.
     raised = 0
     for case, (_, args) in enumerate(_cases()):
-        profile, psf, committee, regime, _ = args
-        got = _threshold(profile, psf, committee, regime)
+        profile, psf, committee = args[:3]
+        got = _threshold(*args)
         want = _reference(case)
         if isinstance(want[0], type):
             assert got == want, case
@@ -266,17 +268,17 @@ def test_match_egalitarian_probe_budget(monkeypatch):
         want = _reference(case)  # its solves, when not yet cached, are not counted
         del probes[:]
         outcome = _outcome(match_egalitarian, *args)
-        profile, psf, committee, regime, _ = args
-        lowers, uppers = regime.bounds_for(len(committee), profile.n)
+        profile, psf, committee = args[:3]
+        lowers, uppers = _resolved(profile, committee, *args[3:])
         if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
             assert not probes, case
             continue
         if isinstance(outcome[0], type):
             assert len(probes) == 1, case
             continue
-        floor = max(_floors(profile, psf, committee, regime))
+        floor = max(_floors(*args))
         threshold = _largest_cost(profile, psf, committee, want)
-        if kind == "identical" or (kind == "ic" and regime.kind == "monroe_balanced"):
+        if kind == "identical" or (kind == "ic" and args[3] is None):
             assert floor == threshold, (case, kind)
         if floor == threshold:
             assert len(probes) == 1, case

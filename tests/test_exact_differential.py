@@ -17,7 +17,6 @@ import prefalloc.core as core
 import prefalloc.matching as matching
 import prefalloc.solvers as solvers
 from prefalloc import (
-    CapacityRegime,
     Instance,
     Profile,
     ScoringFunction,
@@ -29,7 +28,12 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed
 
-from oracles import best_committee_value, exact_enumeration_reference, shuffled
+from oracles import (
+    balanced_bounds,
+    best_committee_value,
+    exact_enumeration_reference,
+    shuffled,
+)
 
 SEED = 4004
 CASES = 40
@@ -242,7 +246,7 @@ def test_exact_monroe_matches_only_committees_that_can_win(monkeypatch, objectiv
 def _cost(profile: Profile, psf: ScoringFunction, members, objective: str) -> int:
     """The optimal kernel cost of ``members`` under balanced loads."""
     table = matching._cost_table(profile, psf)
-    bounds = CapacityRegime.monroe_balanced().bounds_for(len(members), profile.n)
+    bounds = balanced_bounds(profile.n, len(members))
     return matching._match(profile, table, members, *bounds, objective.startswith("l1_"))[0]
 
 

@@ -125,6 +125,30 @@ def test_gen_identical():
     assert gen_identical(4, 4).orders[0] == (1, 2, 3, 4)
 
 
+IC_INTEGERS = "n, m and seed must be integers"
+IDENTICAL_INTEGERS = "n and m must be integers"
+BELOW_ONE = "need n >= 1 and m >= 1"
+
+
+@pytest.mark.parametrize(
+    "generate, args, message",
+    [
+        pytest.param(gen_impartial_culture, (3, 3, True), IC_INTEGERS, id="ic-bool-seed"),
+        pytest.param(gen_impartial_culture, (2.5, 3, 1), IC_INTEGERS, id="ic-float-n"),
+        pytest.param(gen_impartial_culture, (3, 3, 1.0), IC_INTEGERS, id="ic-float-seed"),
+        pytest.param(gen_impartial_culture, (3, True, 1), IC_INTEGERS, id="ic-bool-m"),
+        pytest.param(gen_impartial_culture, (0, 3, 1), BELOW_ONE, id="ic-zero-n"),
+        pytest.param(gen_identical, (2.5, 3), IDENTICAL_INTEGERS, id="identical-float-n"),
+        pytest.param(gen_identical, (True, 3), IDENTICAL_INTEGERS, id="identical-bool-n"),
+        pytest.param(gen_identical, (3, 0), BELOW_ONE, id="identical-zero-m"),
+    ],
+)
+def test_generators_refuse_bad_sizes_and_seeds(generate, args, message):
+    # A bool seed is not seed 1, and a float size is no count of agents.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate(*args)
+
+
 def test_write_then_parse_round_trip():
     rng = SplitMix64(3030)
     for trial in range(25):

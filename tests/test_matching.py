@@ -7,7 +7,6 @@ import pytest
 import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
-    CapacityRegime,
     InfeasibleMatchingError,
     Profile,
     ScoringFunction,
@@ -25,6 +24,7 @@ from prefalloc import (
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
 from oracles import (
+    agent_scores,
     balanced_bounds,
     best_matching_value,
     feasible_assignments,
@@ -34,18 +34,19 @@ from oracles import (
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
-BALANCED = CapacityRegime.monroe_balanced()
 
 
-def test_regime_bounds():
-    assert BALANCED.bounds_for(3, 10) == ((3, 3, 3), (4, 4, 4))
-    assert BALANCED.bounds_for(4, 12) == ((3, 3, 3, 3), (3, 3, 3, 3))
-    explicit = CapacityRegime.explicit((1, 0), (2, 4))
-    assert explicit.bounds_for(2, 5) == ((1, 0), (2, 4))
-    with pytest.raises(ValueError):
-        CapacityRegime.explicit((2,), (1,))
-    with pytest.raises(ValueError):
-        explicit.bounds_for(3, 5)
+# Both public matchers, each with a psf of either direction.
+MATCHERS = [(matcher, psf) for matcher in (match_monroe_l1, match_egalitarian) for psf in (BD, BI)]
+
+
+def test_matchers_default_to_balanced_bounds():
+    rng = SplitMix64(40404)
+    for trial in range(20):
+        prof, committee, k = _random_case(rng, trial)
+        bounds = balanced_bounds(prof.n, k)
+        for matcher, psf in MATCHERS:
+            assert matcher(prof, psf, committee) == matcher(prof, psf, committee, *bounds)
 
 
 @pytest.mark.parametrize(
@@ -54,8 +55,55 @@ def test_regime_bounds():
 )
 def test_regime_refuses_non_integer_bounds(lowers, uppers):
     # A fractional bound would push a fractional flow through the network.
-    with pytest.raises(ValueError, match=r"^bounds must be integers$"):
-        CapacityRegime.explicit(lowers, uppers)
+    prof = gen_impartial_culture(5, 4, 9)
+    for matcher, psf in MATCHERS:
+        with pytest.raises(ValueError, match=r"^bounds must be integers$"):
+            matcher(prof, psf, [1, 3], lowers, uppers)
+
+
+@pytest.mark.parametrize(
+    "lowers, uppers, message",
+    [
+        pytest.param((-1, 0), (2, 5), "lower bounds must be nonnegative", id="negative"),
+        pytest.param((2, 0), (1, 5), "upper bounds must dominate lower bounds", id="crossed"),
+        pytest.param(
+            (0, 0), (5,), "lower and upper bound lists differ in length", id="lengths"
+        ),
+        pytest.param(
+            (0, 0, 0), (5, 5, 5), "explicit bounds cover 3 members, committee has 2", id="count"
+        ),
+        pytest.param((0, 0), None, "explicit bounds need lower and upper bounds", id="no-upper"),
+        pytest.param(None, (5, 5), "explicit bounds need lower and upper bounds", id="no-lower"),
+    ],
+)
+def test_matchers_refuse_bad_bounds(lowers, uppers, message):
+    prof = gen_impartial_culture(5, 4, 9)
+    for matcher, psf in MATCHERS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            matcher(prof, psf, [1, 3], lowers, uppers)
+
+
+def test_match_egalitarian_direction_follows_psf():
+    # A decreasing psf maximizes the least satisfaction, an increasing one
+    # minimizes the largest dissatisfaction: checked against every feasible
+    # assignment, under balanced and explicit bounds.
+    rng = SplitMix64(50505)
+    for trial in range(40):
+        prof, committee, k = _random_case(rng, trial)
+        n = prof.n
+        caps = [1 + rng.randrange(n) for _ in range(k)]
+        caps[-1] += max(0, n - sum(caps))
+        lowers = tuple(rng.randrange(min(cap, n // k) + 1) for cap in caps)
+        for bounds in (balanced_bounds(n, k), (lowers, tuple(caps))):
+            feasible = list(feasible_assignments(n, committee, *bounds))
+            least = match_egalitarian(prof, BD, committee, *bounds).targets
+            assert min(agent_scores(prof, BD, least)) == max(
+                min(agent_scores(prof, BD, targets)) for targets in feasible
+            )
+            largest = match_egalitarian(prof, BI, committee, *bounds).targets
+            assert max(agent_scores(prof, BI, largest)) == min(
+                max(agent_scores(prof, BI, targets)) for targets in feasible
+            )
 
 
 def test_match_cc_full_committee_gives_everyone_their_top():
@@ -88,19 +136,19 @@ def test_match_cc_rejects_bad_committee():
         with pytest.raises(ValueError, match=r"^committee members must be integers$"):
             match_cc(prof, committee)
     with pytest.raises(ValueError, match=r"^committee members must be integers$"):
-        match_monroe_l1(prof, BD, [2.9, 3], BALANCED)
+        match_monroe_l1(prof, BD, [2.9, 3])
 
 
 def test_match_monroe_l1_identical_orders():
     prof = gen_identical(4, 4)
-    asg = match_monroe_l1(prof, BD, [1, 2], BALANCED)
+    asg = match_monroe_l1(prof, BD, [1, 2])
     assert metric_l1(make_monroe(prof, 2), BD, asg) == 10  # 3+3+2+2
     assert sorted(asg.targets) == [1, 1, 2, 2]
 
 
 def test_match_monroe_l1_committee_of_one_is_match_cc():
     prof = gen_impartial_culture(6, 5, 8)
-    asg = match_monroe_l1(prof, BD, [3], BALANCED)
+    asg = match_monroe_l1(prof, BD, [3])
     assert asg.targets == match_cc(prof, [3]).targets == (3,) * 6
 
 
@@ -108,7 +156,7 @@ def test_match_monroe_l1_two_camps():
     prof = Profile.from_orders(
         [(1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 3, 4)]
     )
-    asg = match_monroe_l1(prof, BD, [1, 2], BALANCED)
+    asg = match_monroe_l1(prof, BD, [1, 2])
     assert asg.targets == (1, 1, 2, 2)
     assert metric_l1(make_monroe(prof, 2), BD, asg) == 4 * (prof.m - 1)
 
@@ -116,34 +164,23 @@ def test_match_monroe_l1_two_camps():
 def test_match_monroe_l1_infeasible_bounds():
     prof = gen_impartial_culture(5, 4, 9)
     with pytest.raises(InfeasibleMatchingError):
-        match_monroe_l1(prof, BD, [1, 2], CapacityRegime.explicit((0, 0), (2, 2)))
+        match_monroe_l1(prof, BD, [1, 2], (0, 0), (2, 2))
 
 
 def test_match_egalitarian_identical_orders():
     prof = gen_identical(4, 4)
-    asg = match_egalitarian(prof, BD, [1, 2], BALANCED, "max_min_sat")
+    asg = match_egalitarian(prof, BD, [1, 2])
     assert metric_extreme(make_monroe(prof, 2), BD, asg, "min") == 2
 
 
 def test_match_egalitarian_cc_regime_equals_match_cc():
     prof = gen_impartial_culture(7, 5, 31)
     inst = make_cc(prof, 2)
-    unbounded = CapacityRegime.explicit((0, 0), (7, 7))
-    egal = match_egalitarian(prof, BD, [2, 4], unbounded, "max_min_sat")
+    egal = match_egalitarian(prof, BD, [2, 4], (0, 0), (7, 7))
     direct = match_cc(prof, [2, 4])
     assert metric_extreme(inst, BD, egal, "min") == metric_extreme(
         inst, BD, direct, "min"
     )
-
-
-def test_match_egalitarian_mode_psf_pairing():
-    prof = gen_impartial_culture(4, 3, 2)
-    with pytest.raises(ValueError):
-        match_egalitarian(prof, BI, [1, 2], BALANCED, "max_min_sat")
-    with pytest.raises(ValueError):
-        match_egalitarian(prof, BD, [1, 2], BALANCED, "min_max_dissat")
-    with pytest.raises(ValueError):
-        match_egalitarian(prof, BD, [1, 2], BALANCED, "nearest")
 
 
 def _count_kernel_solves(monkeypatch):
@@ -172,21 +209,20 @@ def test_match_egalitarian_infeasible_totals_keep_their_message(
 ):
     # The first probe raises from _solve_bounded, m = 1 included.
     prof = gen_impartial_culture(n, m, 5)
-    regime = CapacityRegime.explicit(lowers, uppers)
-    for psf, mode in ((BD, "max_min_sat"), (BI, "min_max_dissat")):
+    for psf in (BD, BI):
         with pytest.raises(InfeasibleMatchingError) as got:
-            match_egalitarian(prof, psf, committee, regime, mode)
+            match_egalitarian(prof, psf, committee, lowers, uppers)
         with pytest.raises(InfeasibleMatchingError) as want:
-            match_egalitarian_reference(prof, psf, committee, regime, mode)
+            match_egalitarian_reference(prof, psf, committee, lowers, uppers)
         assert str(got.value) == str(want.value) == message
 
 
 def test_match_egalitarian_single_alternative(monkeypatch):
     calls = _count_kernel_solves(monkeypatch)
     prof = gen_identical(5, 1)
-    got = match_egalitarian(prof, BD, [1], BALANCED, "max_min_sat")
+    got = match_egalitarian(prof, BD, [1])
     assert len(calls) == 1  # one level: the floor's probe alone
-    assert got == match_egalitarian_reference(prof, BD, [1], BALANCED, "max_min_sat")
+    assert got == match_egalitarian_reference(prof, BD, [1])
     assert got.targets == (1,) * 5
 
 
@@ -205,19 +241,19 @@ def test_matching_equals_enumeration_oracle():
         prof, committee, k = _random_case(rng, trial)
         lowers, uppers = balanced_bounds(prof.n, k)
         inst = make_monroe(prof, k)
-        asg = match_monroe_l1(prof, BD, committee, BALANCED)
+        asg = match_monroe_l1(prof, BD, committee)
         assert metric_l1(inst, BD, asg) == best_matching_value(
             prof, BD, committee, lowers, uppers, "l1_dec"
         )
-        asg = match_monroe_l1(prof, BI, committee, BALANCED)
+        asg = match_monroe_l1(prof, BI, committee)
         assert metric_l1(inst, BI, asg) == best_matching_value(
             prof, BI, committee, lowers, uppers, "l1_inc"
         )
-        asg = match_egalitarian(prof, BD, committee, BALANCED, "max_min_sat")
+        asg = match_egalitarian(prof, BD, committee)
         assert metric_extreme(inst, BD, asg, "min") == best_matching_value(
             prof, BD, committee, lowers, uppers, "min_dec"
         )
-        asg = match_egalitarian(prof, BI, committee, BALANCED, "min_max_dissat")
+        asg = match_egalitarian(prof, BI, committee)
         assert metric_extreme(inst, BI, asg, "max") == best_matching_value(
             prof, BI, committee, lowers, uppers, "max_inc"
         )
@@ -228,7 +264,7 @@ def test_flow_assignments_pass_validation():
     for trial in range(30):
         prof, committee, k = _random_case(rng, trial)
         inst = make_monroe(prof, k)
-        asg = match_monroe_l1(prof, BD, committee, BALANCED)
+        asg = match_monroe_l1(prof, BD, committee)
         assert validate_assignment(inst, BD, asg) == ()
 
 
@@ -283,20 +319,19 @@ def test_cc_relaxation_dominates_balanced():
 
 def test_matching_is_deterministic():
     prof = gen_impartial_culture(8, 5, 55)
-    first = match_monroe_l1(prof, BD, [1, 3, 5], BALANCED)
+    first = match_monroe_l1(prof, BD, [1, 3, 5])
     for _ in range(3):
-        again = match_monroe_l1(prof, BD, [1, 3, 5], BALANCED)
+        again = match_monroe_l1(prof, BD, [1, 3, 5])
         assert again.targets == first.targets
-    e1 = match_egalitarian(prof, BD, [1, 3, 5], BALANCED, "max_min_sat")
-    e2 = match_egalitarian(prof, BD, [1, 3, 5], BALANCED, "max_min_sat")
+    e1 = match_egalitarian(prof, BD, [1, 3, 5])
+    e2 = match_egalitarian(prof, BD, [1, 3, 5])
     assert e1.targets == e2.targets
 
 
 def test_explicit_regime_lower_bounds_enforced():
     # lower bound of 3 on member 1 forces agents away from their favorite
     prof = Profile.from_orders([(2, 1, 3)] * 4)
-    regime = CapacityRegime.explicit((3, 0), (4, 4))
-    asg = match_monroe_l1(prof, BD, [1, 2], regime)
+    asg = match_monroe_l1(prof, BD, [1, 2], (3, 0), (4, 4))
     assert sum(1 for t in asg.targets if t == 1) >= 3
 
 
@@ -348,12 +383,10 @@ def test_kernel_targets_golden():
         lowers = tuple(rng.randrange(n // k + 2) for _ in range(k))
         uppers = tuple(lo + rng.randrange(n // k + 2) for lo in lowers)
         levels = sorted({c for a in members for c in table[a - 1]})
-        mode = "max_min_sat" if psf.is_decreasing else "min_max_dissat"
-        for regime in (BALANCED, CapacityRegime.explicit(lowers, uppers)):
-            bounds = regime.bounds_for(k, n)
+        for bounds in (balanced_bounds(n, k), (lowers, uppers)):
             for ceiling in (None, levels[len(levels) // 2]):
                 outcome = _outcome(matching._solve_bounded, table, members, *bounds, ceiling)
                 digest.update(f"{outcome}\n".encode())
-            outcome = _outcome(_egalitarian_targets, prof, psf, members, regime, mode)
+            outcome = _outcome(_egalitarian_targets, prof, psf, members, *bounds)
             digest.update(f"{outcome}\n".encode())
     assert digest.hexdigest() == KERNEL_TARGETS_SHA256
