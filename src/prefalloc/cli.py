@@ -20,7 +20,6 @@ from .solvers import (
     DEFAULT_ENUMERATION_CAP,
     OBJECTIVES,
     EnumerationCapExceeded,
-    SolverConfig,
     combined_monroe,
     exact_enumeration,
     greedy_cc,
@@ -58,8 +57,10 @@ def _solve(name: str, args, profile: Profile, seed: int | None) -> SolveReport:
     if name == "sample":
         return sample_once_monroe(profile, args.k, seed)
     if name == "combined":
-        config = SolverConfig(args.epsilon, args.lambda_, seed, args.enumeration_cap)
-        return combined_monroe(profile, args.k, config)
+        return combined_monroe(
+            profile, args.k, epsilon=args.epsilon, lambda_=args.lambda_, seed=seed,
+            enumeration_cap=args.enumeration_cap,
+        )
     return maxcover_cc_baseline(profile, args.k)
 
 

@@ -33,7 +33,8 @@ class _Record:
 
     A subclass lists its fields, in constructor order, in ``__match_args__``,
     keeps them in ``__slots__`` and stores them once, from ``__init__``,
-    through :meth:`_fill`.  Setting or deleting an attribute afterwards
+    through :meth:`_fill`, a sequence field as a tuple whatever sequence the
+    constructor was given.  Setting or deleting an attribute afterwards
     raises ``AttributeError``.  ``==`` and ``hash`` compare the field values,
     and only objects of the same class compare equal; ``repr`` is
     ``Name(field=value, ...)``; copies and pickles are rebuilt through the
@@ -105,7 +106,8 @@ class Profile(_Record):
     __match_args__ = ("n", "m", "orders")
     __slots__ = __match_args__ + ("_positions",)
 
-    def __init__(self, n: int, m: int, orders: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, n: int, m: int, orders: Sequence[Sequence[int]]) -> None:
+        orders = tuple(map(tuple, orders))
         if not _integers((n, m)):
             raise ValueError("profile sizes n and m must be integers")
         if n < 1 or m < 1:
@@ -123,7 +125,7 @@ class Profile(_Record):
 
     @classmethod
     def from_orders(cls, orders: Sequence[Sequence[int]]) -> Profile:
-        orders = tuple(tuple(order) for order in orders)
+        orders = tuple(orders)
         if not orders:
             raise ValueError("profile needs at least one agent")
         return cls(n=len(orders), m=len(orders[0]), orders=orders)
@@ -168,10 +170,11 @@ class ScoringFunction(_Record):
 
     __slots__ = __match_args__ = ("kind", "table")
 
-    def __init__(self, kind: str, table: tuple[int, ...] | None = None) -> None:
+    def __init__(self, kind: str, table: Sequence[int] | None = None) -> None:
         if kind not in DEC_KINDS + INC_KINDS:
             raise ValueError(f"unknown scoring kind {kind!r}")
         if kind.startswith("table"):
+            table = tuple(table or ())
             if not table:
                 raise ValueError("table kinds need a non-empty value table")
             if not _integers(table):
@@ -247,7 +250,8 @@ class Assignment(_Record):
     __match_args__ = ("targets",)
     __slots__ = __match_args__ + ("_committee",)
 
-    def __init__(self, targets: tuple[int, ...]) -> None:
+    def __init__(self, targets: Sequence[int]) -> None:
+        targets = tuple(targets)
         if not targets:
             raise ValueError("assignment must cover at least one agent")
         if not _integers(targets) or min(targets) < 1:
@@ -286,13 +290,14 @@ class Instance(_Record):
     def __init__(
         self,
         profile: Profile,
-        costs: tuple[int, ...],
-        capacities: tuple[int, ...],
+        costs: Sequence[int],
+        capacities: Sequence[int],
         budget: int,
         system_tag: str = "general",
         committee_size: int | None = None,
     ) -> None:
         n, m = profile.n, profile.m
+        costs, capacities = tuple(costs), tuple(capacities)
         if system_tag not in SYSTEM_TAGS:
             raise ValueError(f"unknown system tag {system_tag!r}")
         if len(costs) != m or len(capacities) != m:
@@ -304,7 +309,7 @@ class Instance(_Record):
             raise ValueError("budget must be a positive integer")
         if system_tag in ("monroe", "cc"):
             k = committee_size
-            if k is None or not 1 <= k <= m:
+            if not (_integers((k,)) and 1 <= k <= m):
                 raise ValueError(f"{system_tag} instance needs 1 <= K <= {m}")
             if any(c != 1 for c in costs) or budget != k:
                 raise ValueError(f"{system_tag} instance needs unit costs and budget K")

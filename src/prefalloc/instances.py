@@ -44,17 +44,18 @@ class ParsedDocument(_Record):
     def __init__(
         self,
         profile: Profile,
-        costs: tuple[int, ...] | None = None,
-        caps: tuple[int, ...] | None = None,
+        costs: Sequence[int] | None = None,
+        caps: Sequence[int] | None = None,
         budget: int | None = None,
     ) -> None:
+        costs, caps = (None if block is None else tuple(block) for block in (costs, caps))
         self._fill(profile, costs, caps, budget)
 
 
 def _restriction(profile: Profile, k: int, tag: str) -> Instance:
     """The ``monroe`` or ``cc`` restriction: unit costs, budget ``k``,
     capacity ``ceil(n/k)`` or ``n`` for every alternative."""
-    if not 1 <= k <= profile.m:
+    if not (_integers((k,)) and 1 <= k <= profile.m):
         raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
     capacity = _balanced_loads(profile.n, k)[1] if tag == "monroe" else profile.n
     return Instance(

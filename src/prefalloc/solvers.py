@@ -24,7 +24,6 @@ from .core import (
     SolveReport,
     _balanced_loads,
     _integers,
-    _Record,
     metric_extreme,
     metric_l1,
     metric_min_delta,
@@ -54,30 +53,6 @@ class EnumerationCapExceeded(RuntimeError):
         self.cap = cap
         needs = f"more than {cap}" if required is None else required
         super().__init__(f"exact enumeration needs {needs} committees, cap is {cap}")
-
-
-class SolverConfig(_Record):
-    """Knobs for the combined solver, as an immutable record: its ratio,
-    confidence, sampling seed and enumeration cap."""
-
-    __slots__ = __match_args__ = ("epsilon", "lambda_", "seed", "enumeration_cap")
-
-    def __init__(
-        self,
-        epsilon: float = 0.1,
-        lambda_: float = 0.9,
-        seed: int = 0,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    ) -> None:
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie strictly inside (0, 1)")
-        if not 0 < lambda_ < 1:
-            raise ValueError("lambda must lie strictly inside (0, 1)")
-        if not _integers((seed, enumeration_cap)):
-            raise ValueError("seed and enumeration cap must be integers")
-        if enumeration_cap < 1:
-            raise ValueError("enumeration cap must be at least 1")
-        self._fill(epsilon, lambda_, seed, enumeration_cap)
 
 
 def _check_positive(k: int, what: str = "committee size") -> None:
@@ -235,14 +210,28 @@ def _greedy_picks(
     return targets, picked
 
 
+def _borda_report(
+    instance: Instance,
+    assignment: Assignment,
+    algorithm: str,
+    start: float,
+    seed: int | None = None,
+) -> SolveReport:
+    """``algorithm``'s ``l1_dec`` report of ``assignment``, timed from
+    ``start``: its Borda total on ``instance``, which :func:`metric_l1`
+    validates first.  Every Borda solver returns through it."""
+    value = metric_l1(instance, ScoringFunction.borda_dec(), assignment)
+    return SolveReport(assignment, "l1_dec", value, algorithm, seed, time.perf_counter() - start)
+
+
 def _exact_monroe(
     prof: Profile, k: int, algorithm: str, seed: int | None, cap: int, start: float
 ) -> SolveReport:
     """The exact Monroe ``l1_dec`` optimum as ``algorithm``'s report, timed
     from ``start``: the exact branch of the Monroe solvers."""
-    inner = exact_enumeration(make_monroe(prof, k), ScoringFunction.borda_dec(), "l1_dec", cap)
-    elapsed = time.perf_counter() - start
-    return SolveReport(inner.assignment, "l1_dec", inner.value, algorithm, seed, elapsed)
+    instance = make_monroe(prof, k)
+    inner = exact_enumeration(instance, ScoringFunction.borda_dec(), "l1_dec", cap)
+    return _borda_report(instance, inner.assignment, algorithm, start, seed)
 
 
 def greedy_monroe(profile: Profile, k: int) -> SolveReport:
@@ -266,15 +255,7 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
         algorithm = "greedy_monroe[exact:k<=2]"
         return _exact_monroe(prof, k, algorithm, None, DEFAULT_ENUMERATION_CAP, start)
     targets, _ = _greedy_picks(prof, _batch_sizes(prof.n, k), psf.values(prof.m))
-    assignment = Assignment(tuple(targets))
-    value = metric_l1(make_monroe(prof, k), psf, assignment)
-    return SolveReport(
-        assignment=assignment,
-        objective="l1_dec",
-        value=value,
-        algorithm="greedy_monroe",
-        elapsed=time.perf_counter() - start,
-    )
+    return _borda_report(make_monroe(prof, k), Assignment(tuple(targets)), "greedy_monroe", start)
 
 
 def _sample_committee(m: int, k: int, gen: SplitMix64) -> tuple[int, ...]:
@@ -293,20 +274,16 @@ def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
     psf, instance = ScoringFunction.borda_dec(), make_monroe(prof, k)
     members = _sample_committee(prof.m, k, SplitMix64(seed))
     _, assignment = _match(prof, _cost_table(prof, psf), members, *_loads(instance, members), True)
-    return SolveReport(
-        assignment=assignment,
-        objective="l1_dec",
-        value=metric_l1(instance, psf, assignment),
-        algorithm="sample_once_monroe",
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-    )
+    return _borda_report(instance, assignment, "sample_once_monroe", start, seed)
 
 
 def combined_monroe(
     profile: Profile,
     k: int,
-    config: SolverConfig | None = None,
+    epsilon: float = 0.1,
+    lambda_: float = 0.9,
+    seed: int = 0,
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SolveReport:
     """Dispatch between exact enumeration, the greedy pass, and repeated
     sampling; reaches a (0.715 - epsilon) fraction of the optimum with
@@ -315,9 +292,9 @@ def combined_monroe(
     Exact enumeration handles small committees (k <= 8, or H_k/k >= eps/2)
     and few alternatives (m <= 1 + 2/eps).  Otherwise the best of one greedy
     run and ``sampling_run_count(k, eps, lambda)`` sampling runs is returned.
-    When the exact branch would enumerate more than ``config.enumeration_cap``
+    When the exact branch would enumerate more than ``enumeration_cap``
     committees, the greedy and sampling branch runs instead, with at most
-    ``config.enumeration_cap`` sampling runs, and the algorithm string, which
+    ``enumeration_cap`` sampling runs, and the algorithm string, which
     records the branch, gains ``[no-guarantee]``.  At k <= 2 that fallback
     runs the sampling alone (``combined_monroe[sample:R][no-guarantee]``),
     since the greedy pass there is the refused enumeration itself.
@@ -331,51 +308,49 @@ def combined_monroe(
     winner is scored by ``metric_l1``, which validates it.
     """
     start = time.perf_counter()
-    config = config or SolverConfig()
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly inside (0, 1)")
+    if not 0 < lambda_ < 1:
+        raise ValueError("lambda must lie strictly inside (0, 1)")
+    if not _integers((seed, enumeration_cap)):
+        raise ValueError("seed and enumeration cap must be integers")
+    if enumeration_cap < 1:
+        raise ValueError("enumeration cap must be at least 1")
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
-    if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
+    if harmonic(k) / k >= epsilon / 2 or k <= 8:
         branch: str | None = "exact:small-k"
-    elif prof.m <= 1 + 2 / config.epsilon:
+    elif prof.m <= 1 + 2 / epsilon:
         branch = "exact:small-m"
     else:
         branch = None
-    if branch is not None and math.comb(prof.m, k) <= config.enumeration_cap:
+    if branch is not None and math.comb(prof.m, k) <= enumeration_cap:
         algorithm = f"combined_monroe[{branch}]"
-        return _exact_monroe(prof, k, algorithm, config.seed, config.enumeration_cap, start)
+        return _exact_monroe(prof, k, algorithm, seed, enumeration_cap, start)
 
     table, instance = _cost_table(prof, psf), make_monroe(prof, k)
     top = prof.n * psf.values(prof.m)[0]  # a cost is psf(1) minus the score
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
     greedy = greedy_monroe(prof, k) if k > 2 else None
     best = (top - greedy.value, greedy.assignment) if greedy else None
-    runs = sampling_run_count(k, config.epsilon, config.lambda_)
+    runs = sampling_run_count(k, epsilon, lambda_)
     if branch is not None:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
         # the exact branch is due: do no more matchings than the enumeration.
-        runs = min(runs, config.enumeration_cap)
+        runs = min(runs, enumeration_cap)
     for index in range(runs):
-        members = _sample_committee(
-            prof.m, k, SplitMix64(derive_seed(config.seed, index))
-        )
+        members = _sample_committee(prof.m, k, SplitMix64(derive_seed(seed, index)))
         below = None if best is None else best[0]
         found = _match(prof, table, members, *_loads(instance, members), True, below)
         if found is not None:
             best = found
     assert best is not None
-    value = metric_l1(instance, psf, best[1])
-    assert value == top - best[0]
     name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
     if branch is not None:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
-    return SolveReport(
-        assignment=best[1],
-        objective="l1_dec",
-        value=value,
-        algorithm=name,
-        seed=config.seed,
-        elapsed=time.perf_counter() - start,
-    )
+    report = _borda_report(instance, best[1], name, start, seed)
+    assert report.value == top - best[0]
+    return report
 
 
 def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
@@ -403,15 +378,7 @@ def greedy_cc(profile: Profile, k: int) -> SolveReport:
     start = time.perf_counter()
     prof = _as_profile(profile, k)
     x = math.ceil(prof.m * lambert_w(k) / k)
-    assignment = _greedy_cover(prof, k, x)
-    value = metric_l1(make_cc(prof, k), ScoringFunction.borda_dec(), assignment)
-    return SolveReport(
-        assignment=assignment,
-        objective="l1_dec",
-        value=value,
-        algorithm="greedy_cc",
-        elapsed=time.perf_counter() - start,
-    )
+    return _borda_report(make_cc(prof, k), _greedy_cover(prof, k, x), "greedy_cc", start)
 
 
 def greedy_cc_majority(
@@ -462,14 +429,7 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     prof = _as_profile(profile, k)
     psf = ScoringFunction.borda_dec()
     assignment = match_cc(prof, _cc_seed(_cost_table(prof, psf), k))
-    value = metric_l1(make_cc(prof, k), psf, assignment)
-    return SolveReport(
-        assignment=assignment,
-        objective="l1_dec",
-        value=value,
-        algorithm="maxcover_cc_baseline",
-        elapsed=time.perf_counter() - start,
-    )
+    return _borda_report(make_cc(prof, k), assignment, "maxcover_cc_baseline", start)
 
 
 def _committees(

@@ -33,7 +33,6 @@ from prefalloc import (
     Profile,
     ScoringFunction,
     SolveReport,
-    SolverConfig,
     exact_enumeration,
     greedy_monroe,
     harmonic,
@@ -413,38 +412,39 @@ def match_egalitarian_reference(profile, psf, committee, lowers=None, uppers=Non
     return Assignment(solve_bounded_reference(table, members, lowers, uppers, levels[lo]))
 
 
-def combined_monroe_reference(profile, k, config=None):
+def combined_monroe_reference(
+    profile, k, epsilon=0.1, lambda_=0.9, seed=0, enumeration_cap=DEFAULT_ENUMERATION_CAP
+):
     """The combined solver with its sampling loop as it first ran: every
     sampling run draws a committee, matches it through the public
     ``match_monroe_l1`` and scores it on a fresh instance, and the best of
     the greedy report and the sampling runs wins, the first one on ties."""
     start = time.perf_counter()
-    config = config or SolverConfig()
     psf = ScoringFunction.borda_dec()
-    if harmonic(k) / k >= config.epsilon / 2 or k <= 8:
+    if harmonic(k) / k >= epsilon / 2 or k <= 8:
         branch = "exact:small-k"
-    elif profile.m <= 1 + 2 / config.epsilon:
+    elif profile.m <= 1 + 2 / epsilon:
         branch = "exact:small-m"
     else:
         branch = None
-    if branch is not None and math.comb(profile.m, k) <= config.enumeration_cap:
+    if branch is not None and math.comb(profile.m, k) <= enumeration_cap:
         inner = exact_enumeration(
-            make_monroe(profile, k), psf, "l1_dec", config.enumeration_cap
+            make_monroe(profile, k), psf, "l1_dec", enumeration_cap
         )
         return SolveReport(
             assignment=inner.assignment,
             objective=inner.objective,
             value=inner.value,
             algorithm=f"combined_monroe[{branch}]",
-            seed=config.seed,
+            seed=seed,
             elapsed=time.perf_counter() - start,
         )
     best = greedy_monroe(profile, k) if k > 2 else None
-    runs = sampling_run_count(k, config.epsilon, config.lambda_)
+    runs = sampling_run_count(k, epsilon, lambda_)
     if branch is not None:
-        runs = min(runs, config.enumeration_cap)
+        runs = min(runs, enumeration_cap)
     for index in range(runs):
-        gen = SplitMix64(derive_seed(config.seed, index))
+        gen = SplitMix64(derive_seed(seed, index))
         committee = sorted(a + 1 for a in sample_distinct(profile.m, k, gen))
         assignment = match_monroe_l1(profile, psf, committee)
         value = metric_l1(make_monroe(profile, k), psf, assignment)
@@ -458,7 +458,7 @@ def combined_monroe_reference(profile, k, config=None):
         objective="l1_dec",
         value=best.value,
         algorithm=name,
-        seed=config.seed,
+        seed=seed,
         elapsed=time.perf_counter() - start,
     )
 

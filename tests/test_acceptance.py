@@ -34,7 +34,6 @@ from prefalloc import (
     sample_once_monroe,
     sampling_run_count,
     write_instance,
-    SolverConfig,
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
@@ -171,8 +170,7 @@ def test_criterion_06_combined_exact_branches():
             epsilon = 0.5
         n = 6 + rng.randrange(9)
         profile = gen_impartial_culture(n, m, derive_seed(606, trial))
-        config = SolverConfig(epsilon=epsilon, lambda_=0.9, seed=trial)
-        combined = combined_monroe(profile, k, config)
+        combined = combined_monroe(profile, k, epsilon=epsilon, lambda_=0.9, seed=trial)
         exact = exact_enumeration(make_monroe(profile, k), BD, "l1_dec")
         if combined.value != exact.value or "exact" not in combined.algorithm:
             mismatches += 1

@@ -25,6 +25,12 @@ Only ``matching`` references the kernel entry ``_solve_bounded``, and
 ``_match``: the matcher owns both proven floors and the ``below`` refusal,
 so no solver grows its own floor or calls the kernel directly.
 
+Only ``core`` and ``instances`` define ``_Record`` subclasses: the data
+types are records, and a solver's or matcher's knobs are parameters.  In
+``solvers`` only ``_borda_report``, ``greedy_cc_majority`` and
+``exact_enumeration`` build a ``SolveReport``: every Borda solver is scored,
+validated and timed in ``_borda_report``.
+
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
 that module; ``__future__`` imports are exempt.
@@ -206,6 +212,27 @@ def test_solvers_match_only_through_one_entry():
         for alias in node.names
     }
     assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
+
+
+def test_only_the_data_modules_define_records():
+    trees, _ = _package_trees()
+    definers = {
+        stem for stem, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("_Record") for base in node.bases)
+    }
+    assert definers == {"core", "instances"}
+
+
+def test_borda_solvers_report_through_one_function():
+    trees, _ = _package_trees()
+    builders = {
+        getattr(node, "name", node.lineno)
+        for node in trees["solvers"].body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func).endswith("SolveReport")
+    }
+    assert builders == {"_borda_report", "greedy_cc_majority", "exact_enumeration"}
 
 
 def _unread_imports(module: ast.Module):

@@ -14,7 +14,6 @@ from prefalloc import (
     Instance,
     Profile,
     ScoringFunction,
-    SolverConfig,
     combined_monroe,
     exact_enumeration,
     gen_identical,
@@ -46,17 +45,17 @@ def _profile(n, m, case):
 
 # (n, m, k, config, algorithm prefix): runs = ceil(-512 ln(1 - lambda) / (k eps^2)).
 BRANCHES = [
-    (30, 12, 9, SolverConfig(epsilon=0.9, lambda_=0.3), "combined_monroe[greedy+sample:26]"),
-    (25, 9, 3, SolverConfig(epsilon=0.7, lambda_=0.3, enumeration_cap=10),
+    (30, 12, 9, dict(epsilon=0.9, lambda_=0.3), "combined_monroe[greedy+sample:26]"),
+    (25, 9, 3, dict(epsilon=0.7, lambda_=0.3, enumeration_cap=10),
      "combined_monroe[greedy+sample:10][no-guarantee]"),
-    (20, 9, 2, SolverConfig(epsilon=0.7, lambda_=0.3, enumeration_cap=12),
+    (20, 9, 2, dict(epsilon=0.7, lambda_=0.3, enumeration_cap=12),
      "combined_monroe[sample:12][no-guarantee]"),
-    (7, 6, 1, SolverConfig(epsilon=0.9, lambda_=0.3, enumeration_cap=4),
+    (7, 6, 1, dict(epsilon=0.9, lambda_=0.3, enumeration_cap=4),
      "combined_monroe[sample:4][no-guarantee]"),
-    (10, 7, 3, SolverConfig(epsilon=0.5, lambda_=0.3), "combined_monroe[exact:small-k]"),
+    (10, 7, 3, dict(epsilon=0.5, lambda_=0.3), "combined_monroe[exact:small-k]"),
     # One agent, one member: a sample's CC score is its score, so a sample
     # one point better than the incumbent must still be matched.
-    (1, 6, 1, SolverConfig(epsilon=0.9, lambda_=0.3, enumeration_cap=5),
+    (1, 6, 1, dict(epsilon=0.9, lambda_=0.3, enumeration_cap=5),
      "combined_monroe[sample:5][no-guarantee]"),
 ]
 
@@ -65,12 +64,9 @@ BRANCHES = [
 def test_combined_matches_sampling_loop_reference(n, m, k, config, algorithm):
     for case in range(6):
         profile = _profile(n, m, case)
-        seeded = SolverConfig(
-            epsilon=config.epsilon, lambda_=config.lambda_,
-            seed=derive_seed(SEED, 100 + case), enumeration_cap=config.enumeration_cap,
-        )
-        got = combined_monroe(profile, k, seeded)
-        want = combined_monroe_reference(profile, k, seeded)
+        seeded = dict(config, seed=derive_seed(SEED, 100 + case))
+        got = combined_monroe(profile, k, **seeded)
+        want = combined_monroe_reference(profile, k, **seeded)
         assert got.algorithm == want.algorithm == algorithm
         assert (got.value, got.assignment, got.objective, got.seed) == (
             want.value, want.assignment, want.objective, want.seed
@@ -103,7 +99,7 @@ def test_one_cost_table_per_call_and_one_instance_per_sampling_branch(monkeypatc
             assert len(tables) == 1, (instance.system_tag, objective)
     for n, m, k, config, algorithm in BRANCHES:
         del tables[:], instances[:]
-        report = combined_monroe(_profile(n, m, 0), k, config)
+        report = combined_monroe(_profile(n, m, 0), k, **config)
         assert report.algorithm == algorithm
         assert len(tables) == 1, algorithm
         # The exact branch builds the instance it enumerates; the sampling
@@ -127,8 +123,7 @@ def test_sampling_matches_only_samples_that_can_win(monkeypatch):
     # no ceiling.  The winner is scored once.
     matchings = _counter(monkeypatch, "_solve_bounded", matching)
     scorings = _counter(monkeypatch, "metric_l1", solvers)
-    config = SolverConfig(epsilon=0.5, lambda_=0.9, seed=3)
-    got = combined_monroe(gen_impartial_culture(60, 40, 3), 13, config)
+    got = combined_monroe(gen_impartial_culture(60, 40, 3), 13, epsilon=0.5, lambda_=0.9, seed=3)
     assert len(matchings) < 363
     assert len(scorings) == 2  # the greedy pass and the winner
     assert (got.algorithm, got.value, got.assignment.targets) == (

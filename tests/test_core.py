@@ -9,10 +9,10 @@ import pytest
 from prefalloc import (
     Assignment,
     Instance,
+    ParsedDocument,
     Profile,
     ScoringFunction,
     SolveReport,
-    SolverConfig,
     ValidationError,
     Violation,
     assignment_cost,
@@ -313,6 +313,26 @@ def test_instance_refuses_non_integer_costs_capacities_and_budget():
     assert Instance(profile=prof, **fine).budget == 2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p: Instance(p, (1,) * 5, (6,) * 5, 1, "cc", 1.0), "cc instance needs 1 <= K <= 5"),
+        (lambda p: Instance(p, (1,) * 5, (6,) * 5, 1, "cc", True), "cc instance needs 1 <= K <= 5"),
+        (lambda p: Instance(p, (1,) * 5, (3,) * 5, 2, "monroe", 2.0),
+         "monroe instance needs 1 <= K <= 5"),
+        (lambda p: make_monroe(p, 2.5), "committee size must lie in 1..5, got 2.5"),
+        (lambda p: make_cc(p, True), "committee size must lie in 1..5, got True"),
+    ],
+    ids=["cc-float", "cc-bool", "monroe-float", "make-monroe-float", "make-cc-bool"],
+)
+def test_committee_sizes_must_be_integers(build, message):
+    # A float size used to pass the range check and fail later in range()
+    # or math.comb; a bool was stored as True.
+    with pytest.raises(ValueError) as info:
+        build(gen_identical(6, 5))
+    assert str(info.value) == message
+
+
 def test_validate_target_range_and_shape():
     prof = Profile.from_orders([(1, 2), (2, 1)])
     inst = make_cc(prof, 1)
@@ -403,8 +423,24 @@ RECORDS = {
     "Assignment": lambda: Assignment((1, 3)),
     "Instance": lambda: make_monroe(Profile.from_orders([(1, 2, 3), (3, 1, 2)]), 2),
     "SolveReport": lambda: SolveReport(Assignment((1, 3)), "l1_dec", 3, "x", seed=4),
-    "ParsedDocument": lambda: parse_instance("2 3\n1 2 3\n3 1 2\nbudget: 2\n"),
-    "SolverConfig": lambda: SolverConfig(epsilon=0.5, seed=3),
+    "ParsedDocument": lambda: parse_instance(
+        "2 3\n1 2 3\n3 1 2\ncosts: 1 1 1\ncaps: 2 2 2\nbudget: 2\n"
+    ),
+}
+
+# The same records built from lists: each stores tuples, so it equals and
+# hashes as its RECORDS twin.  A Violation holds no sequence.
+LIST_BUILT = {
+    "Profile": lambda: Profile(2, 3, [[1, 2, 3], [3, 1, 2]]),
+    "ScoringFunction": lambda: ScoringFunction("table_dec", [5, 1, 0]),
+    "Assignment": lambda: Assignment([1, 3]),
+    "Instance": lambda: Instance(
+        Profile(2, 3, [[1, 2, 3], [3, 1, 2]]), [1, 1, 1], [1, 1, 1], 2, "monroe", 2
+    ),
+    "SolveReport": lambda: SolveReport(Assignment([1, 3]), "l1_dec", 3, "x", seed=4),
+    "ParsedDocument": lambda: ParsedDocument(
+        Profile(2, 3, [[1, 2, 3], [3, 1, 2]]), [1, 1, 1], [2, 2, 2], 2
+    ),
 }
 
 
@@ -427,3 +463,11 @@ def test_records_are_immutable_values(name):
         assert a.positions is a.positions
     if name == "Assignment":
         assert a.committee is a.committee
+
+
+@pytest.mark.parametrize("name", sorted(LIST_BUILT))
+def test_records_built_from_lists_store_tuples(name):
+    assert set(LIST_BUILT) == set(RECORDS) - {"Violation"}
+    built, twin = LIST_BUILT[name](), RECORDS[name]()
+    assert built == twin and hash(built) == hash(twin)
+    assert copy.copy(built) == built and pickle.loads(pickle.dumps(built)) == built

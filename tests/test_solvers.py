@@ -12,7 +12,6 @@ from prefalloc import (
     Instance,
     Profile,
     ScoringFunction,
-    SolverConfig,
     UnsupportedInstanceError,
     combined_monroe,
     exact_enumeration,
@@ -117,29 +116,32 @@ def test_numeric_helpers_refuse_out_of_domain_input(call, message):
     assert str(info.value) == message
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(lambda_=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(enumeration_cap=0)
-
-
 IC_40_30 = gen_impartial_culture(40, 30, 1)
 NOT_INTEGERS = "seed and enumeration cap must be integers"
+
+
+def test_solver_config_validation():
+    # combined_monroe checks its knobs before the profile: a bad one is
+    # named even where the profile would be refused too.
+    for knobs, message in (
+        ({"epsilon": 0.0}, "epsilon must lie strictly inside (0, 1)"),
+        ({"lambda_": 1.0}, "lambda must lie strictly inside (0, 1)"),
+        ({"enumeration_cap": 0}, "enumeration cap must be at least 1"),
+    ):
+        for profile in (IC_40_30, make_monroe(IC_40_30, 12)):
+            with pytest.raises(ValueError) as info:
+                combined_monroe(profile, 12, **knobs)
+            assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: combined_monroe(
-            IC_40_30, 12, SolverConfig(epsilon=0.5, lambda_=0.5, enumeration_cap=2.5)
-        ), NOT_INTEGERS),
-        (lambda: combined_monroe(
-            IC_40_30, 12, SolverConfig(epsilon=0.5, lambda_=0.5, enumeration_cap=True)
-        ), NOT_INTEGERS),
-        (lambda: SolverConfig(seed=1.5), NOT_INTEGERS),
+        (lambda: combined_monroe(IC_40_30, 12, epsilon=0.5, lambda_=0.5, enumeration_cap=2.5),
+         NOT_INTEGERS),
+        (lambda: combined_monroe(IC_40_30, 12, epsilon=0.5, lambda_=0.5, enumeration_cap=True),
+         NOT_INTEGERS),
+        (lambda: combined_monroe(IC_40_30, 12, seed=1.5), NOT_INTEGERS),
         (lambda: greedy_monroe(IC_40_30, 3.5), "committee size must lie in 1..30, got 3.5"),
         (lambda: greedy_cc(IC_40_30, True), "committee size must lie in 1..30, got True"),
         (lambda: exact_enumeration(make_cc(IC_40_30, 2), BD, "l1_dec", 2.5),
@@ -274,34 +276,31 @@ def test_sample_value_never_beats_oracle():
 
 def test_combined_small_k_branch_is_exact():
     prof = gen_impartial_culture(10, 9, 101)
-    config = SolverConfig(epsilon=0.05, lambda_=0.9, seed=5)
-    report = combined_monroe(prof, 8, config)
+    report = combined_monroe(prof, 8, epsilon=0.05, lambda_=0.9, seed=5)
     assert "exact" in report.algorithm
     assert report.value == exact_enumeration(make_monroe(prof, 8), BD, "l1_dec").value
 
 
 def test_combined_small_m_forces_exact():
     prof = gen_impartial_culture(8, 4, 55)
-    config = SolverConfig(epsilon=0.5, lambda_=0.9, seed=5)
-    report = combined_monroe(prof, 3, config)
+    report = combined_monroe(prof, 3, epsilon=0.5, lambda_=0.9, seed=5)
     assert "exact" in report.algorithm
     assert report.value == exact_enumeration(make_monroe(prof, 3), BD, "l1_dec").value
 
 
 def test_combined_sampling_branch():
     prof = gen_impartial_culture(11, 10, 202)
-    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=99)
-    report = combined_monroe(prof, 9, config)
+    config = dict(epsilon=0.7, lambda_=0.5, seed=99)
+    report = combined_monroe(prof, 9, **config)
     assert report.algorithm == "combined_monroe[greedy+sample:81]"
     assert report.value >= greedy_monroe(prof, 9).value
-    again = combined_monroe(prof, 9, config)
+    again = combined_monroe(prof, 9, **config)
     assert again.assignment.targets == report.assignment.targets
 
 
 def test_combined_sampling_run_count_used():
     prof = gen_impartial_culture(10, 9, 303)
-    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=1)
-    report = combined_monroe(prof, 9, config)
+    report = combined_monroe(prof, 9, epsilon=0.7, lambda_=0.5, seed=1)
     assert report.algorithm == "combined_monroe[greedy+sample:81]"
 
 
@@ -310,8 +309,7 @@ def test_combined_over_cap_falls_back_to_sampling():
     # k <= 8 selects gives way to greedy plus sampling runs, as many as the
     # cap (10) rather than the 242 the run-count formula asks for.
     prof = gen_impartial_culture(12, 9, 404)
-    config = SolverConfig(epsilon=0.7, lambda_=0.5, seed=3, enumeration_cap=10)
-    report = combined_monroe(prof, 3, config)
+    report = combined_monroe(prof, 3, epsilon=0.7, lambda_=0.5, seed=3, enumeration_cap=10)
     assert report.algorithm == "combined_monroe[greedy+sample:10][no-guarantee]"
     assert not validate_assignment(make_monroe(prof, 3), BD, report.assignment)
     assert report.value >= greedy_monroe(prof, 3).value
@@ -321,9 +319,8 @@ def test_combined_over_cap_runs_at_most_cap_samples():
     # eps = 0.1 asks for 29474 sampling runs; enumerating all C(8, 4) = 70
     # committees is cheaper, so the fallback stops at the cap of 5 runs.
     prof = gen_identical(12, 8)
-    config = SolverConfig(epsilon=0.1, lambda_=0.9, seed=1, enumeration_cap=5)
     assert sampling_run_count(4, 0.1, 0.9) == 29474
-    report = combined_monroe(prof, 4, config)
+    report = combined_monroe(prof, 4, epsilon=0.1, lambda_=0.9, seed=1, enumeration_cap=5)
     assert report.algorithm == "combined_monroe[greedy+sample:5][no-guarantee]"
     assert report.value == 66  # identical orders: every committee of 4 scores 66
 
@@ -341,10 +338,10 @@ def test_combined_over_cap_at_small_k_samples_only(monkeypatch):
 
     monkeypatch.setattr(solvers, "exact_enumeration", counted)
     for prof, config, runs in (
-        (gen_identical(2, 2001), SolverConfig(epsilon=0.9, lambda_=0.1), 34),
-        (gen_impartial_culture(12, 9, 404), SolverConfig(seed=3, enumeration_cap=5), 5),
+        (gen_identical(2, 2001), dict(epsilon=0.9, lambda_=0.1), 34),
+        (gen_impartial_culture(12, 9, 404), dict(seed=3, enumeration_cap=5), 5),
     ):
-        report = combined_monroe(prof, 2, config)
+        report = combined_monroe(prof, 2, **config)
         assert report.algorithm == f"combined_monroe[sample:{runs}][no-guarantee]"
         assert not validate_assignment(make_monroe(prof, 2), BD, report.assignment)
     assert not enumerations
