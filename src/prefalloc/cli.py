@@ -45,7 +45,9 @@ class CLIError(Exception):
 
 def _solve(name: str, args, profile: Profile, seed: int | None) -> SolveReport:
     """``name``'s report on ``profile`` for ``--system``; ``seed`` seeds the
-    randomized algorithms."""
+    randomized algorithms.  Refuses a ``--k`` outside ``1..m`` first."""
+    if not 1 <= args.k <= profile.m:
+        raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
     if name == "exact":
         dec = args.objective.endswith("_dec")
         psf = ScoringFunction.borda_dec() if dec else ScoringFunction.borda_inc()
@@ -181,8 +183,6 @@ def cmd_solve(args) -> int:
     if args.algorithm != "exact" and args.objective != "l1_dec":
         raise CLIError(f"--algorithm {args.algorithm} supports only --objective l1_dec")
     profile = _read_profile(args.path)
-    if not 1 <= args.k <= profile.m:
-        raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
     report = _solve(args.algorithm, args, profile, args.seed)
     bound = _floor(args.algorithm, args.system, profile, args.k, None)
     fields = [
@@ -255,8 +255,6 @@ def cmd_ratio(args) -> int:
             profile = gen_impartial_culture(args.n, args.m, profile_seed)
             trial_descriptor = f"ic(n={args.n},m={args.m},seed={profile_seed})"
             reports = {}
-        if not 1 <= args.k <= profile.m:
-            raise CLIError(f"--k must lie in 1..{profile.m} for this profile")
         try:
             exact = _report(reports, "exact", args, profile, None)
         except EnumerationCapExceeded as exc:

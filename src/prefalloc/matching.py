@@ -286,8 +286,9 @@ def _match(
         return None
     if total:
         targets = _solve_bounded(table, members, lowers, uppers, None)
-        if targets is None:
-            raise InfeasibleMatchingError("load bounds admit no complete assignment")
+        # With no ceiling every agent may join any member, so once
+        # _solve_bounded's two load-total checks pass, a complete matching exists.
+        assert targets is not None
         value = sum(table[t - 1][j] for j, t in enumerate(targets))
         if below is not None and value >= below:
             return None

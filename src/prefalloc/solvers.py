@@ -4,8 +4,9 @@ numeric utilities their quality bounds need.
 All positive guarantees hold for Borda satisfaction scores, so the
 approximation solvers score with ``borda_dec`` and take no scoring function.
 They take a bare :class:`Profile` and build the Monroe or CC restriction
-themselves; :func:`exact_enumeration` takes an :class:`Instance`.  Ties are
-always broken toward the lowest alternative index and the lowest agent index.
+themselves, which checks the committee size; :func:`exact_enumeration`
+takes an :class:`Instance`.  Ties are always broken toward the lowest
+alternative index and the lowest agent index.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .matching import InfeasibleMatchingError, _cost_table, _match, match_cc
 from .rng import SplitMix64, derive_seed, sample_distinct
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+# The approximation solvers' floors hold for Borda scores only.
+_BORDA = ScoringFunction.borda_dec()
 
 OBJECTIVES = ("l1_dec", "l1_inc", "min_dec", "max_inc")
 
@@ -120,17 +123,14 @@ def greedy_cc_bound(n: int, m: int, k: int) -> float:
     return (1.0 - 2.0 * lambert_w(k) / k) * (m - 1) * n
 
 
-def _as_profile(prof: Profile, k: int) -> Profile:
-    """The profile, once it is known to be one and the committee size is
-    checked.  An :class:`Instance` is refused: its costs, capacities and
-    budget would be silently replaced by the restriction's."""
+def _as_profile(prof: Profile) -> Profile:
+    """The profile, once it is known not to be an :class:`Instance`, whose
+    costs, capacities and budget the restriction would silently replace."""
     if isinstance(prof, Instance):
         raise UnsupportedInstanceError(
             "approximation solvers take a Profile and ignore costs, capacities "
             "and budget; pass instance.profile"
         )
-    if not (_integers((k,)) and 1 <= k <= prof.m):
-        raise ValueError(f"committee size must lie in 1..{prof.m}, got {k}")
     return prof
 
 
@@ -146,14 +146,10 @@ def _loads(
 
 
 def _batch_sizes(n: int, k: int) -> list[int]:
-    """Per-step assignment counts: step i takes ceil(remaining / (k - i))."""
-    sizes = []
-    remaining = n
-    for i in range(k):
-        size = -(-remaining // (k - i))
-        sizes.append(size)
-        remaining -= size
-    return sizes
+    """Per-step assignment counts: step i takes ceil(remaining / (k - i)),
+    so the ``n mod k`` steps of ``ceil(n/k)`` come first."""
+    least, most = _balanced_loads(n, k)
+    return [most] * (n - least * k) + [least] * (k - n + least * k)
 
 
 def _greedy_picks(
@@ -220,17 +216,17 @@ def _borda_report(
     """``algorithm``'s ``l1_dec`` report of ``assignment``, timed from
     ``start``: its Borda total on ``instance``, which :func:`metric_l1`
     validates first.  Every Borda solver returns through it."""
-    value = metric_l1(instance, ScoringFunction.borda_dec(), assignment)
+    value = metric_l1(instance, _BORDA, assignment)
     return SolveReport(assignment, "l1_dec", value, algorithm, seed, time.perf_counter() - start)
 
 
 def _exact_monroe(
-    prof: Profile, k: int, algorithm: str, seed: int | None, cap: int, start: float
+    instance: Instance, algorithm: str, seed: int | None, cap: int, start: float
 ) -> SolveReport:
-    """The exact Monroe ``l1_dec`` optimum as ``algorithm``'s report, timed
-    from ``start``: the exact branch of the Monroe solvers."""
-    instance = make_monroe(prof, k)
-    inner = exact_enumeration(instance, ScoringFunction.borda_dec(), "l1_dec", cap)
+    """The exact ``l1_dec`` optimum on the Monroe ``instance`` as
+    ``algorithm``'s report, timed from ``start``: the exact branch of the
+    Monroe solvers."""
+    inner = exact_enumeration(instance, _BORDA, "l1_dec", cap)
     return _borda_report(instance, inner.assignment, algorithm, start, seed)
 
 
@@ -249,13 +245,12 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     Cost: one O(n m) rank-bucket index, then O(m) per candidate and step.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile, k)
-    psf = ScoringFunction.borda_dec()
+    instance = make_monroe(_as_profile(profile), k)
     if k <= 2:
         algorithm = "greedy_monroe[exact:k<=2]"
-        return _exact_monroe(prof, k, algorithm, None, DEFAULT_ENUMERATION_CAP, start)
-    targets, _ = _greedy_picks(prof, _batch_sizes(prof.n, k), psf.values(prof.m))
-    return _borda_report(make_monroe(prof, k), Assignment(tuple(targets)), "greedy_monroe", start)
+        return _exact_monroe(instance, algorithm, None, DEFAULT_ENUMERATION_CAP, start)
+    targets, _ = _greedy_picks(profile, _batch_sizes(profile.n, k), _BORDA.values(profile.m))
+    return _borda_report(instance, Assignment(tuple(targets)), "greedy_monroe", start)
 
 
 def _sample_committee(m: int, k: int, gen: SplitMix64) -> tuple[int, ...]:
@@ -268,12 +263,12 @@ def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
     ``SplitMix64(seed)``, matched optimally; the seed is recorded in the
     report."""
     start = time.perf_counter()
-    prof = _as_profile(profile, k)
+    instance = make_monroe(_as_profile(profile), k)
     if not _integers((seed,)):
         raise ValueError("seed must be an integer")
-    psf, instance = ScoringFunction.borda_dec(), make_monroe(prof, k)
-    members = _sample_committee(prof.m, k, SplitMix64(seed))
-    _, assignment = _match(prof, _cost_table(prof, psf), members, *_loads(instance, members), True)
+    members = _sample_committee(profile.m, k, SplitMix64(seed))
+    table = _cost_table(profile, _BORDA)
+    _, assignment = _match(profile, table, members, *_loads(instance, members), True)
     return _borda_report(instance, assignment, "sample_once_monroe", start, seed)
 
 
@@ -289,9 +284,11 @@ def combined_monroe(
     sampling; reaches a (0.715 - epsilon) fraction of the optimum with
     probability at least ``lambda_``.
 
-    Exact enumeration handles small committees (k <= 8, or H_k/k >= eps/2)
-    and few alternatives (m <= 1 + 2/eps).  Otherwise the best of one greedy
-    run and ``sampling_run_count(k, eps, lambda)`` sampling runs is returned.
+    Exact enumeration handles small committees (k <= 8, or H_k/k >= eps/2);
+    the paper's few-alternatives case, m <= 1 + 2/eps, is among them, since
+    H_k/k < eps/2 gives 1 + 2/eps < 1 + k/H_k < k <= m for k >= 3.
+    Otherwise the best of one greedy run and ``sampling_run_count(k, eps,
+    lambda)`` sampling runs is returned.
     When the exact branch would enumerate more than ``enumeration_cap``
     committees, the greedy and sampling branch runs instead, with at most
     ``enumeration_cap`` sampling runs, and the algorithm string, which
@@ -316,37 +313,31 @@ def combined_monroe(
         raise ValueError("seed and enumeration cap must be integers")
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    prof = _as_profile(profile, k)
-    psf = ScoringFunction.borda_dec()
-    if harmonic(k) / k >= epsilon / 2 or k <= 8:
-        branch: str | None = "exact:small-k"
-    elif prof.m <= 1 + 2 / epsilon:
-        branch = "exact:small-m"
-    else:
-        branch = None
-    if branch is not None and math.comb(prof.m, k) <= enumeration_cap:
-        algorithm = f"combined_monroe[{branch}]"
-        return _exact_monroe(prof, k, algorithm, seed, enumeration_cap, start)
+    instance = make_monroe(_as_profile(profile), k)
+    exact = k <= 8 or harmonic(k) / k >= epsilon / 2
+    if exact and math.comb(profile.m, k) <= enumeration_cap:
+        algorithm = "combined_monroe[exact:small-k]"
+        return _exact_monroe(instance, algorithm, seed, enumeration_cap, start)
 
-    table, instance = _cost_table(prof, psf), make_monroe(prof, k)
-    top = prof.n * psf.values(prof.m)[0]  # a cost is psf(1) minus the score
+    table = _cost_table(profile, _BORDA)
+    top = profile.n * _BORDA.values(profile.m)[0]  # a cost is the top score minus the score
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
-    greedy = greedy_monroe(prof, k) if k > 2 else None
+    greedy = greedy_monroe(profile, k) if k > 2 else None
     best = (top - greedy.value, greedy.assignment) if greedy else None
     runs = sampling_run_count(k, epsilon, lambda_)
-    if branch is not None:
+    if exact:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
         # the exact branch is due: do no more matchings than the enumeration.
         runs = min(runs, enumeration_cap)
     for index in range(runs):
-        members = _sample_committee(prof.m, k, SplitMix64(derive_seed(seed, index)))
+        members = _sample_committee(profile.m, k, SplitMix64(derive_seed(seed, index)))
         below = None if best is None else best[0]
-        found = _match(prof, table, members, *_loads(instance, members), True, below)
+        found = _match(profile, table, members, *_loads(instance, members), True, below)
         if found is not None:
             best = found
     assert best is not None
     name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
-    if branch is not None:
+    if exact:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
     report = _borda_report(instance, best[1], name, start, seed)
     assert report.value == top - best[0]
@@ -376,9 +367,9 @@ def greedy_cc(profile: Profile, k: int) -> SolveReport:
     alternative index; leftover agents go to their best picked alternative.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile, k)
-    x = math.ceil(prof.m * lambert_w(k) / k)
-    return _borda_report(make_cc(prof, k), _greedy_cover(prof, k, x), "greedy_cc", start)
+    instance = make_cc(_as_profile(profile), k)
+    x = math.ceil(profile.m * lambert_w(k) / k)
+    return _borda_report(instance, _greedy_cover(profile, k, x), "greedy_cc", start)
 
 
 def greedy_cc_majority(
@@ -394,10 +385,9 @@ def greedy_cc_majority(
     every remaining agent keeps satisfaction at least ``m - x``.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile, k)
-    psf = ScoringFunction.borda_dec()
-    assignment = _greedy_cover(prof, k, cover_depth_majority(prof.m, k, delta))
-    value = metric_min_delta(make_cc(prof, k), psf, assignment, delta)
+    instance = make_cc(_as_profile(profile), k)
+    assignment = _greedy_cover(profile, k, cover_depth_majority(profile.m, k, delta))
+    value = metric_min_delta(instance, _BORDA, assignment, delta)
     return SolveReport(
         assignment=assignment,
         objective=f"min_delta({delta})",
@@ -426,10 +416,9 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     to the lowest alternative index.
     """
     start = time.perf_counter()
-    prof = _as_profile(profile, k)
-    psf = ScoringFunction.borda_dec()
-    assignment = match_cc(prof, _cc_seed(_cost_table(prof, psf), k))
-    return _borda_report(make_cc(prof, k), assignment, "maxcover_cc_baseline", start)
+    instance = make_cc(_as_profile(profile), k)
+    assignment = match_cc(profile, _cc_seed(_cost_table(profile, _BORDA), k))
+    return _borda_report(instance, assignment, "maxcover_cc_baseline", start)
 
 
 def _committees(

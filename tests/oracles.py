@@ -4,17 +4,17 @@ Nothing here touches the flow kernel or the greedy loops: matchings are
 checked by enumerating every feasible assignment, committees by enumerating
 every subset, and the Lambert W values by bisection.  Keep it that way.
 
-The references at the end are the straightforward loops that faster
-solvers replaced: the greedy loops (a sort or a scan of the unassigned agents
-per candidate), the per-committee enumeration loop (a fresh matching,
-validation and re-score for every committee), the egalitarian binary
-threshold search (one cold kernel solve per probe) and the combined solver's
-sampling loop (a fresh draw, public ``match_monroe_l1`` call and instance per
-run), and the flow kernel itself as a network of edge records
-(``solve_bounded_reference``).  Most of them do use a flow kernel; the
-differential tests hold the solvers to them at sizes brute force cannot
-reach.  The file ends with the samplers
-that block draws and a sparse swap map replaced: ``shuffled`` and
+The references at the end are the straightforward loops that faster solvers
+replaced: the greedy loops (a sort or a scan of the unassigned agents per
+candidate) and their batch sizes (one division per step), the per-committee
+enumeration loop (a fresh matching, validation and re-score for every
+committee), the egalitarian binary threshold search (one cold kernel solve
+per probe) and the combined solver's sampling loop (a fresh draw, public
+``match_monroe_l1`` call and instance per run), and the flow kernel itself
+as a network of edge records (``solve_bounded_reference``).  Most of them do
+use a flow kernel; the differential tests hold the solvers to them at sizes
+brute force cannot reach.  The file ends with the samplers that block draws
+and a sparse swap map replaced: ``shuffled`` and
 ``sample_distinct_reference`` call ``randrange`` once per position of a full
 list.
 """
@@ -177,6 +177,18 @@ def greedy_monroe_reference(profile, k, psf):
             targets[j] = best_alt
         unassigned = [j for j in unassigned if targets[j] == 0]
     return tuple(targets)
+
+
+def batch_sizes_reference(n, k):
+    """The greedy Monroe loop's per-step batch sizes, one division per step:
+    step i takes ``ceil(remaining / (k - i))`` of the agents left."""
+    sizes = []
+    remaining = n
+    for i in range(k):
+        size = -(-remaining // (k - i))
+        sizes.append(size)
+        remaining -= size
+    return sizes
 
 
 def greedy_cover_reference(profile, k, x):

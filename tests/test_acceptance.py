@@ -164,7 +164,8 @@ def test_criterion_06_combined_exact_branches():
             k = 4 + rng.randrange(5)              # 4..8
             epsilon = 0.05
         else:
-            # m <= 1 + 2/epsilon branch (epsilon 0.5 -> m <= 5)
+            # Few alternatives (m <= 1 + 2/epsilon = 5 at epsilon 0.5): the
+            # paper's small-m case, which k <= 3 sends down the small-k branch
             m = 3 + rng.randrange(3)              # 3..5
             k = 1 + rng.randrange(min(3, m))
             epsilon = 0.5

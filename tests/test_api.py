@@ -31,6 +31,12 @@ types are records, and a solver's or matcher's knobs are parameters.  In
 ``exact_enumeration`` build a ``SolveReport``: every Borda solver is scored,
 validated and timed in ``_borda_report``.
 
+Each solver rule is stated once.  ``solvers`` calls
+``ScoringFunction.borda_dec`` only to define ``_BORDA``, the one scoring
+function of its Borda solvers.  The committee-size refusal ``committee size
+must lie in`` is written in ``instances`` and nowhere else in the package:
+the solvers take it from ``make_monroe`` and ``make_cc``.
+
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
 that module; ``__future__`` imports are exempt.
@@ -233,6 +239,25 @@ def test_borda_solvers_report_through_one_function():
         if isinstance(sub, ast.Call) and ast.unparse(sub.func).endswith("SolveReport")
     }
     assert builders == {"_borda_report", "greedy_cc_majority", "exact_enumeration"}
+
+
+def test_solvers_build_borda_once():
+    trees, _ = _package_trees()
+    builders = [
+        ast.unparse(node)
+        for node in trees["solvers"].body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func).endswith("borda_dec")
+    ]
+    assert builders == ["_BORDA = ScoringFunction.borda_dec()"]
+
+
+def test_one_committee_size_check():
+    holders = {
+        path.stem for path in PACKAGE.glob("*.py")
+        if "committee size must lie in" in path.read_text()
+    }
+    assert holders == {"instances"}
 
 
 def _unread_imports(module: ast.Module):

@@ -240,6 +240,44 @@ def test_solve_flag_consistency(identical_12_8, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("solve", "{path}", "--system", "monroe", "--k", "3", "--algorithm", "greedy",
+             "--objective", "min_dec"),
+            "--algorithm greedy supports only --objective l1_dec",
+        ),
+        (
+            ("solve", "{path}", "--system", "cc", "--k", "9", "--algorithm", "greedy"),
+            "--k must lie in 1..8 for this profile",
+        ),
+        (
+            ("solve", "{path}", "--system", "monroe", "--k", "0", "--algorithm", "exact"),
+            "--k must lie in 1..8 for this profile",
+        ),
+        (
+            ("ratio", "{path}", "--system", "monroe", "--k", "9", "--algorithms", "greedy"),
+            "--k must lie in 1..8 for this profile",
+        ),
+        (
+            ("ratio", "--gen", "ic", "--n", "4", "--m", "5", "--seed", "1", "--system", "cc",
+             "--k", "6", "--algorithms", "greedy", "--trials", "2"),
+            "--k must lie in 1..5 for this profile",
+        ),
+        (
+            ("ratio", "--gen", "ic", "--n", "4", "--m", "5", "--system", "cc", "--k", "2",
+             "--algorithms", "greedy"),
+            "ratio --gen ic requires an explicit --seed",
+        ),
+    ],
+)
+def test_refusals_exit_2_with_their_message(identical_12_8, capsys, argv, message):
+    argv = [arg.format(path=identical_12_8) for arg in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "algorithm, system, served",
     [
         ("sample", "cc", "greedy, maxcover, exact"),

@@ -333,6 +333,46 @@ def test_committee_sizes_must_be_integers(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p: Profile.from_orders([]), "profile needs at least one agent"),
+        (lambda p: ScoringFunction("borda"), "unknown scoring kind 'borda'"),
+        (lambda p: ScoringFunction("table_dec"), "table kinds need a non-empty value table"),
+        (lambda p: ScoringFunction("table_inc", ()), "table kinds need a non-empty value table"),
+        (lambda p: ScoringFunction("borda_dec", (2, 1, 0)), "borda kinds take no table"),
+        (lambda p: Assignment(()), "assignment must cover at least one agent"),
+        (lambda p: Instance(p, (1,) * 5, (6,) * 5, 1, "stv", 1), "unknown system tag 'stv'"),
+        (lambda p: Instance(p, (1,) * 4, (6,) * 5, 1),
+         "costs and capacities must both have length 5"),
+        (lambda p: Instance(p, (1,) * 5, (6,) * 6, 1),
+         "costs and capacities must both have length 5"),
+        (lambda p: Instance(p, (1, 2, 1, 1, 1), (3,) * 5, 2, "monroe", 2),
+         "monroe instance needs unit costs and budget K"),
+        (lambda p: Instance(p, (1,) * 5, (6,) * 5, 3, "cc", 2),
+         "cc instance needs unit costs and budget K"),
+    ],
+    ids=[
+        "no-orders", "unknown-kind", "table-missing", "table-empty", "borda-table",
+        "empty-assignment", "unknown-tag", "short-costs", "long-capacities",
+        "monroe-costs", "cc-budget",
+    ],
+)
+def test_constructors_refuse_malformed_fields(build, message):
+    with pytest.raises(ValueError) as info:
+        build(gen_identical(6, 5))
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_validate_flags_a_scoring_table_short_of_m():
+    inst = make_cc(gen_identical(2, 4), 1)
+    short = ScoringFunction.from_table_dec((2, 1, 0))
+    assert validate_assignment(inst, short, Assignment((1, 1))) == (
+        Violation("scoring", "scoring table does not cover m=4 positions"),
+    )
+
+
 def test_validate_target_range_and_shape():
     prof = Profile.from_orders([(1, 2), (2, 1)])
     inst = make_cc(prof, 1)

@@ -22,7 +22,12 @@ from prefalloc import (
 from prefalloc.rng import SplitMix64, derive_seed
 from prefalloc.solvers import _batch_sizes, _greedy_picks, cover_depth_majority
 
-from oracles import greedy_cover_reference, greedy_monroe_reference, shuffled
+from oracles import (
+    batch_sizes_reference,
+    greedy_cover_reference,
+    greedy_monroe_reference,
+    shuffled,
+)
 
 BD = ScoringFunction.borda_dec()
 SEED = 606
@@ -54,6 +59,12 @@ def _sweep_cases():
             orders = [distinct[case_rng.randrange(len(distinct))] for _ in range(n)]
         psf = BD if case % 4 < 2 else _table_dec(m + rng.randrange(3), rng)
         yield Profile.from_orders(orders), psf, case_rng
+
+
+def test_batch_sizes_match_the_division_loop():
+    for n in range(1, 301):
+        for k in range(1, 61):
+            assert _batch_sizes(n, k) == batch_sizes_reference(n, k), (n, k)
 
 
 def test_greedy_monroe_matches_sort_reference():

@@ -6,6 +6,7 @@ import pytest
 
 from prefalloc import (
     ParseError,
+    ParsedDocument,
     Profile,
     gen_identical,
     gen_impartial_culture,
@@ -44,6 +45,16 @@ def test_make_cc_fields():
     assert inst.budget == 2
     assert inst.capacities == (7,) * 4
     assert make_cc(prof, 4).budget == 4
+
+
+@pytest.mark.parametrize("missing", ["costs", "caps", "budget"])
+def test_general_instance_needs_all_three_blocks(missing):
+    blocks = dict(costs=(1, 2, 1), caps=(2, 2, 2), budget=3)
+    del blocks[missing]
+    parsed = ParsedDocument(gen_identical(4, 3), **blocks)
+    with pytest.raises(ValueError) as info:
+        general_instance(parsed)
+    assert str(info.value) == "general instance needs costs, caps and budget blocks"
 
 
 def test_gen_impartial_culture_determinism():

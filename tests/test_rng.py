@@ -33,6 +33,12 @@ def test_block_refuses_a_negative_size():
         SplitMix64(1).block(-1)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_randrange_refuses_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match=r"^randrange bound must be positive$"):
+        SplitMix64(1).randrange(bound)
+
+
 @pytest.mark.parametrize("m, k", [(30, 10), (2001, 2), (5, 5), (1, 1), (7, 0), (100, 37)])
 def test_sample_distinct_matches_the_full_pool(m, k):
     for trial in range(20):

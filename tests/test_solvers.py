@@ -282,10 +282,27 @@ def test_combined_small_k_branch_is_exact():
 
 
 def test_combined_small_m_forces_exact():
+    # m = 4 <= 1 + 2/eps = 5 is the paper's small-m case; k = 3 <= 8 takes
+    # the small-k branch, as every small-m case does
+    # (test_combined_small_m_is_always_small_k).
     prof = gen_impartial_culture(8, 4, 55)
     report = combined_monroe(prof, 3, epsilon=0.5, lambda_=0.9, seed=5)
     assert "exact" in report.algorithm
     assert report.value == exact_enumeration(make_monroe(prof, 3), BD, "l1_dec").value
+
+
+def test_combined_small_m_is_always_small_k():
+    # The paper's exact branch for few alternatives (m <= 1 + 2/eps) adds no
+    # case to the small-k one: H_k/k < eps/2 gives 1 + 2/eps < 1 + k/H_k < k,
+    # and m >= k.  combined_monroe keeps the small-k test alone.
+    epsilons = [i / 100 for i in range(1, 100)] + [0.001, 0.005, 0.995, 0.999]
+    for k in range(1, 401):
+        per_k = harmonic(k) / k
+        for eps in epsilons:
+            small_k = k <= 8 or per_k >= eps / 2
+            for m in range(k, k + 51):
+                if m <= 1 + 2 / eps:
+                    assert small_k, (k, m, eps)
 
 
 def test_combined_sampling_branch():
