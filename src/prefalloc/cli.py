@@ -231,14 +231,11 @@ def cmd_ratio(args) -> int:
     _check_algorithms(args, algorithms)
     seed = args.seed if args.seed is not None else 0
 
-    base_profile = None
-    descriptor = None
+    shared = None  # (profile, description) when every trial reads one profile
     if args.path is not None:
-        base_profile = _read_profile(args.path)
-        descriptor = args.path
+        shared = _read_profile(args.path), args.path
     elif args.gen == "identical":
-        base_profile = gen_identical(args.n, args.m)
-        descriptor = f"identical(n={args.n},m={args.m})"
+        shared = gen_identical(args.n, args.m), f"identical(n={args.n},m={args.m})"
 
     min_ratio = {name: None for name in algorithms}
     violations = {name: 0 for name in algorithms}
@@ -247,21 +244,19 @@ def cmd_ratio(args) -> int:
     reports: dict = {}
     for trial in range(args.trials):
         trial_seed = derive_seed(seed, trial)
-        if base_profile is not None:
-            profile = base_profile
-            trial_descriptor = descriptor
-        else:
+        if shared is None:
             profile_seed = derive_seed(trial_seed, 0)
             profile = gen_impartial_culture(args.n, args.m, profile_seed)
-            trial_descriptor = f"ic(n={args.n},m={args.m},seed={profile_seed})"
+            where = f"ic(n={args.n},m={args.m},seed={profile_seed})"
             reports = {}
+        else:
+            profile, where = shared
         try:
-            exact = _report(reports, "exact", args, profile, None)
+            oracle = _report(reports, "exact", args, profile, None).value
         except EnumerationCapExceeded as exc:
             failed = True
             _emit(args, [("trial", trial), ("error", str(exc))])
             continue
-        oracle = exact.value
         for index, name in enumerate(algorithms):
             run_seed = derive_seed(trial_seed, 1 + index)
             report = _report(reports, name, args, profile, run_seed)
@@ -275,7 +270,7 @@ def cmd_ratio(args) -> int:
                 min_ratio[name] = ratio
             fields = [
                 ("trial", trial),
-                ("instance", trial_descriptor),
+                ("instance", where),
                 ("algorithm", name),
                 ("value", report.value),
                 ("oracle", oracle),

@@ -11,6 +11,7 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
@@ -355,26 +356,20 @@ def validate_assignment(
     capacity clause holds each to ``ceil(n/K)``).
     """
     n, m = instance.profile.n, instance.profile.m
-    violations = []
     if len(assignment.targets) != n:
-        violations.append(
-            Violation(
-                "shape",
-                f"assignment covers {len(assignment.targets)} agents, instance has {n}",
-            )
-        )
-        return tuple(violations)
+        detail = f"assignment covers {len(assignment.targets)} agents, instance has {n}"
+        return (Violation("shape", detail),)
+    violations = []
     if psf is not None and not psf.covers(m):
         violations.append(
             Violation("scoring", f"scoring table does not cover m={m} positions")
         )
-    out_of_range = sorted({t for t in assignment.targets if not 1 <= t <= m})
-    for t in out_of_range:
+    load = Counter(assignment.targets)
+    committee = sorted(a for a in load if 1 <= a <= m)
+    for t in sorted(t for t in load if not 1 <= t <= m):
         violations.append(
             Violation("target_range", f"target alternative {t} out of range 1..{m}")
         )
-    in_range = [t for t in assignment.targets if 1 <= t <= m]
-    committee = sorted(set(in_range))
     total_cost = sum(instance.costs[a - 1] for a in committee)
     if total_cost > instance.budget:
         violations.append(
@@ -383,9 +378,6 @@ def validate_assignment(
                 f"committee cost {total_cost} exceeds budget {instance.budget}",
             )
         )
-    load = {a: 0 for a in committee}
-    for t in in_range:
-        load[t] += 1
     for a in committee:
         if load[a] > instance.capacities[a - 1]:
             violations.append(

@@ -5,16 +5,14 @@ b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
 agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, and one kernel function,
 :func:`_solve_bounded`: integer successive shortest augmenting paths with
-potentials on a flow network kept in arrays, where each Dijkstra search
-pushes no agent that can relax nothing and stops once no heap entry can
-relax anything.  The total objective is one solve.  The egalitarian
-objectives probe cost levels as ``ceiling``s, from a proven lower bound on
-the optimal threshold upwards; the least level whose solve completes is the
-committee's egalitarian value, and that solve is its matching.  The entry
-computes both proven floors (the CC floor and the load floor) and, under
-either objective, refuses a committee whose value cannot be below the
-caller's ``below`` before any kernel solve: the solvers' skip rules live
-here alone.
+potentials on a flow network kept in arrays.  The total objective is one
+solve.  The egalitarian objectives probe cost levels as ``ceiling``s, from
+a proven lower bound on the optimal threshold upwards; the least level
+whose solve completes is the committee's egalitarian value, and that solve
+is its matching.  The entry computes both proven floors (the CC floor and
+the load floor) and, under either objective, refuses a committee whose
+value cannot be below the caller's ``below`` before any kernel solve: the
+solvers' skip rules live here alone.
 
 Load bounds are enforced without a general lower-bound reduction: the source
 feeds each committee member its mandatory ``lower`` units directly plus a
@@ -243,8 +241,12 @@ def _solve_bounded(
     return tuple(committee[v - 2] for v in head)
 
 
+def _nearest(members: tuple[int, ...], columns: Sequence[Sequence[int]]) -> Assignment:
+    """Each agent at the member whose ``columns`` entry is least, the first on ties."""
+    return Assignment([members[row.index(min(row))] for row in zip(*columns)])
+
+
 def _match(
-    profile: Profile,
     table: list[tuple[int, ...]],
     members: tuple[int, ...],
     lowers: tuple[int, ...],
@@ -263,7 +265,7 @@ def _match(
     ``lo``-th cheapest).  A committee refused by the CC floor sorts no
     column, and one refused by the larger floor runs no kernel solve.
     Bounds of 0 and ``n`` restrict nothing: the CC floor is the value and
-    the assignment is :func:`match_cc`'s.
+    each agent goes to its cheapest member (:func:`_nearest`).
 
     The total objective is one kernel solve.  The egalitarian threshold
     search probes the floor with the min-cost kernel as a ``ceiling``, then
@@ -271,14 +273,14 @@ def _match(
     threshold returns the assignment.  Load totals that admit no complete
     assignment raise :class:`InfeasibleMatchingError` from the first solve.
     """
-    n = profile.n
+    n = len(table[0])
     fold = sum if total else max
     columns = [table[a - 1] for a in members]
     floor = fold(map(min, zip(*columns)))
     if below is not None and floor >= below:
         return None
     if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
-        return floor, match_cc(profile, members)
+        return floor, _nearest(members, columns)
     loads = [fold(sorted(column)[:low]) for low, column in zip(lowers, columns) if 0 < low <= n]
     if loads:
         floor = max(floor, fold(loads))
@@ -316,12 +318,7 @@ def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
     optimal for the total objective and for both egalitarian objectives.
     """
     members = _checked_committee(profile, committee)
-    positions = profile.positions
-    targets = []
-    for i in range(profile.n):
-        row = positions[i]
-        targets.append(min(members, key=lambda a: row[a - 1]))
-    return Assignment(tuple(targets))
+    return _nearest(members, [[row[a - 1] for row in profile.positions] for a in members])
 
 
 def match_monroe_l1(
@@ -343,7 +340,7 @@ def match_monroe_l1(
     """
     members = _checked_committee(profile, committee)
     bounds = _bounds(profile.n, len(members), lowers, uppers)
-    found = _match(profile, _cost_table(profile, psf), members, *bounds, True)
+    found = _match(_cost_table(profile, psf), members, *bounds, True)
     assert found is not None  # no ``below``: the optimum is returned
     return found[1]
 
@@ -374,6 +371,6 @@ def match_egalitarian(
     """
     members = _checked_committee(profile, committee)
     bounds = _bounds(profile.n, len(members), lowers, uppers)
-    found = _match(profile, _cost_table(profile, psf), members, *bounds, False)
+    found = _match(_cost_table(profile, psf), members, *bounds, False)
     assert found is not None  # no ``below``: the loosest level completes
     return found[1]

@@ -15,7 +15,7 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .core import (
     Assignment,
@@ -30,7 +30,7 @@ from .core import (
     metric_min_delta,
 )
 from .instances import make_cc, make_monroe
-from .matching import InfeasibleMatchingError, _cost_table, _match, match_cc
+from .matching import InfeasibleMatchingError, _cost_table, _match
 from .rng import SplitMix64, derive_seed, sample_distinct
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -261,14 +261,17 @@ def _sample_committee(m: int, k: int, gen: SplitMix64) -> tuple[int, ...]:
 def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
     """One sampling step: a uniform k-subset of alternatives drawn from
     ``SplitMix64(seed)``, matched optimally; the seed is recorded in the
-    report."""
+    report.  The expected total score is at least ``n (m - 1) / 2``, so at
+    least half the optimum.  The paper's finer floor,
+    ``(1 + k/m - k^2/(m^2-m) + k^3/(m^3-m^2)) / 2`` of the optimum, is
+    unverified: identical profiles fall below it."""
     start = time.perf_counter()
     instance = make_monroe(_as_profile(profile), k)
     if not _integers((seed,)):
         raise ValueError("seed must be an integer")
     members = _sample_committee(profile.m, k, SplitMix64(seed))
     table = _cost_table(profile, _BORDA)
-    _, assignment = _match(profile, table, members, *_loads(instance, members), True)
+    _, assignment = _match(table, members, *_loads(instance, members), True)
     return _borda_report(instance, assignment, "sample_once_monroe", start, seed)
 
 
@@ -282,7 +285,8 @@ def combined_monroe(
 ) -> SolveReport:
     """Dispatch between exact enumeration, the greedy pass, and repeated
     sampling; reaches a (0.715 - epsilon) fraction of the optimum with
-    probability at least ``lambda_``.
+    probability at least ``lambda_``, a ratio that rests on the unverified
+    sampling floor of :func:`sample_once_monroe`.
 
     Exact enumeration handles small committees (k <= 8, or H_k/k >= eps/2);
     the paper's few-alternatives case, m <= 1 + 2/eps, is among them, since
@@ -332,7 +336,7 @@ def combined_monroe(
     for index in range(runs):
         members = _sample_committee(profile.m, k, SplitMix64(derive_seed(seed, index)))
         below = None if best is None else best[0]
-        found = _match(profile, table, members, *_loads(instance, members), True, below)
+        found = _match(table, members, *_loads(instance, members), True, below)
         if found is not None:
             best = found
     assert best is not None
@@ -413,41 +417,28 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     the optimum for any decreasing scoring function.  A score is ``psf(1)``
     minus a cost, so this is :func:`_cc_seed` on the Borda cost table: the
     largest gain is the largest drop of the summed least costs, and ties go
-    to the lowest alternative index.
+    to the lowest alternative index.  The committee is matched as exact CC
+    matches its seed.
     """
     start = time.perf_counter()
     instance = make_cc(_as_profile(profile), k)
-    assignment = match_cc(profile, _cc_seed(_cost_table(profile, _BORDA), k))
+    table = _cost_table(profile, _BORDA)
+    seed = _cc_seed(table, k)
+    _, assignment = _match(table, seed, *_loads(instance, seed), True)
     return _borda_report(instance, assignment, "maxcover_cc_baseline", start)
-
-
-def _committees(
-    m: int,
-    sizes: Iterable[int],
-    costs: Sequence[int],
-    budget: int,
-    table: Sequence[Sequence[int]],
-) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """Committees of ``1..m`` with a size in ``sizes`` and a total cost within
-    ``budget``, by size and then lexicographically, from one DFS.
-
-    Yields ``(members, best)``: with ``table[a - 1][j]`` agent j's cost for
-    alternative a, ``best[j]`` is agent j's least cost over the members,
-    carried down the DFS so that a committee costs O(n).  The alternatives'
-    ``costs`` are positive, so a prefix over the budget has no feasible
-    extension.
-    """
-    for size in sizes:
-        yield from _walk(m, size, costs, budget, table, [], 1, 0, None)
 
 
 def _walk(
     m: int, size: int, costs: Sequence[int], budget: int, table: Sequence[Sequence[int]],
     members: list[int], start: int, spent: int, best: Sequence[int] | None,
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """:func:`_committees`' DFS below the prefix ``members`` (costing
-    ``spent``, with ``best`` its carried least costs), its next member
-    from ``start`` on; a module function, so no closure cycle outlives it."""
+    """The committees of ``1..m`` with ``size`` members and a total cost
+    within ``budget`` that extend the prefix ``members`` (costing ``spent``)
+    from ``start`` on, lexicographically, by DFS.  Yields ``(members,
+    best)``: ``best[j]`` is agent j's least cost ``table[a - 1][j]`` over the
+    members, carried down from the prefix's ``best`` so that a committee
+    costs O(n).  Costs are positive, so a prefix over the budget has no
+    feasible extension.  A module function, so no closure cycle outlives it."""
     last = len(members) + 1 == size
     for a in range(start, m - size + len(members) + 2):
         cost = spent + costs[a - 1]
@@ -559,7 +550,7 @@ def exact_enumeration(
     that order could not win and is skipped.  Any other goes to
     :func:`matching._match` with that limit as ``below``, which refuses it
     by its load floor or values it: a CC committee by its CC value and
-    :func:`match_cc`'s assignment, with no kernel solve; any other by one
+    each agent's cheapest member, with no kernel solve; any other by one
     kernel matching (``l1_*``) or one threshold search that probes only
     levels below the limit (egalitarian; the probe at its threshold matches
     it).  A committee whose loads admit no complete assignment is skipped.
@@ -577,8 +568,7 @@ def exact_enumeration(
     cap = enumeration_cap
     if not _integers((cap,)):
         raise ValueError("enumeration cap must be an integer")
-    prof = instance.profile
-    m = prof.m
+    m = instance.profile.m
     general = instance.system_tag == "general"
     if general:
         if _budget_subsets(instance.costs, instance.budget, cap + 1) > cap:
@@ -590,14 +580,15 @@ def exact_enumeration(
         if math.comb(m, k) > cap:
             raise EnumerationCapExceeded(math.comb(m, k), cap)
         sizes = (k,)
-    table = _cost_table(prof, psf)
+    table = _cost_table(instance.profile, psf)
     total = objective.startswith("l1_")
     fold = sum if total else max
     seed = incumbent = None  # incumbent: (value, assignment, members)
     if not general:
         seed = _cc_seed(table, k)
-        incumbent = (*_match(prof, table, seed, *_loads(instance, seed), total), seed)
-    for members, best in _committees(m, sizes, instance.costs, instance.budget, table):
+        incumbent = (*_match(table, seed, *_loads(instance, seed), total), seed)
+    walks = (_walk(m, s, instance.costs, instance.budget, table, [], 1, 0, None) for s in sizes)
+    for members, best in chain.from_iterable(walks):
         value = fold(best)
         limit = None
         if incumbent is not None:
@@ -605,7 +596,7 @@ def exact_enumeration(
             if value >= limit or members == seed:
                 continue
         try:
-            found = _match(prof, table, members, *_loads(instance, members), total, limit)
+            found = _match(table, members, *_loads(instance, members), total, limit)
         except InfeasibleMatchingError:
             continue
         if found is not None:

@@ -13,15 +13,17 @@ per probe) and the combined solver's sampling loop (a fresh draw, public
 ``match_monroe_l1`` call and instance per run), and the flow kernel itself
 as a network of edge records (``solve_bounded_reference``).  Most of them do
 use a flow kernel; the differential tests hold the solvers to them at sizes
-brute force cannot reach.  The file ends with the samplers that block draws
-and a sparse swap map replaced: ``shuffled`` and
-``sample_distinct_reference`` call ``randrange`` once per position of a full
-list.
+brute force cannot reach.  The feasibility check that counts loads in
+one pass replaced is ``validate_assignment_reference``.  The file ends with
+the samplers that block draws and a sparse swap map replaced: ``shuffled``
+and ``sample_distinct_reference`` call ``randrange`` once per position of a
+full list.
 """
 
 import heapq
 import math
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import prefalloc.matching as matching
@@ -33,11 +35,11 @@ from prefalloc import (
     Profile,
     ScoringFunction,
     SolveReport,
+    Violation,
     exact_enumeration,
     greedy_monroe,
     harmonic,
     make_monroe,
-    match_cc,
     match_egalitarian,
     match_monroe_l1,
     metric_extreme,
@@ -123,6 +125,20 @@ def best_committee_value(profile, psf, k, system, objective="l1_dec"):
         else:
             best = min(best, value)
     return best
+
+
+def sampling_expectation(profile, k):
+    """The exact expected Borda total of one sampling run: the mean, over
+    all C(m, k) committees, of the committee's optimal balanced matching
+    value, each matched by :func:`solve_bounded_reference`."""
+    table = matching._cost_table(profile, ScoringFunction.borda_dec())
+    lowers, uppers = balanced_bounds(profile.n, k)
+    top = profile.n * (profile.m - 1)  # a cost is the top score minus the score
+    values = []
+    for committee in combinations(range(1, profile.m + 1), k):
+        targets = solve_bounded_reference(table, committee, lowers, uppers, None)
+        values.append(top - sum(table[t - 1][j] for j, t in enumerate(targets)))
+    return Fraction(sum(values), len(values))
 
 
 def lambert_w_bisect(x, tol=1e-14):
@@ -402,7 +418,11 @@ def match_egalitarian_reference(profile, psf, committee, lowers=None, uppers=Non
     if lowers is None:
         lowers, uppers = balanced_bounds(profile.n, len(members))
     if all(lo == 0 for lo in lowers) and all(hi >= profile.n for hi in uppers):
-        return match_cc(profile, members)
+        # Unbounded: each agent goes to its best-ranked member.
+        targets = []
+        for row in profile.positions:
+            targets.append(min(members, key=lambda a: row[a - 1]))
+        return Assignment(tuple(targets))
     table = matching._cost_table(profile, psf)
     levels = sorted({c for column in table for c in column})
 
@@ -473,6 +493,71 @@ def combined_monroe_reference(
         seed=seed,
         elapsed=time.perf_counter() - start,
     )
+
+
+def validate_assignment_reference(instance, psf, assignment):
+    """The feasibility check as it first ran: the out-of-range targets, the
+    in-range ones, the committee and the loads each in their own pass."""
+    n, m = instance.profile.n, instance.profile.m
+    violations = []
+    if len(assignment.targets) != n:
+        violations.append(
+            Violation(
+                "shape",
+                f"assignment covers {len(assignment.targets)} agents, instance has {n}",
+            )
+        )
+        return tuple(violations)
+    if psf is not None and not psf.covers(m):
+        violations.append(
+            Violation("scoring", f"scoring table does not cover m={m} positions")
+        )
+    out_of_range = sorted({t for t in assignment.targets if not 1 <= t <= m})
+    for t in out_of_range:
+        violations.append(
+            Violation("target_range", f"target alternative {t} out of range 1..{m}")
+        )
+    in_range = [t for t in assignment.targets if 1 <= t <= m]
+    committee = sorted(set(in_range))
+    total_cost = sum(instance.costs[a - 1] for a in committee)
+    if total_cost > instance.budget:
+        violations.append(
+            Violation(
+                "budget",
+                f"committee cost {total_cost} exceeds budget {instance.budget}",
+            )
+        )
+    load = {a: 0 for a in committee}
+    for t in in_range:
+        load[t] += 1
+    for a in committee:
+        if load[a] > instance.capacities[a - 1]:
+            violations.append(
+                Violation(
+                    "capacity",
+                    f"alternative {a} carries {load[a]} agents, capacity "
+                    f"{instance.capacities[a - 1]}",
+                )
+            )
+    if instance.system_tag == "monroe":
+        k = instance.committee_size
+        if len(committee) != min(n, k):
+            violations.append(
+                Violation(
+                    "balance",
+                    f"committee has {len(committee)} members, Monroe needs {min(n, k)}",
+                )
+            )
+        least = n // k
+        for a in committee:
+            if load[a] < least:
+                violations.append(
+                    Violation(
+                        "balance",
+                        f"alternative {a} carries {load[a]} agents, minimum {least}",
+                    )
+                )
+    return tuple(violations)
 
 
 def shuffled(items, rng):

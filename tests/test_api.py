@@ -22,8 +22,9 @@ which skips the order checks: no other path into the package does.
 
 Only ``matching`` references the kernel entry ``_solve_bounded``, and
 ``solvers`` imports no private ``matching`` name but ``_cost_table`` and
-``_match``: the matcher owns both proven floors and the ``below`` refusal,
-so no solver grows its own floor or calls the kernel directly.
+``_match``, and no public matcher (``match_*``): the matcher owns both
+proven floors and the ``below`` refusal, so no solver grows its own floor,
+calls the kernel directly or matches a committee any other way.
 
 Only ``core`` and ``instances`` define ``_Record`` subclasses: the data
 types are records, and a solver's or matcher's knobs are parameters.  In
@@ -218,6 +219,7 @@ def test_solvers_match_only_through_one_entry():
         for alias in node.names
     }
     assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
+    assert {name for name in imported if name.startswith("match_")} == set()
 
 
 def test_only_the_data_modules_define_records():

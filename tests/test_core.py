@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,8 @@ from prefalloc import (
     validate_assignment,
 )
 from prefalloc.rng import SplitMix64, derive_seed
+
+from oracles import validate_assignment_reference
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
@@ -392,6 +395,44 @@ def test_validator_accepts_iff_all_clauses_hold():
     bad = validate_assignment(inst, None, Assignment((1, 1, 1)))
     assert [v.kind for v in bad] == ["capacity"]
     assert bad[0].detail == "alternative 1 carries 3 agents, capacity 2"
+
+
+def test_validate_matches_the_per_pass_reference():
+    # Seeded Monroe, CC and general instances; targets drawn from 0..m+2,
+    # so some lie out of range, lengths off by one, and scoring tables that
+    # may fall short of m.  ``Assignment`` refuses a target of 0, and the
+    # validator reads only ``targets``, so a namespace carries them.
+    rng = SplitMix64(derive_seed(2626, 0))
+    kinds = set()
+    for case in range(400):
+        m = 1 + rng.randrange(6)
+        n = 1 + rng.randrange(9)
+        k = 1 + rng.randrange(m)
+        profile = gen_impartial_culture(n, m, derive_seed(2626, 1 + case))
+        system = case % 3
+        if system == 0:
+            instance = make_monroe(profile, k)
+        elif system == 1:
+            instance = make_cc(profile, k)
+        else:
+            costs = [1 + rng.randrange(3) for _ in range(m)]
+            instance = Instance(
+                profile=profile, costs=costs, budget=1 + rng.randrange(sum(costs)),
+                capacities=[1 + rng.randrange(n) for _ in range(m)],
+            )
+        table = ScoringFunction.from_table_dec(range(rng.randrange(m + 1), -1, -1))
+        psf = (None, BD, table)[rng.randrange(3)]
+        size = n + (rng.randrange(3) - 1 if rng.randrange(4) == 0 else 0)
+        top = m + (2 if rng.randrange(3) == 0 else 0)
+        targets = tuple(
+            rng.randrange(top + 1) if rng.randrange(5) == 0 else 1 + rng.randrange(top)
+            for _ in range(max(size, 1))
+        )
+        assignment = SimpleNamespace(targets=targets)
+        got = validate_assignment(instance, psf, assignment)
+        assert got == validate_assignment_reference(instance, psf, assignment), (case, targets)
+        kinds.update(v.kind for v in got)
+    assert kinds == {"shape", "scoring", "target_range", "budget", "capacity", "balance"}
 
 
 def test_metrics_raise_on_invalid_assignment():

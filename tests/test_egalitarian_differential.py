@@ -144,7 +144,8 @@ def _ic_trials():
 
 @functools.cache
 def _cases():
-    # Bounds of 0 and n (and above n) restrict nothing: match_cc assigns.
+    # Bounds of 0 and n (and above n) restrict nothing: each agent goes to
+    # its cheapest member.
     rng = SplitMix64(SEED + 1)
     profile = Profile.from_orders([shuffled(range(1, 9), rng) for _ in range(30)])
     unbounded = ("ic", (profile, BI, [2, 5, 7], (0, 0, 0), (30, 31, 30)))
@@ -232,7 +233,7 @@ def _threshold(profile, psf, committee, lowers, uppers):
     lowers, uppers = _resolved(profile, committee, lowers, uppers)
     table = matching._cost_table(profile, psf)
     try:
-        threshold, _ = matching._match(profile, table, tuple(committee), lowers, uppers, False)
+        threshold, _ = matching._match(table, tuple(committee), lowers, uppers, False)
     except ValueError as exc:
         return type(exc), str(exc)
     return threshold

@@ -247,7 +247,7 @@ def _cost(profile: Profile, psf: ScoringFunction, members, objective: str) -> in
     """The optimal kernel cost of ``members`` under balanced loads."""
     table = matching._cost_table(profile, psf)
     bounds = balanced_bounds(profile.n, len(members))
-    return matching._match(profile, table, members, *bounds, objective.startswith("l1_"))[0]
+    return matching._match(table, members, *bounds, objective.startswith("l1_"))[0]
 
 
 def test_exact_monroe_seed_keeps_the_first_optimum():
@@ -328,7 +328,11 @@ def test_dfs_visits_the_old_committee_order():
         costs = [1 + rng.randrange(4) for _ in range(m)]
         budget = 1 + rng.randrange(sum(costs))
         columns = [[rng.randrange(10) for _ in range(5)] for _ in range(m)]
-        visited = list(solvers._committees(m, range(1, m + 1), costs, budget, columns))
+        visited = [
+            committee
+            for size in range(1, m + 1)
+            for committee in solvers._walk(m, size, costs, budget, columns, [], 1, 0, None)
+        ]
         assert [members for members, _ in visited] == [
             c
             for size in range(1, m + 1)
@@ -378,8 +382,9 @@ def test_exact_matches_reference_on_edge_cases(monkeypatch):
     matchings = [
         _count_calls(monkeypatch, module, name)
         for module, names in (
-            (solvers, ("match_cc", "_match")),
-            (matching, ("match_monroe_l1", "match_egalitarian", "match_cc", "_solve_bounded")),
+            (solvers, ("_match",)),
+            (matching, ("match_monroe_l1", "match_egalitarian", "match_cc")),
+            (matching, ("_nearest", "_solve_bounded")),
         )
         for name in names
     ]
@@ -462,20 +467,20 @@ def test_exact_validates_only_the_winner(monkeypatch, make, objective):
     profile = _profile(14, 7, "ic", SplitMix64(21))
     psf = BD if objective.endswith("_dec") else BI
     validations = _count_calls(monkeypatch, core, "validate_assignment")
-    cc_matchings = _count_calls(monkeypatch, solvers, "match_cc")
-    inner_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
+    public_cc_matchings = _count_calls(monkeypatch, matching, "match_cc")
+    nearest = _count_calls(monkeypatch, matching, "_nearest")
     l1_matchings, searches, probes = _count_solves(monkeypatch)
     matches = _count_calls(monkeypatch, solvers, "_match")
     report = exact_enumeration(make(profile, 3), psf, objective)
     assert len(validations) == 1  # 35 committees (63 for general), one validation
-    assert not cc_matchings
+    assert not public_cc_matchings
     if make is make_cc:
         # The seed and each improvement take _match's unbounded branch:
-        # match_cc, and no kernel solve.
-        assert len(inner_cc_matchings) == len(matches) >= 1
+        # each agent at its cheapest member, and no kernel solve.
+        assert len(nearest) == len(matches) >= 1
         assert not l1_matchings and not probes
     else:
-        assert not inner_cc_matchings
+        assert not nearest
     if make is not make_cc and objective in ("min_dec", "max_inc"):
         # Committees are ranked by threshold searches; the winner's probe
         # matches it, so every kernel solve is a probe, none an l1 matching.

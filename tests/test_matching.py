@@ -307,14 +307,14 @@ def test_cc_relaxation_dominates_balanced():
                 columns = [sorted(table[a - 1]) for a in members]
                 for total, fold in ((True, sum), (False, max)):
                     loads = [fold(c[:lo]) for lo, c in zip(bounds[0], columns) if lo]
-                    found = matching._match(prof, table, members, *bounds, total)
+                    found = matching._match(table, members, *bounds, total)
                     value, assignment = found
                     optimum = min(map(fold, costs))
                     assert fold(best) <= optimum == value
                     assert fold([0, *loads]) <= optimum
                     assert fold(table[t - 1][j] for j, t in enumerate(assignment.targets)) == value
-                    assert matching._match(prof, table, members, *bounds, total, value) is None
-                    assert matching._match(prof, table, members, *bounds, total, value + 1) == found
+                    assert matching._match(table, members, *bounds, total, value) is None
+                    assert matching._match(table, members, *bounds, total, value + 1) == found
 
 
 def test_matching_is_deterministic():

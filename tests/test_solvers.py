@@ -98,6 +98,8 @@ def test_sampling_run_count_formula():
         # Before the checks: ZeroDivisionError.
         (lambda: greedy_cc_bound(5, 4, 0), "committee size must be positive"),
         (lambda: cover_depth_majority(10, 0, 0.5), "committee size must be positive"),
+        # Before the check: a depth of 0.
+        (lambda: cover_depth_majority(6, 3, 1.0), "delta must lie strictly inside (0, 1), got 1.0"),
         (lambda: greedy_monroe_bound(5, 1, 1), "greedy_monroe_bound needs an integer k in 3..1, got 1"),
         # Outside the stated range 3..m.
         (lambda: greedy_monroe_bound(6, 4, 2), "greedy_monroe_bound needs an integer k in 3..4, got 2"),
@@ -106,7 +108,7 @@ def test_sampling_run_count_formula():
     ],
     ids=[
         "runs-float", "runs-bool", "harmonic-bool", "cc-bound-bool", "w-inf", "w-nan",
-        "cc-bound-zero", "depth-zero", "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
+        "cc-bound-zero", "depth-zero", "depth-delta-one", "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
         "monroe-bound-float",
     ],
 )
@@ -125,6 +127,8 @@ def test_solver_config_validation():
     # named even where the profile would be refused too.
     for knobs, message in (
         ({"epsilon": 0.0}, "epsilon must lie strictly inside (0, 1)"),
+        ({"epsilon": 1.0}, "epsilon must lie strictly inside (0, 1)"),
+        ({"lambda_": 0.0}, "lambda must lie strictly inside (0, 1)"),
         ({"lambda_": 1.0}, "lambda must lie strictly inside (0, 1)"),
         ({"enumeration_cap": 0}, "enumeration cap must be at least 1"),
     ):
@@ -330,6 +334,14 @@ def test_combined_over_cap_falls_back_to_sampling():
     assert report.algorithm == "combined_monroe[greedy+sample:10][no-guarantee]"
     assert not validate_assignment(make_monroe(prof, 3), BD, report.assignment)
     assert report.value >= greedy_monroe(prof, 3).value
+
+
+def test_combined_over_a_cap_of_one_runs_one_sample():
+    # The least cap the solver takes: C(6, 3) = 20 committees exceed it, so
+    # greedy runs and then one sampling run.
+    prof = gen_impartial_culture(12, 6, 3)
+    report = combined_monroe(prof, 3, epsilon=0.5, enumeration_cap=1)
+    assert report.algorithm == "combined_monroe[greedy+sample:1][no-guarantee]"
 
 
 def test_combined_over_cap_runs_at_most_cap_samples():
@@ -579,6 +591,15 @@ def test_exact_enumeration_caps_general_by_affordable_committees():
         exact_enumeration(inst, BD, "l1_dec", enumeration_cap=20)
     assert str(info.value) == "exact enumeration needs more than 20 committees, cap is 20"
     assert info.value.required is None
+    # Three unit costs fit the budget together: their 7 nonempty subsets
+    # are the affordable committees, exactly.
+    inst = Instance(
+        profile=gen_impartial_culture(12, 6, 3), costs=(1, 1, 1, 100, 100, 100),
+        capacities=(12,) * 6, budget=3,
+    )
+    assert exact_enumeration(inst, BD, "l1_dec", enumeration_cap=7)
+    with pytest.raises(EnumerationCapExceeded):
+        exact_enumeration(inst, BD, "l1_dec", enumeration_cap=6)
 
 
 def test_budget_subsets_counts_affordable_committees_up_to_the_limit():
