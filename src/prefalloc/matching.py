@@ -14,12 +14,6 @@ the load floor) and, under either objective, refuses a committee whose
 value cannot be below the caller's ``below`` before any kernel solve: the
 solvers' skip rules live here alone.
 
-Load bounds are enforced without a general lower-bound reduction: the source
-feeds each committee member its mandatory ``lower`` units directly plus a
-shared slack pool of ``n - sum(lower)`` units capped at ``upper - lower`` per
-member.  A flow of value ``n`` therefore saturates every source edge, which
-forces every lower bound.
-
 Tie-breaking is deterministic: committee members are processed in ascending
 alternative order, agents in ascending index order, and the Dijkstra heap
 breaks distance ties toward the lowest node id.
@@ -88,35 +82,45 @@ def _cost_table(profile: Profile, psf: ScoringFunction) -> list[tuple[int, ...]]
 
 
 def _solve_bounded(
-    table: list[tuple[int, ...]],
-    committee: tuple[int, ...],
+    columns: list[tuple[int, ...]],
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
     ceiling: int | None,
-) -> tuple[int, ...] | None:
-    """Min-cost full b-matching on the edges within ``ceiling``, or None if none.
+) -> list[int] | None:
+    """Min-cost full b-matching on the edges within ``ceiling``, as each
+    agent's slot in ``columns`` (``columns[i][j]``: agent j's cost at member
+    i), or None if none; :func:`_match` refuses infeasible load totals.
 
     Node 0 is the source and node 1 the slack pool; the ``k`` members follow
     from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
-    Successive shortest paths with Johnson potentials: every path ends on a
-    unit agent-sink edge, so each carries one unit, and ``n`` of them
-    complete the matching.  Raises :class:`InfeasibleMatchingError` when the
-    load totals admit no complete assignment.
+    The source feeds each member its ``lower`` units and the pool ``n -
+    sum(lowers)``, which passes at most ``upper - lower`` to each member, so
+    a flow of value ``n`` meets every lower bound.  Successive shortest
+    paths with Johnson potentials: every path ends on a unit agent-sink
+    edge, so each carries one unit, and ``n`` of them complete the matching.
 
     The residual network is plain arrays: ``head[j]``, the one node agent j
     has an edge to (its member, or the sink while unmatched);
     ``rows[i][j]``, the cost of member i's edge to agent j, infinite above
-    the ceiling and while the edge carries j;
-    ``matched``, the sink's costs back to the agents; and the flows on the
-    lower, slack and pool edges.  A search keeps ``label = dist + potential``
-    per node and pops ``(dist, node)`` keys, packed as ``dist * size +
-    node``; the first strict improvement of a label wins, so ties go to the
-    least key.  Nodes relax edges in the order of an edge-list network: the
-    source, lower edges by member, then the pool; the pool, slack edges by
-    member; a member, its reverse slack edge, then agents by index; an
-    agent, its one edge; the sink, matched agents by index.  No node has two
-    edges to one node, so this order moves no tie, and no edge back to the
-    source can improve its distance of 0.
+    the ceiling and while the edge carries j; ``matched``, the sink's costs
+    back to the agents; ``load[i]``, the agents member i carries; and
+    ``room``, what the source's edge to the pool can still carry.  Loads are
+    enough: a member below its lower bound holds label 0 from the source's
+    first pop (key 0), and no member label is below 0, since one reached
+    through an agent carries flow back to the source at cost 0 and an
+    optimal partial flow has no negative cycle; so it takes no slack.  Lower
+    flow never falls, so the lower edge carries ``min(load, lower)`` and the
+    slack edge ``max(0, load - lower)``; a pool edge into a member with
+    equal bounds, below both, never wins either.  No load reaches ``n`` in
+    a search, so ``uppers`` alone caps the pool's edges.  A search keeps
+    ``label = dist + potential`` per node and pops ``(dist, node)`` keys,
+    packed as ``dist * size + node``; the first strict improvement of a
+    label wins, so ties go to the least key.  Nodes relax edges in the order
+    of an edge-list network: the source, lower edges by member, then the
+    pool; the pool, slack edges by member; a member, its reverse slack edge,
+    then agents by index; an agent, its one edge; the sink, matched agents
+    by index.  No node has two edges to one node, so this order moves no
+    tie, and no edge back to the source can improve its distance of 0.
 
     Two savings leave every label, path and potential as a search that pops
     every entry would leave them:
@@ -130,29 +134,17 @@ def _solve_bounded(
       per node).  At 0 the search stops: only members and the sink relax
       agents, so every label is final.
     """
-    n, k = len(table[0]), len(committee)
-    total_lo = sum(lowers)
-    total_hi = sum(min(hi, n) for hi in uppers)
-    if total_hi < n:
-        raise InfeasibleMatchingError(
-            f"member upper bounds admit only {total_hi} agents, instance has {n}"
-        )
-    if total_lo > n:
-        raise InfeasibleMatchingError(
-            f"member lower bounds require {total_lo} agents, instance has {n}"
-        )
+    n, k = len(columns[0]), len(columns)
     heappop, heappush = heapq.heappop, heapq.heappush
     agent0 = 2 + k
     sink = agent0 + n
     size = sink + 1
     inf = float("inf")
     agents = range(n)
-    columns = [table[alt - 1] for alt in committee]
     rows = [[c if ceiling is None or c <= ceiling else inf for c in col] for col in columns]
-    slacks = [min(hi, n) - lo for lo, hi in zip(lowers, uppers)]
     head = [sink] * n
     matched = [inf] * n
-    lower_flow, slack_flow, pool_flow = [0] * k, [0] * k, 0
+    load, room = [0] * k, n - sum(lowers)
     potential = [0] * size
     for _ in range(n):
         label = [inf] * size
@@ -189,16 +181,16 @@ def _solve_bounded(
             live -= waiting[u]
             arcs, row, ends = [], (), ()
             if u == 0:
-                arcs = [2 + i for i in range(k) if lower_flow[i] < lowers[i]]
-                if pool_flow < n - total_lo:
+                arcs = [2 + i for i in range(k) if load[i] < lowers[i]]
+                if room > 0:
                     arcs.append(1)
             elif u == 1:
-                arcs = [2 + i for i in range(k) if slack_flow[i] < slacks[i]]
+                arcs = [2 + i for i in range(k) if load[i] < uppers[i]]
             elif u == sink:
                 row, ends = matched, agents
             else:
                 row, ends = rows[u - 2], agents
-                if slack_flow[u - 2]:
+                if load[u - 2] > lowers[u - 2]:
                     arcs = [1]
             for v in arcs:  # zero-cost edges out of the source, the pool or a member
                 if base < label[v]:
@@ -228,17 +220,14 @@ def _solve_bounded(
                 rows[u - 2][v - agent0] = inf
             elif agent0 <= u:  # agent u leaves member v, its edge within the ceiling
                 rows[v - 2][u - agent0] = columns[v - 2][u - agent0]
-            elif v == 1:
-                if u == 0:
-                    pool_flow += 1
-                else:
-                    slack_flow[u - 2] -= 1
-            elif u == 0:
-                lower_flow[v - 2] += 1
+            elif v != 1:  # from the source or the pool
+                load[v - 2] += 1
+            elif u:  # member u hands a slack unit back to the pool
+                load[u - 2] -= 1
             else:
-                slack_flow[v - 2] += 1
+                room -= 1
             v = u
-    return tuple(committee[v - 2] for v in head)
+    return [v - 2 for v in head]
 
 
 def _nearest(members: tuple[int, ...], columns: Sequence[Sequence[int]]) -> Assignment:
@@ -265,13 +254,14 @@ def _match(
     ``lo``-th cheapest).  A committee refused by the CC floor sorts no
     column, and one refused by the larger floor runs no kernel solve.
     Bounds of 0 and ``n`` restrict nothing: the CC floor is the value and
-    each agent goes to its cheapest member (:func:`_nearest`).
+    each agent goes to its cheapest member (:func:`_nearest`).  Other load
+    totals that admit no complete assignment raise
+    :class:`InfeasibleMatchingError` before the load floor and any solve.
 
     The total objective is one kernel solve.  The egalitarian threshold
     search probes the floor with the min-cost kernel as a ``ceiling``, then
     bisects the cost levels above it (below ``below``); the probe at the
-    threshold returns the assignment.  Load totals that admit no complete
-    assignment raise :class:`InfeasibleMatchingError` from the first solve.
+    threshold returns the assignment.
     """
     n = len(table[0])
     fold = sum if total else max
@@ -281,34 +271,41 @@ def _match(
         return None
     if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
         return floor, _nearest(members, columns)
-    loads = [fold(sorted(column)[:low]) for low, column in zip(lowers, columns) if 0 < low <= n]
+    most, least = sum(min(hi, n) for hi in uppers), sum(lowers)
+    if most < n:
+        raise InfeasibleMatchingError(
+            f"member upper bounds admit only {most} agents, instance has {n}"
+        )
+    if least > n:
+        raise InfeasibleMatchingError(
+            f"member lower bounds require {least} agents, instance has {n}"
+        )
+    loads = [fold(sorted(column)[:low]) for low, column in zip(lowers, columns) if low]
     if loads:
         floor = max(floor, fold(loads))
     if below is not None and floor >= below:
         return None
     if total:
-        targets = _solve_bounded(table, members, lowers, uppers, None)
-        # With no ceiling every agent may join any member, so once
-        # _solve_bounded's two load-total checks pass, a complete matching exists.
-        assert targets is not None
-        value = sum(table[t - 1][j] for j, t in enumerate(targets))
+        slots = _solve_bounded(columns, lowers, uppers, None)
+        assert slots is not None  # with no ceiling, totals that pass admit a matching
+        value = sum(columns[s][j] for j, s in enumerate(slots))
         if below is not None and value >= below:
             return None
-        return value, Assignment(targets)
+        return value, Assignment([members[s] for s in slots])
     levels = sorted({c for column in columns for c in column if floor <= c})
     if below is not None:
         levels = [c for c in levels if c < below]
     lo, hi, mid, best = 0, len(levels), 0, None
     while lo < hi:
-        targets = _solve_bounded(table, members, lowers, uppers, levels[mid])
-        if targets is None:
+        slots = _solve_bounded(columns, lowers, uppers, levels[mid])
+        if slots is None:
             lo = mid + 1
         else:
-            hi, best = mid, targets
+            hi, best = mid, slots
         mid = (lo + hi) // 2
     if best is None:
         return None
-    return levels[hi], Assignment(best)
+    return levels[hi], Assignment([members[s] for s in best])
 
 
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
@@ -336,7 +333,8 @@ def match_monroe_l1(
     restrict nothing, and the matching is then :func:`match_cc`'s.
     Maximizes the total score for a decreasing (satisfaction) function and
     minimizes it for an increasing (dissatisfaction) one: both minimize the
-    total :func:`_cost_table` cost, and the optimum is exact.
+    total :func:`_cost_table` cost, and the optimum is exact.  Refused load
+    totals raise :class:`InfeasibleMatchingError` before any kernel solve.
     """
     members = _checked_committee(profile, committee)
     bounds = _bounds(profile.n, len(members), lowers, uppers)
@@ -367,7 +365,7 @@ def match_egalitarian(
     (:func:`_match`): the search probes a proven floor first, which is
     usually the threshold, so usually one solve, and otherwise bisects the
     cost levels above it.  Load totals that admit no complete assignment
-    raise :class:`InfeasibleMatchingError` from the first probe.
+    raise :class:`InfeasibleMatchingError` before any kernel solve.
     """
     members = _checked_committee(profile, committee)
     bounds = _bounds(profile.n, len(members), lowers, uppers)

@@ -24,7 +24,9 @@ Only ``matching`` references the kernel entry ``_solve_bounded``, and
 ``solvers`` imports no private ``matching`` name but ``_cost_table`` and
 ``_match``, and no public matcher (``match_*``): the matcher owns both
 proven floors and the ``below`` refusal, so no solver grows its own floor,
-calls the kernel directly or matches a committee any other way.
+calls the kernel directly or matches a committee any other way.  The
+kernel takes the cost columns ``_match`` built, not a ``table`` and a
+``committee``, and raises nothing: ``_match`` refuses load totals once.
 
 Only ``core`` and ``instances`` define ``_Record`` subclasses: the data
 types are records, and a solver's or matcher's knobs are parameters.  In
@@ -220,6 +222,17 @@ def test_solvers_match_only_through_one_entry():
     }
     assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
     assert {name for name in imported if name.startswith("match_")} == set()
+
+
+def test_kernel_takes_columns_and_raises_nothing():
+    trees, _ = _package_trees()
+    (kernel,) = [
+        node for node in trees["matching"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_solve_bounded"
+    ]
+    parameters = {arg.arg for arg in _parameters(kernel.args)}
+    assert "columns" in parameters and not parameters & {"table", "committee"}
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(kernel))
 
 
 def test_only_the_data_modules_define_records():

@@ -435,9 +435,9 @@ def _count_solves(monkeypatch):
     matchings, searches, probes = [], [], []
     solve, match = matching._solve_bounded, solvers._match
 
-    def counted_solve(table, members, lowers, uppers, ceiling):
-        (matchings if ceiling is None else probes).append(members)
-        return solve(table, members, lowers, uppers, ceiling)
+    def counted_solve(columns, lowers, uppers, ceiling):
+        (matchings if ceiling is None else probes).append(columns)
+        return solve(columns, lowers, uppers, ceiling)
 
     def counted_match(*args):
         before = len(probes)

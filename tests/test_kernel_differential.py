@@ -1,7 +1,8 @@
 """Differential sweep: the matching kernel ``matching._solve_bounded``
 against the edge-list network it replaced (``oracles.solve_bounded_reference``).
 Both must return the same targets, both None, or both raise
-``InfeasibleMatchingError`` with the same message.
+``InfeasibleMatchingError`` with the same message: the kernel through
+:func:`solve_bounded`, which gives it the reference's contract.
 
 Cases: impartial-culture, identical and two- to four-order profiles with n
 from 1 to 80, plus two at the size of the ``monroe_sample`` benchmark
@@ -28,6 +29,19 @@ from oracles import balanced_bounds, shuffled, solve_bounded_reference
 
 SEED = 4040
 CASES = 48
+
+
+def solve_bounded(table, members, lowers, uppers, ceiling):
+    """The kernel under the reference's contract: the targets of
+    ``matching._solve_bounded`` on the members' cost columns, or None; load
+    totals that admit no complete assignment raise the refusal of
+    ``matching._match``, which refuses them before any kernel solve."""
+    n = len(table[0])
+    if sum(lowers) > n or sum(min(hi, n) for hi in uppers) < n:
+        matching._match(table, members, lowers, uppers, True)
+        raise AssertionError(f"_match accepted load totals {lowers}, {uppers} for n = {n}")
+    slots = matching._solve_bounded([table[a - 1] for a in members], lowers, uppers, ceiling)
+    return None if slots is None else tuple(members[s] for s in slots)
 
 
 def _outcome(solve, *args):
@@ -103,7 +117,7 @@ def _cases():
 def test_kernel_matches_edge_list_reference():
     seen = {"targets": 0, "none": 0, "infeasible": 0}
     for case, args in enumerate(_cases()):
-        got = _outcome(matching._solve_bounded, *args)
+        got = _outcome(solve_bounded, *args)
         assert got == _outcome(solve_bounded_reference, *args), (case, args[1:])
         if got is None:
             seen["none"] += 1
@@ -133,5 +147,5 @@ def test_kernel_pops_at_most_half_the_reference(monkeypatch):
         want = solve_bounded_reference(*args)
         reference = pops[0]
         pops[0] = 0
-        assert matching._solve_bounded(*args) == want
+        assert solve_bounded(*args) == want
         assert 2 * pops[0] <= reference, (j, pops[0], reference)

@@ -8,8 +8,10 @@ import prefalloc.matching as matching
 from prefalloc import (
     Assignment,
     InfeasibleMatchingError,
+    Instance,
     Profile,
     ScoringFunction,
+    exact_enumeration,
     gen_identical,
     gen_impartial_culture,
     make_cc,
@@ -22,6 +24,8 @@ from prefalloc import (
     validate_assignment,
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
+
+from test_kernel_differential import solve_bounded
 
 from oracles import (
     agent_scores,
@@ -195,19 +199,19 @@ def _count_kernel_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "n, m, committee, lowers, uppers, message",
-    [
-        (4, 1, [1], (0,), (3,), "member upper bounds admit only 3 agents, instance has 4"),
-        (4, 1, [1], (5,), (6,), "member lower bounds require 5 agents, instance has 4"),
-        (6, 4, [1, 3], (0, 0), (2, 3), "member upper bounds admit only 5 agents, instance has 6"),
-        (6, 4, [2, 4], (4, 3), (5, 5), "member lower bounds require 7 agents, instance has 6"),
-    ],
-)
+REFUSED_TOTALS = [
+    (4, 1, [1], (0,), (3,), "member upper bounds admit only 3 agents, instance has 4"),
+    (4, 1, [1], (5,), (6,), "member lower bounds require 5 agents, instance has 4"),
+    (6, 4, [1, 3], (0, 0), (2, 3), "member upper bounds admit only 5 agents, instance has 6"),
+    (6, 4, [2, 4], (4, 3), (5, 5), "member lower bounds require 7 agents, instance has 6"),
+]
+
+
+@pytest.mark.parametrize("n, m, committee, lowers, uppers, message", REFUSED_TOTALS)
 def test_match_egalitarian_infeasible_totals_keep_their_message(
     n, m, committee, lowers, uppers, message
 ):
-    # The first probe raises from _solve_bounded, m = 1 included.
+    # _match raises before any probe, m = 1 included.
     prof = gen_impartial_culture(n, m, 5)
     for psf in (BD, BI):
         with pytest.raises(InfeasibleMatchingError) as got:
@@ -215,6 +219,25 @@ def test_match_egalitarian_infeasible_totals_keep_their_message(
         with pytest.raises(InfeasibleMatchingError) as want:
             match_egalitarian_reference(prof, psf, committee, lowers, uppers)
         assert str(got.value) == str(want.value) == message
+
+
+def test_refused_load_totals_run_no_kernel_solve(monkeypatch):
+    # Both matchers refuse before any solve, and exact enumeration of a
+    # general instance solves only committees whose capacities can host
+    # every agent: of the 6 affordable committees here, {1, 2} (3 + 1 < 5)
+    # and the singletons are refused, {1, 3} and {2, 3} are matched.
+    calls = _count_kernel_solves(monkeypatch)
+    for n, m, committee, lowers, uppers, message in REFUSED_TOTALS:
+        prof = gen_impartial_culture(n, m, 5)
+        for matcher in (match_monroe_l1, match_egalitarian):
+            with pytest.raises(InfeasibleMatchingError, match=f"^{message}$"):
+                matcher(prof, BD, committee, lowers, uppers)
+    assert calls == []
+    prof = gen_impartial_culture(5, 3, 6)
+    general = Instance(profile=prof, costs=(1, 1, 1), capacities=(3, 1, 4), budget=2)
+    exact_enumeration(general, BD, "l1_dec")
+    assert sorted(len(columns) for columns, *_ in calls) == [2, 2]
+    assert all(sum(min(hi, 5) for hi in uppers) >= 5 for _, _, uppers, _ in calls)
 
 
 def test_match_egalitarian_single_alternative(monkeypatch):
@@ -385,7 +408,7 @@ def test_kernel_targets_golden():
         levels = sorted({c for a in members for c in table[a - 1]})
         for bounds in (balanced_bounds(n, k), (lowers, uppers)):
             for ceiling in (None, levels[len(levels) // 2]):
-                outcome = _outcome(matching._solve_bounded, table, members, *bounds, ceiling)
+                outcome = _outcome(solve_bounded, table, members, *bounds, ceiling)
                 digest.update(f"{outcome}\n".encode())
             outcome = _outcome(_egalitarian_targets, prof, psf, members, *bounds)
             digest.update(f"{outcome}\n".encode())
