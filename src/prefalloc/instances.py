@@ -35,6 +35,11 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class UnsupportedInstanceError(ValueError):
+    """An approximation solver was given an :class:`Instance`, whose costs,
+    capacities and budget it would ignore."""
+
+
 class ParsedDocument(_Record):
     """Parse result, as an immutable record: the profile plus any
     general-instance blocks present."""
@@ -54,7 +59,14 @@ class ParsedDocument(_Record):
 
 def _restriction(profile: Profile, k: int, tag: str) -> Instance:
     """The ``monroe`` or ``cc`` restriction: unit costs, budget ``k``,
-    capacity ``ceil(n/k)`` or ``n`` for every alternative."""
+    capacity ``ceil(n/k)`` or ``n`` for every alternative.  An
+    :class:`Instance` is refused: its costs, capacities and budget would be
+    silently replaced."""
+    if isinstance(profile, Instance):
+        raise UnsupportedInstanceError(
+            "approximation solvers take a Profile and ignore costs, capacities "
+            "and budget; pass instance.profile"
+        )
     if not (_integers((k,)) and 1 <= k <= profile.m):
         raise ValueError(f"committee size must lie in 1..{profile.m}, got {k}")
     capacity = _balanced_loads(profile.n, k)[1] if tag == "monroe" else profile.n

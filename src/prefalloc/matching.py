@@ -6,13 +6,14 @@ agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, and one kernel function,
 :func:`_solve_bounded`: integer successive shortest augmenting paths with
 potentials on a flow network kept in arrays.  The total objective is one
-solve.  The egalitarian objectives probe cost levels as ``ceiling``s, from
-a proven lower bound on the optimal threshold upwards; the least level
-whose solve completes is the committee's egalitarian value, and that solve
-is its matching.  The entry computes both proven floors (the CC floor and
-the load floor) and, under either objective, refuses a committee whose
-value cannot be below the caller's ``below`` before any kernel solve: the
-solvers' skip rules live here alone.
+solve.  The egalitarian objectives probe cost levels upwards from a proven
+lower bound on the optimal threshold, each by one solve on the columns
+capped there (every cost above it infinite); the least level whose solve
+completes is the committee's egalitarian value and matching.  The entry
+computes both proven floors (the CC floor and the load floor) and, under
+either objective, refuses a committee whose value cannot be below the
+caller's ``below`` before any kernel solve: the solvers' skip rules live
+here alone.
 
 Tie-breaking is deterministic: committee members are processed in ascending
 alternative order, agents in ascending index order, and the Dijkstra heap
@@ -82,14 +83,11 @@ def _cost_table(profile: Profile, psf: ScoringFunction) -> list[tuple[int, ...]]
 
 
 def _solve_bounded(
-    columns: list[tuple[int, ...]],
-    lowers: tuple[int, ...],
-    uppers: tuple[int, ...],
-    ceiling: int | None,
+    columns: Sequence[Sequence[float]], lowers: tuple[int, ...], uppers: tuple[int, ...]
 ) -> list[int] | None:
-    """Min-cost full b-matching on the edges within ``ceiling``, as each
-    agent's slot in ``columns`` (``columns[i][j]``: agent j's cost at member
-    i), or None if none; :func:`_match` refuses infeasible load totals.
+    """Min-cost full b-matching, as each agent's slot in ``columns``
+    (``columns[i][j]``: agent j's cost at member i, infinite for a missing
+    edge), or None if none; :func:`_match` refuses infeasible load totals.
 
     Node 0 is the source and node 1 the slack pool; the ``k`` members follow
     from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
@@ -101,8 +99,8 @@ def _solve_bounded(
 
     The residual network is plain arrays: ``head[j]``, the one node agent j
     has an edge to (its member, or the sink while unmatched);
-    ``rows[i][j]``, the cost of member i's edge to agent j, infinite above
-    the ceiling and while the edge carries j; ``matched``, the sink's costs
+    ``rows[i][j]``, the cost of member i's edge to agent j, infinite while
+    the edge is missing or carries j; ``matched``, the sink's costs
     back to the agents; ``load[i]``, the agents member i carries; and
     ``room``, what the source's edge to the pool can still carry.  Loads are
     enough: a member below its lower bound holds label 0 from the source's
@@ -141,7 +139,7 @@ def _solve_bounded(
     size = sink + 1
     inf = float("inf")
     agents = range(n)
-    rows = [[c if ceiling is None or c <= ceiling else inf for c in col] for col in columns]
+    rows = [list(col) for col in columns]
     head = [sink] * n
     matched = [inf] * n
     load, room = [0] * k, n - sum(lowers)
@@ -218,7 +216,7 @@ def _solve_bounded(
             elif agent0 <= v:  # member u now carries agent v
                 head[v - agent0] = u
                 rows[u - 2][v - agent0] = inf
-            elif agent0 <= u:  # agent u leaves member v, its edge within the ceiling
+            elif agent0 <= u:  # agent u leaves member v: its edge is back
                 rows[v - 2][u - agent0] = columns[v - 2][u - agent0]
             elif v != 1:  # from the source or the pool
                 load[v - 2] += 1
@@ -259,9 +257,9 @@ def _match(
     :class:`InfeasibleMatchingError` before the load floor and any solve.
 
     The total objective is one kernel solve.  The egalitarian threshold
-    search probes the floor with the min-cost kernel as a ``ceiling``, then
-    bisects the cost levels above it (below ``below``); the probe at the
-    threshold returns the assignment.
+    search probes the floor with one kernel solve on the columns capped
+    there (every cost above it infinite), then bisects the cost levels above
+    it (below ``below``); the probe at the threshold returns the assignment.
     """
     n = len(table[0])
     fold = sum if total else max
@@ -286,8 +284,8 @@ def _match(
     if below is not None and floor >= below:
         return None
     if total:
-        slots = _solve_bounded(columns, lowers, uppers, None)
-        assert slots is not None  # with no ceiling, totals that pass admit a matching
+        slots = _solve_bounded(columns, lowers, uppers)
+        assert slots is not None  # uncapped, totals that pass admit a matching
         value = sum(columns[s][j] for j, s in enumerate(slots))
         if below is not None and value >= below:
             return None
@@ -295,9 +293,12 @@ def _match(
     levels = sorted({c for column in columns for c in column if floor <= c})
     if below is not None:
         levels = [c for c in levels if c < below]
+    inf = float("inf")
     lo, hi, mid, best = 0, len(levels), 0, None
     while lo < hi:
-        slots = _solve_bounded(columns, lowers, uppers, levels[mid])
+        level = levels[mid]
+        capped = [[c if c <= level else inf for c in column] for column in columns]
+        slots = _solve_bounded(capped, lowers, uppers)
         if slots is None:
             lo = mid + 1
         else:

@@ -4,8 +4,8 @@ numeric utilities their quality bounds need.
 All positive guarantees hold for Borda satisfaction scores, so the
 approximation solvers score with ``borda_dec`` and take no scoring function.
 They take a bare :class:`Profile` and build the Monroe or CC restriction
-themselves, which checks the committee size; :func:`exact_enumeration`
-takes an :class:`Instance`.  Ties are always broken toward the lowest
+themselves, which refuses an :class:`Instance` and checks the committee
+size; :func:`exact_enumeration` takes an :class:`Instance`.  Ties are always broken toward the lowest
 alternative index and the lowest agent index.
 """
 
@@ -38,11 +38,6 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 _BORDA = ScoringFunction.borda_dec()
 
 OBJECTIVES = ("l1_dec", "l1_inc", "min_dec", "max_inc")
-
-
-class UnsupportedInstanceError(ValueError):
-    """An approximation solver was given an :class:`Instance`, whose costs,
-    capacities and budget it would ignore."""
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -121,17 +116,6 @@ def greedy_cc_bound(n: int, m: int, k: int) -> float:
     ``(1 - 2 w(k)/k) (m-1) n``."""
     _check_positive(k)
     return (1.0 - 2.0 * lambert_w(k) / k) * (m - 1) * n
-
-
-def _as_profile(prof: Profile) -> Profile:
-    """The profile, once it is known not to be an :class:`Instance`, whose
-    costs, capacities and budget the restriction would silently replace."""
-    if isinstance(prof, Instance):
-        raise UnsupportedInstanceError(
-            "approximation solvers take a Profile and ignore costs, capacities "
-            "and budget; pass instance.profile"
-        )
-    return prof
 
 
 def _loads(
@@ -245,7 +229,7 @@ def greedy_monroe(profile: Profile, k: int) -> SolveReport:
     Cost: one O(n m) rank-bucket index, then O(m) per candidate and step.
     """
     start = time.perf_counter()
-    instance = make_monroe(_as_profile(profile), k)
+    instance = make_monroe(profile, k)
     if k <= 2:
         algorithm = "greedy_monroe[exact:k<=2]"
         return _exact_monroe(instance, algorithm, None, DEFAULT_ENUMERATION_CAP, start)
@@ -266,7 +250,7 @@ def sample_once_monroe(profile: Profile, k: int, seed: int) -> SolveReport:
     ``(1 + k/m - k^2/(m^2-m) + k^3/(m^3-m^2)) / 2`` of the optimum, is
     unverified: identical profiles fall below it."""
     start = time.perf_counter()
-    instance = make_monroe(_as_profile(profile), k)
+    instance = make_monroe(profile, k)
     if not _integers((seed,)):
         raise ValueError("seed must be an integer")
     members = _sample_committee(profile.m, k, SplitMix64(seed))
@@ -317,7 +301,7 @@ def combined_monroe(
         raise ValueError("seed and enumeration cap must be integers")
     if enumeration_cap < 1:
         raise ValueError("enumeration cap must be at least 1")
-    instance = make_monroe(_as_profile(profile), k)
+    instance = make_monroe(profile, k)
     exact = k <= 8 or harmonic(k) / k >= epsilon / 2
     if exact and math.comb(profile.m, k) <= enumeration_cap:
         algorithm = "combined_monroe[exact:small-k]"
@@ -371,7 +355,7 @@ def greedy_cc(profile: Profile, k: int) -> SolveReport:
     alternative index; leftover agents go to their best picked alternative.
     """
     start = time.perf_counter()
-    instance = make_cc(_as_profile(profile), k)
+    instance = make_cc(profile, k)
     x = math.ceil(profile.m * lambert_w(k) / k)
     return _borda_report(instance, _greedy_cover(profile, k, x), "greedy_cc", start)
 
@@ -389,7 +373,7 @@ def greedy_cc_majority(
     every remaining agent keeps satisfaction at least ``m - x``.
     """
     start = time.perf_counter()
-    instance = make_cc(_as_profile(profile), k)
+    instance = make_cc(profile, k)
     assignment = _greedy_cover(profile, k, cover_depth_majority(profile.m, k, delta))
     value = metric_min_delta(instance, _BORDA, assignment, delta)
     return SolveReport(
@@ -421,7 +405,7 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
     matches its seed.
     """
     start = time.perf_counter()
-    instance = make_cc(_as_profile(profile), k)
+    instance = make_cc(profile, k)
     table = _cost_table(profile, _BORDA)
     seed = _cc_seed(table, k)
     _, assignment = _match(table, seed, *_loads(instance, seed), True)

@@ -87,6 +87,9 @@ EQUIVALENT = {
     ("rng", 'start = _packed(array("Q", (self._state, 0)) * count)', "0 -> 1"):
         "each lane's high word is masked off after the add, and a carry into it "
         "stays inside the lane",
+    ("cli", "if min_ratio[name] is None or ratio < min_ratio[name]:", "< -> <="):
+        "a tie stores a ratio equal to the one kept; a ratio is value / oracle with "
+        "both nonnegative, or 1.0, so never NaN or -0.0",
     ("instances", "full = set(range(1, m + 1))", "1 -> 2"):
         "every order then takes the token-by-token path, which accepts the same "
         "orders and raises the same errors",

@@ -25,8 +25,10 @@ Only ``matching`` references the kernel entry ``_solve_bounded``, and
 ``_match``, and no public matcher (``match_*``): the matcher owns both
 proven floors and the ``below`` refusal, so no solver grows its own floor,
 calls the kernel directly or matches a committee any other way.  The
-kernel takes the cost columns ``_match`` built, not a ``table`` and a
-``committee``, and raises nothing: ``_match`` refuses load totals once.
+kernel takes exactly the cost columns ``_match`` built and the load bounds
+(``columns``, ``lowers``, ``uppers``), and raises nothing: ``_match``
+refuses load totals once, and its threshold search caps the columns it
+probes, so the kernel knows no threshold.
 
 Only ``core`` and ``instances`` define ``_Record`` subclasses: the data
 types are records, and a solver's or matcher's knobs are parameters.  In
@@ -38,7 +40,9 @@ Each solver rule is stated once.  ``solvers`` calls
 ``ScoringFunction.borda_dec`` only to define ``_BORDA``, the one scoring
 function of its Borda solvers.  The committee-size refusal ``committee size
 must lie in`` is written in ``instances`` and nowhere else in the package:
-the solvers take it from ``make_monroe`` and ``make_cc``.
+the solvers take it from ``make_monroe`` and ``make_cc``.  So is the
+refusal of an ``Instance`` (``pass instance.profile``): the restriction
+refuses one, and the solvers get the refusal from it.
 
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
@@ -230,8 +234,7 @@ def test_kernel_takes_columns_and_raises_nothing():
         node for node in trees["matching"].body
         if isinstance(node, ast.FunctionDef) and node.name == "_solve_bounded"
     ]
-    parameters = {arg.arg for arg in _parameters(kernel.args)}
-    assert "columns" in parameters and not parameters & {"table", "committee"}
+    assert [arg.arg for arg in _parameters(kernel.args)] == ["columns", "lowers", "uppers"]
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(kernel))
 
 
@@ -271,6 +274,13 @@ def test_one_committee_size_check():
     holders = {
         path.stem for path in PACKAGE.glob("*.py")
         if "committee size must lie in" in path.read_text()
+    }
+    assert holders == {"instances"}
+
+
+def test_one_instance_refusal():
+    holders = {
+        path.stem for path in PACKAGE.glob("*.py") if "pass instance.profile" in path.read_text()
     }
     assert holders == {"instances"}
 

@@ -82,6 +82,17 @@ def test_gen_identical_content(tmp_path, capsys):
     assert lines == ["4 3", "1 2 3", "1 2 3", "1 2 3", "1 2 3"]
 
 
+@pytest.mark.parametrize("kind", ["ic", "identical"])
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 1)])
+def test_gen_at_one_agent_or_alternative(tmp_path, capsys, kind, n, m):
+    out = tmp_path / "one.txt"
+    seed = ("--seed", "4") if kind == "ic" else ()
+    code, _, _ = run_cli(capsys, "gen", kind, "--n", str(n), "--m", str(m), *seed, "--out", str(out))
+    assert code == 0
+    profile = gen_impartial_culture(n, m, 4) if kind == "ic" else gen_identical(n, m)
+    assert out.read_text() == write_instance(profile)
+
+
 def test_gen_flag_consistency(tmp_path, capsys):
     out = str(tmp_path / "x.txt")
     code, _, err = run_cli(capsys, "gen", "ic", "--n", "4", "--m", "3", "--out", out)
@@ -318,6 +329,17 @@ def test_solve_cap_error_surfaces_verbatim(identical_12_8, capsys):
     )
     assert code == 1
     assert "needs 70 committees, cap is 5" in err
+
+
+def test_solve_exact_within_a_cap_of_one(identical_12_8, capsys):
+    # C(8, 8) = 1 committee: a cap of 1 is enough.
+    code, stdout, _ = run_cli(
+        capsys, "solve", identical_12_8, "--system", "cc", "--k", "8", "--algorithm", "exact",
+        "--enumeration-cap", "1",
+    )
+    assert code == 0
+    assert stdout.startswith("instance=")
+    assert " algorithm=exact_enumeration objective=l1_dec value=84\n" in stdout
 
 
 def test_solve_rejects_malformed_file(tmp_path, capsys):
@@ -605,6 +627,44 @@ def test_ratio_reports_bound_violations(capsys, monkeypatch):
     assert [r["bound"] for r in trials["greedy"]] == [1e6, 1e6]
     assert [r["bound_violated"] for r in trials["maxcover"]] == [False, False]
     assert [r["bound_violations"] for r in rows if "min_ratio" in r] == [2, 0]
+
+
+def test_ratio_rows_at_their_floor_are_not_violations(identical_12_8, capsys, monkeypatch):
+    # At --k 1 every agent has its top choice (value 84 of 84).  exact's
+    # floor is the oracle itself, and greedy's (patched) lies 1e-9 above
+    # its value, the tolerance: neither is a violation.  Both trials share
+    # the profile, so the min_ratios tie.
+    floor = 84 + 1e-9
+    assert floor - 1e-9 == 84
+    monkeypatch.setattr(cli, "greedy_cc_bound", lambda n, m, k: floor)
+    code, stdout, _ = run_cli(
+        capsys, "ratio", identical_12_8, "--system", "cc", "--k", "1",
+        "--algorithms", "greedy,exact", "--trials", "2", "--json",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    trials = [r for r in rows if "trial" in r]
+    assert [(r["algorithm"], r["value"], r["bound"], r["bound_violated"]) for r in trials] == [
+        ("greedy", 84, floor, False), ("exact", 84, 84.0, False)
+    ] * 2
+    summary = [(r["algorithm"], r["min_ratio"], r["bound_violations"]) for r in rows[4:]]
+    assert summary == [("greedy", 1.0, 0), ("exact", 1.0, 0)]
+
+
+@pytest.mark.parametrize("gen", ["identical", "ic"])
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 1)])
+def test_ratio_generates_one_agent_or_alternative(capsys, gen, n, m):
+    seed = ("--seed", "1") if gen == "ic" else ()
+    code, stdout, _ = run_cli(
+        capsys, "ratio", "--gen", gen, "--n", str(n), "--m", str(m), *seed, "--system", "monroe",
+        "--k", "1", "--algorithms", "greedy",
+    )
+    assert code == 0
+    row, summary = stdout.splitlines()
+    assert row.startswith(f"trial=0 instance={gen}(n={n},m={m}")
+    # Each agent gets its top choice, worth m - 1.
+    assert row.endswith(f" algorithm=greedy value={m - 1} oracle={m - 1} ratio=1.000000")
+    assert summary == "algorithm=greedy min_ratio=1.000000 bound_violations=0"
 
 
 def test_ratio_stdout_reproducible(capsys):

@@ -119,8 +119,8 @@ IC_60_40_3_TARGETS = (
 
 def test_sampling_matches_only_samples_that_can_win(monkeypatch):
     # A sample whose CC or load floor is not below the incumbent's cost
-    # (here greedy's) is not matched: an l1 matching is a kernel solve with
-    # no ceiling.  The winner is scored once.
+    # (here greedy's) is not matched: an l1 matching is one kernel solve.
+    # The winner is scored once.
     matchings = _counter(monkeypatch, "_solve_bounded", matching)
     scorings = _counter(monkeypatch, "metric_l1", solvers)
     got = combined_monroe(gen_impartial_culture(60, 40, 3), 13, epsilon=0.5, lambda_=0.9, seed=3)

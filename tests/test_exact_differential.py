@@ -428,26 +428,30 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_solves(monkeypatch):
-    """Record exact_enumeration's kernel solves as ``(matchings, searches,
-    probes)``: an l1 matching is a solve with no ceiling, a probe is a solve
-    with one, and a threshold search is a call of ``solvers._match`` that
-    ran at least one probe."""
+    """Record the kernel solves as ``(matchings, searches, probes)``: a
+    solve is an l1 matching when the ``_match`` call that made it has
+    ``total`` set and a threshold probe otherwise, and a threshold search is
+    a ``_match`` call that ran at least one probe."""
     matchings, searches, probes = [], [], []
-    solve, match = matching._solve_bounded, solvers._match
+    solve, match = matching._solve_bounded, matching._match
+    making = []  # where the running _match call's solves go
 
-    def counted_solve(columns, lowers, uppers, ceiling):
-        (matchings if ceiling is None else probes).append(columns)
-        return solve(columns, lowers, uppers, ceiling)
+    def counted_solve(*args):
+        making[-1].append(args[0])
+        return solve(*args)
 
     def counted_match(*args):
+        making.append(matchings if args[4] else probes)  # args[4] is total
         before = len(probes)
         try:
             return match(*args)
         finally:
+            making.pop()
             if len(probes) > before:
                 searches.append(args)
 
     monkeypatch.setattr(matching, "_solve_bounded", counted_solve)
+    monkeypatch.setattr(matching, "_match", counted_match)
     monkeypatch.setattr(solvers, "_match", counted_match)
     return matchings, searches, probes
 

@@ -8,6 +8,7 @@ from prefalloc import (
     ParseError,
     ParsedDocument,
     Profile,
+    UnsupportedInstanceError,
     gen_identical,
     gen_impartial_culture,
     general_instance,
@@ -45,6 +46,19 @@ def test_make_cc_fields():
     assert inst.budget == 2
     assert inst.capacities == (7,) * 4
     assert make_cc(prof, 4).budget == 4
+
+
+@pytest.mark.parametrize("restrict", [make_monroe, make_cc])
+@pytest.mark.parametrize("k", [2, 9])
+def test_restrictions_refuse_an_instance(restrict, k):
+    # The Instance is refused before its committee size (9 > m) is checked.
+    instance = make_cc(gen_identical(4, 3), 2)
+    with pytest.raises(UnsupportedInstanceError) as info:
+        restrict(instance, k)
+    assert str(info.value) == (
+        "approximation solvers take a Profile and ignore costs, capacities "
+        "and budget; pass instance.profile"
+    )
 
 
 @pytest.mark.parametrize("missing", ["costs", "caps", "budget"])
@@ -134,6 +148,8 @@ def test_gen_identical():
     prof = gen_identical(3, 2)
     assert prof.orders == ((1, 2),) * 3
     assert gen_identical(4, 4).orders[0] == (1, 2, 3, 4)
+    assert gen_identical(1, 3).orders == ((1, 2, 3),)
+    assert gen_identical(3, 1).orders == ((1,),) * 3
 
 
 IC_INTEGERS = "n, m and seed must be integers"
@@ -266,8 +282,11 @@ def test_parse_order_tokens_as_int_reads_them():
 
 
 def test_parse_rejects_missing_orders():
-    with pytest.raises(ParseError):
-        parse_instance("3 2\n1 2\n2 1\n")  # only two of three orders, no blocks
+    # Only two of three orders, no blocks.  The error names the last line,
+    # which the blank line sets apart from the count of orders found.
+    with pytest.raises(ParseError, match=r"^line 4: expected 3 order lines, found 2$") as info:
+        parse_instance("3 2\n1 2\n\n2 1\n")
+    assert info.value.line == 4
 
 
 def test_parse_rejects_bad_blocks():

@@ -10,7 +10,9 @@ from 1 to 80, plus two at the size of the ``monroe_sample`` benchmark
 table; balanced bounds, random explicit bounds (often with infeasible
 totals) and explicit bounds whose lower bounds sum to n (no slack pool);
 no ceiling, and the lowest, middle and top cost level of the committee as
-the ceiling.  Without a ceiling the kernel must also pop at most half as
+the ceiling (the reference drops the edges above it; the kernel is handed
+the columns with those costs infinite, as ``matching._match`` hands them
+to it).  Without a ceiling the kernel must also pop at most half as
 many heap entries as the reference on the benchmark's four profiles."""
 
 import heapq
@@ -33,14 +35,18 @@ CASES = 48
 
 def solve_bounded(table, members, lowers, uppers, ceiling):
     """The kernel under the reference's contract: the targets of
-    ``matching._solve_bounded`` on the members' cost columns, or None; load
-    totals that admit no complete assignment raise the refusal of
-    ``matching._match``, which refuses them before any kernel solve."""
+    ``matching._solve_bounded`` on the members' cost columns capped at
+    ``ceiling``, or None; load totals that admit no complete assignment
+    raise the refusal of ``matching._match``, which refuses them before any
+    kernel solve."""
     n = len(table[0])
     if sum(lowers) > n or sum(min(hi, n) for hi in uppers) < n:
         matching._match(table, members, lowers, uppers, True)
         raise AssertionError(f"_match accepted load totals {lowers}, {uppers} for n = {n}")
-    slots = matching._solve_bounded([table[a - 1] for a in members], lowers, uppers, ceiling)
+    columns = [table[a - 1] for a in members]
+    if ceiling is not None:
+        columns = [[c if c <= ceiling else float("inf") for c in col] for col in columns]
+    slots = matching._solve_bounded(columns, lowers, uppers)
     return None if slots is None else tuple(members[s] for s in slots)
 
 

@@ -237,7 +237,7 @@ def test_refused_load_totals_run_no_kernel_solve(monkeypatch):
     general = Instance(profile=prof, costs=(1, 1, 1), capacities=(3, 1, 4), budget=2)
     exact_enumeration(general, BD, "l1_dec")
     assert sorted(len(columns) for columns, *_ in calls) == [2, 2]
-    assert all(sum(min(hi, 5) for hi in uppers) >= 5 for _, _, uppers, _ in calls)
+    assert all(sum(min(hi, 5) for hi in uppers) >= 5 for _, _, uppers in calls)
 
 
 def test_match_egalitarian_single_alternative(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
+from prefalloc.rng import SplitMix64, _acceptance_limit, derive_seed, sample_distinct
 
 from oracles import sample_distinct_reference
 
@@ -31,6 +31,22 @@ def test_blocks_continue_the_stream():
 def test_block_refuses_a_negative_size():
     with pytest.raises(ValueError):
         SplitMix64(1).block(-1)
+
+
+def test_acceptance_limit_is_the_largest_multiple_of_the_bound():
+    assert _acceptance_limit(1) == _acceptance_limit(2**32) == 2**64
+    assert _acceptance_limit(3) == 2**64 - 1  # 2**64 leaves residue 1 mod 3
+    assert _acceptance_limit(10) == 2**64 - 6
+    assert _acceptance_limit(2**63 + 1) == 2**63 + 1
+
+
+def test_randrange_skips_a_draw_at_or_above_the_limit():
+    # Bound 2**63 + 1 fits into 2**64 once, so randrange rejects about half
+    # the draws; seed 0's first draw is one of them, its second is kept.
+    bound = 2**63 + 1
+    first, second = SplitMix64(0).next_u64(), SplitMix64(0).block(2)[1]
+    assert first == 16294208416658607535 >= bound > second
+    assert SplitMix64(0).randrange(bound) == second == 7960286522194355700
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -85,6 +85,15 @@ def test_sampling_run_count_formula():
         sampling_run_count(10, 1.5, 0.9)
 
 
+@pytest.mark.parametrize("n, m, k", [(1, 2, 1), (7, 3, 2), (20, 9, 4), (100, 40, 10)])
+def test_greedy_cc_bound_value(n, m, k):
+    want = (1 - 2 * lambert_w_bisect(k) / k) * (m - 1) * n
+    assert greedy_cc_bound(n, m, k) == pytest.approx(want, rel=1e-9)
+
+
+RUN_RANGE = "epsilon and lambda must lie strictly inside (0, 1)"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -100,6 +109,13 @@ def test_sampling_run_count_formula():
         (lambda: cover_depth_majority(10, 0, 0.5), "committee size must be positive"),
         # Before the check: a depth of 0.
         (lambda: cover_depth_majority(6, 3, 1.0), "delta must lie strictly inside (0, 1), got 1.0"),
+        # Before the check: ZeroDivisionError, a count, a count, a math domain
+        # error and a math domain error.
+        (lambda: sampling_run_count(10, 0.0, 0.9), RUN_RANGE),
+        (lambda: sampling_run_count(10, 1.0, 0.9), RUN_RANGE),
+        (lambda: sampling_run_count(10, 0.1, 0.0), RUN_RANGE),
+        (lambda: sampling_run_count(10, 0.1, 1.0), RUN_RANGE),
+        (lambda: sampling_run_count(10, 0.1, 1.5), RUN_RANGE),
         (lambda: greedy_monroe_bound(5, 1, 1), "greedy_monroe_bound needs an integer k in 3..1, got 1"),
         # Outside the stated range 3..m.
         (lambda: greedy_monroe_bound(6, 4, 2), "greedy_monroe_bound needs an integer k in 3..4, got 2"),
@@ -108,7 +124,9 @@ def test_sampling_run_count_formula():
     ],
     ids=[
         "runs-float", "runs-bool", "harmonic-bool", "cc-bound-bool", "w-inf", "w-nan",
-        "cc-bound-zero", "depth-zero", "depth-delta-one", "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
+        "cc-bound-zero", "depth-zero", "depth-delta-one", "runs-eps-zero", "runs-eps-one",
+        "runs-lambda-zero", "runs-lambda-one", "runs-lambda-high",
+        "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
         "monroe-bound-float",
     ],
 )
