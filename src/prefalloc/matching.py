@@ -3,13 +3,13 @@
 Given the committee, the remaining problem is a degree-constrained bipartite
 b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
 agent j's cost for alternative a (:func:`_cost_table`).
-Both objectives run one entry, :func:`_match`, and one kernel function,
-:func:`_solve_bounded`: integer successive shortest augmenting paths with
-potentials on a flow network kept in arrays.  The total objective is one
-solve.  The egalitarian objectives probe cost levels upwards from a proven
-lower bound on the optimal threshold, each by one solve on the columns
-capped there (every cost above it infinite); the least level whose solve
-completes is the committee's egalitarian value and matching.  The entry
+Both objectives run one entry, :func:`_match`, one threshold search in it
+and one kernel function, :func:`_solve_bounded`: integer successive shortest
+augmenting paths with potentials on a flow network kept in arrays.  The
+search keeps the least cost level at which the columns capped there (every
+cost above it infinite) admit a matching.  The total objective's one level
+caps nothing; the egalitarian objectives' levels are the costs from a
+proven lower bound on the optimal threshold up.  The entry
 computes both proven floors (the CC floor and the load floor) and, under
 either objective, refuses a committee whose value cannot be below the
 caller's ``below`` before any kernel solve: the solvers' skip rules live
@@ -87,7 +87,8 @@ def _solve_bounded(
 ) -> list[int] | None:
     """Min-cost full b-matching, as each agent's slot in ``columns``
     (``columns[i][j]``: agent j's cost at member i, infinite for a missing
-    edge), or None if none; :func:`_match` refuses infeasible load totals.
+    edge), or None if none, which only capped columns give; :func:`_match`'s
+    search, the one caller, refuses infeasible load totals first.
 
     Node 0 is the source and node 1 the slack pool; the ``k`` members follow
     from node 2, the ``n`` agents from node ``2 + k``, and the sink is last.
@@ -256,10 +257,10 @@ def _match(
     totals that admit no complete assignment raise
     :class:`InfeasibleMatchingError` before the load floor and any solve.
 
-    The total objective is one kernel solve.  The egalitarian threshold
-    search probes the floor with one kernel solve on the columns capped
-    there (every cost above it infinite), then bisects the cost levels above
-    it (below ``below``); the probe at the threshold returns the assignment.
+    One threshold search serves both objectives, one kernel solve on the
+    columns capped at each level it probes.  The total objective's one level
+    caps nothing, so its solve completes; the egalitarian search bisects the
+    costs from the floor up to ``below``, probing the least first.
     """
     n = len(table[0])
     fold = sum if total else max
@@ -283,21 +284,17 @@ def _match(
         floor = max(floor, fold(loads))
     if below is not None and floor >= below:
         return None
-    if total:
-        slots = _solve_bounded(columns, lowers, uppers)
-        assert slots is not None  # uncapped, totals that pass admit a matching
-        value = sum(columns[s][j] for j, s in enumerate(slots))
-        if below is not None and value >= below:
-            return None
-        return value, Assignment([members[s] for s in slots])
-    levels = sorted({c for column in columns for c in column if floor <= c})
-    if below is not None:
-        levels = [c for c in levels if c < below]
     inf = float("inf")
+    levels = [inf]  # the total objective's one level caps nothing
+    if not total:
+        levels = sorted({c for column in columns for c in column if floor <= c})
+        levels = [c for c in levels if below is None or c < below]
     lo, hi, mid, best = 0, len(levels), 0, None
     while lo < hi:
         level = levels[mid]
-        capped = [[c if c <= level else inf for c in column] for column in columns]
+        capped = columns if total else [
+            [c if c <= level else inf for c in column] for column in columns
+        ]
         slots = _solve_bounded(capped, lowers, uppers)
         if slots is None:
             lo = mid + 1
@@ -305,8 +302,12 @@ def _match(
             hi, best = mid, slots
         mid = (lo + hi) // 2
     if best is None:
+        assert not total  # uncapped, totals that pass admit a matching
         return None
-    return levels[hi], Assignment([members[s] for s in best])
+    value = fold(columns[s][j] for j, s in enumerate(best))
+    if below is not None and value >= below:
+        return None
+    return value, Assignment([members[s] for s in best])
 
 
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:

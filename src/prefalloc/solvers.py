@@ -332,16 +332,15 @@ def combined_monroe(
     return report
 
 
-def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
-    """Shared cover loop: k picks by top-x coverage of unassigned agents
-    (batches of up to n, each of the top x positions counting 1), then
-    leftover agents go to their best picked alternative."""
-    positions = prof.positions
+def _greedy_cover(instance: Instance, k: int, x: int) -> Assignment:
+    """Shared cover loop on the CC ``instance``: k picks by top-x coverage
+    of unassigned agents (batches of up to n, each of the top x positions
+    counting 1); leftover agents go to their nearest pick via :func:`_match`."""
+    prof = instance.profile
     targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)
-    for j, target in enumerate(targets):
-        if target == 0:
-            targets[j] = min(picked, key=lambda a: positions[j][a - 1])
-    return Assignment(tuple(targets))
+    members = tuple(sorted(picked))
+    _, nearest = _match(_cost_table(prof, _BORDA), members, *_loads(instance, members), True)
+    return Assignment(tuple(t or s for t, s in zip(targets, nearest.targets)))
 
 
 def greedy_cc(profile: Profile, k: int) -> SolveReport:
@@ -357,7 +356,7 @@ def greedy_cc(profile: Profile, k: int) -> SolveReport:
     start = time.perf_counter()
     instance = make_cc(profile, k)
     x = math.ceil(profile.m * lambert_w(k) / k)
-    return _borda_report(instance, _greedy_cover(profile, k, x), "greedy_cc", start)
+    return _borda_report(instance, _greedy_cover(instance, k, x), "greedy_cc", start)
 
 
 def greedy_cc_majority(
@@ -374,7 +373,7 @@ def greedy_cc_majority(
     """
     start = time.perf_counter()
     instance = make_cc(profile, k)
-    assignment = _greedy_cover(profile, k, cover_depth_majority(profile.m, k, delta))
+    assignment = _greedy_cover(instance, k, cover_depth_majority(profile.m, k, delta))
     value = metric_min_delta(instance, _BORDA, assignment, delta)
     return SolveReport(
         assignment=assignment,

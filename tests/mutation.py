@@ -76,6 +76,12 @@ EQUIVALENT = {
     ("solvers", "best_alt = -1", "1 -> 2"):
         "best_score starts at -1 and every unpicked alternative scores at least 0, "
         "so the first one replaces best_alt",
+    ("solvers", "best_score = -1", "1 -> 2"):
+        "the weights are nonnegative, so every unpicked alternative scores at least 0, "
+        "above -2 as above -1, and the first one replaces best_alt either way",
+    ("solvers", "if count >= need:", ">= -> >"):
+        "at count == need the fall-through adds count * weight, which is need * weight, "
+        "and leaves need at 0, so every later term adds 0 before the loop ends",
     ("solvers", "if len(batch) >= size:", ">= -> >"):
         "breaking later only appends agents that del batch[size:] drops",
     (

@@ -20,15 +20,18 @@ that ``prefalloc`` does not export: nothing outside the package promises them.
 Only ``instances`` may build a ``Profile`` through ``core._trusted_profile``,
 which skips the order checks: no other path into the package does.
 
-Only ``matching`` references the kernel entry ``_solve_bounded``, and
-``solvers`` imports no private ``matching`` name but ``_cost_table`` and
-``_match``, and no public matcher (``match_*``): the matcher owns both
-proven floors and the ``below`` refusal, so no solver grows its own floor,
-calls the kernel directly or matches a committee any other way.  The
-kernel takes exactly the cost columns ``_match`` built and the load bounds
-(``columns``, ``lowers``, ``uppers``), and raises nothing: ``_match``
-refuses load totals once, and its threshold search caps the columns it
-probes, so the kernel knows no threshold.
+Only ``matching`` references the kernel entry ``_solve_bounded``, and it
+calls it once, in ``_match``'s threshold search, which serves both
+objectives.  ``solvers`` imports no private ``matching`` name but
+``_cost_table`` and ``_match``, and no public matcher (``match_*``): the
+matcher owns both proven floors and the ``below`` refusal, so no solver
+grows its own floor, calls the kernel directly or matches a committee any
+other way.  Nor does ``solvers`` read ``Profile.positions``: its solvers
+score agents through ``_cost_table`` alone.  The kernel takes exactly the
+cost columns ``_match`` built and the load bounds (``columns``,
+``lowers``, ``uppers``), and raises nothing: ``_match`` refuses load
+totals once, and its threshold search caps the columns it probes, so the
+kernel knows no threshold.
 
 Only ``core`` and ``instances`` define ``_Record`` subclasses: the data
 types are records, and a solver's or matcher's knobs are parameters.  In
@@ -226,6 +229,31 @@ def test_solvers_match_only_through_one_entry():
     }
     assert {name for name in imported if name.startswith("_")} == {"_cost_table", "_match"}
     assert {name for name in imported if name.startswith("match_")} == set()
+
+
+def test_one_kernel_call_site():
+    trees, _ = _package_trees()
+
+    def kernel_calls(tree):
+        return [
+            sub for sub in ast.walk(tree)
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "_solve_bounded"
+        ]
+
+    (match,) = [
+        node for node in trees["matching"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_match"
+    ]
+    assert len(kernel_calls(trees["matching"])) == 1 == len(kernel_calls(match))
+
+
+def test_solvers_read_no_positions():
+    trees, _ = _package_trees()
+    reads = [
+        ast.unparse(sub) for sub in ast.walk(trees["solvers"])
+        if isinstance(sub, ast.Attribute) and sub.attr == "positions"
+    ]
+    assert reads == []
 
 
 def test_kernel_takes_columns_and_raises_nothing():
