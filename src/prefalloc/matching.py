@@ -240,10 +240,11 @@ def _match(
     lowers: tuple[int, ...],
     uppers: tuple[int, ...],
     total: bool,
-    below: int | None = None,
+    below: float = float("inf"),
 ) -> tuple[int, Assignment] | None:
     """The optimal value of the sorted ``members`` under the bounds and an
-    assignment that reaches it, or None if the value is not below ``below``.
+    assignment that reaches it, or None if the value is not below ``below``
+    (infinite by default: no limit).
 
     The value is the sum (``total``) or the largest of the agents' edge
     costs.  Two proven floors bound it from below, folded the same way:
@@ -266,7 +267,7 @@ def _match(
     fold = sum if total else max
     columns = [table[a - 1] for a in members]
     floor = fold(map(min, zip(*columns)))
-    if below is not None and floor >= below:
+    if floor >= below:
         return None
     if all(lo == 0 for lo in lowers) and all(hi >= n for hi in uppers):
         return floor, _nearest(members, columns)
@@ -282,13 +283,12 @@ def _match(
     loads = [fold(sorted(column)[:low]) for low, column in zip(lowers, columns) if low]
     if loads:
         floor = max(floor, fold(loads))
-    if below is not None and floor >= below:
+    if floor >= below:
         return None
     inf = float("inf")
     levels = [inf]  # the total objective's one level caps nothing
     if not total:
-        levels = sorted({c for column in columns for c in column if floor <= c})
-        levels = [c for c in levels if below is None or c < below]
+        levels = sorted({c for column in columns for c in column if floor <= c < below})
     lo, hi, mid, best = 0, len(levels), 0, None
     while lo < hi:
         level = levels[mid]
@@ -305,7 +305,7 @@ def _match(
         assert not total  # uncapped, totals that pass admit a matching
         return None
     value = fold(columns[s][j] for j, s in enumerate(best))
-    if below is not None and value >= below:
+    if value >= below:
         return None
     return value, Assignment([members[s] for s in best])
 

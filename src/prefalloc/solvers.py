@@ -12,6 +12,7 @@ alternative index and the lowest agent index.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -68,25 +69,30 @@ def harmonic(k: int) -> Fraction:
 
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W on nonnegative reals: solves w * e^w = x.
+    """Principal-branch Lambert W: solves w * e^w = x for every finite x >= 0
+    up to the largest float.
 
-    Newton iteration from the initial guess ln(1 + x); the residual
-    ``|w e^w - x|`` is driven below ``1e-13 * max(1, x)``.
+    Newton iteration from ln(1 + x) drives ``|w e^w - x|`` below ``1e-13 *
+    max(1, x)``; where its slope ``e^w (1 + w)`` overflows (x above about
+    2.55e305), steps ``w = ln x - ln w`` on the log form drive ``|w + ln w -
+    ln x|`` below ``1e-12``.  Raises ``ArithmeticError`` after 64 steps.
     """
     if x < 0:
         raise ValueError("lambert_w is only defined for nonnegative arguments")
-    if not math.isfinite(x):
+    if not x <= sys.float_info.max:  # inf, nan, or an int no float holds
         raise ValueError(f"lambert_w needs a finite argument, got {x!r}")
     if x == 0:
         return 0.0
     w = math.log1p(x)
     for _ in range(64):
         ew = math.exp(w)
-        residual = w * ew - x
-        if abs(residual) <= 1e-13 * max(1.0, x):
+        residual, slope, tolerance = w * ew - x, ew * (1.0 + w), 1e-13 * max(1.0, x)
+        if slope == math.inf:  # the log form, which contracts by 1/w at each step
+            residual, slope, tolerance = w + math.log(w) - math.log(x), 1.0, 1e-12
+        if abs(residual) <= tolerance:
             return w
-        w -= residual / (ew * (1.0 + w))
-    return w
+        w -= residual / slope
+    raise ArithmeticError(f"lambert_w({x!r}) did not converge in 64 steps")
 
 
 def sampling_run_count(k: int, epsilon: float, lambda_: float) -> int:
@@ -311,7 +317,7 @@ def combined_monroe(
     top = profile.n * _BORDA.values(profile.m)[0]  # a cost is the top score minus the score
     # At k <= 2 (only reached over the cap) greedy_monroe would enumerate.
     greedy = greedy_monroe(profile, k) if k > 2 else None
-    best = (top - greedy.value, greedy.assignment) if greedy else None
+    best = (top - greedy.value, greedy.assignment) if greedy else (math.inf, None)
     runs = sampling_run_count(k, epsilon, lambda_)
     if exact:
         # The run count grows as 1/(k eps^2), so it is largest exactly where
@@ -319,11 +325,9 @@ def combined_monroe(
         runs = min(runs, enumeration_cap)
     for index in range(runs):
         members = _sample_committee(profile.m, k, SplitMix64(derive_seed(seed, index)))
-        below = None if best is None else best[0]
-        found = _match(table, members, *_loads(instance, members), True, below)
+        found = _match(table, members, *_loads(instance, members), True, best[0])
         if found is not None:
             best = found
-    assert best is not None
     name = f"combined_monroe[{'greedy+sample' if k > 2 else 'sample'}:{runs}]"
     if exact:
         name += "[no-guarantee]"  # the exact branch was due but exceeds the cap
@@ -413,22 +417,21 @@ def maxcover_cc_baseline(profile: Profile, k: int) -> SolveReport:
 
 def _walk(
     m: int, size: int, costs: Sequence[int], budget: int, table: Sequence[Sequence[int]],
-    members: list[int], start: int, spent: int, best: Sequence[int] | None,
+    members: list[int], start: int, spent: int, best: Sequence[float],
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
     """The committees of ``1..m`` with ``size`` members and a total cost
     within ``budget`` that extend the prefix ``members`` (costing ``spent``)
-    from ``start`` on, lexicographically, by DFS.  Yields ``(members,
-    best)``: ``best[j]`` is agent j's least cost ``table[a - 1][j]`` over the
-    members, carried down from the prefix's ``best`` so that a committee
-    costs O(n).  Costs are positive, so a prefix over the budget has no
-    feasible extension.  A module function, so no closure cycle outlives it."""
+    from ``start`` on, lexicographically, by DFS.  Yields ``(members, best)``:
+    ``best[j]`` is agent j's least cost ``table[a - 1][j]`` over the members,
+    carried down from the prefix's ``best`` (all infinite at the root), so a
+    committee costs O(n).  Costs are positive, so a prefix over the budget has
+    no feasible extension.  A module function: no closure cycle outlives it."""
     last = len(members) + 1 == size
     for a in range(start, m - size + len(members) + 2):
         cost = spent + costs[a - 1]
         if cost > budget:
             continue
-        col = table[a - 1]
-        here = col if best is None else list(map(min, best, col))
+        here = list(map(min, best, table[a - 1]))
         members.append(a)
         if last:
             yield tuple(members), here
@@ -440,18 +443,17 @@ def _walk(
 def _cc_seed(table: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
     """The greedy CC committee on the cost ``table`` (``table[a - 1][j]``),
     sorted: k picks, each the first alternative that most lowers the summed
-    least costs."""
-    best: Sequence[int] | None = None
+    least costs, which start all infinite."""
+    best = [math.inf] * len(table[0])
     picked: list[int] = []
     for _ in range(k):
         _, a = min(
-            (sum(column if best is None else map(min, best, column)), a)
+            (sum(map(min, best, column)), a)
             for a, column in enumerate(table, 1)
             if a not in picked
         )
         picked.append(a)
-        col = table[a - 1]
-        best = col if best is None else list(map(min, best, col))
+        best = list(map(min, best, table[a - 1]))
     return tuple(sorted(picked))
 
 
@@ -526,18 +528,18 @@ def exact_enumeration(
 
     Monroe and CC instances start from a seed incumbent, the greedy CC
     committee on the cost table (k picks, each the first alternative that
-    most lowers the summed least costs); general instances start from none.
-    Committees are ranked by ``(value, members)``, which is DFS order within
-    one size, so only a committee ahead of the seed wins a tie with the
-    incumbent.  A committee whose CC value is not below the incumbent's in
-    that order could not win and is skipped.  Any other goes to
-    :func:`matching._match` with that limit as ``below``, which refuses it
-    by its load floor or values it: a CC committee by its CC value and
-    each agent's cheapest member, with no kernel solve; any other by one
-    kernel matching (``l1_*``) or one threshold search that probes only
-    levels below the limit (egalitarian; the probe at its threshold matches
-    it).  A committee whose loads admit no complete assignment is skipped.
-    Only the winner is validated.
+    most lowers the summed least costs); general instances start from an
+    infinite value, which any committee beats.  Committees are ranked by
+    ``(value, members)``, which is DFS order within one size, so only a
+    committee ahead of the seed wins a tie with the incumbent.  A committee
+    whose CC value is not below the incumbent's in that order could not win
+    and is skipped.  Any other goes to :func:`matching._match` with that
+    limit as ``below``, which refuses it by its load floor or values it: a
+    CC committee by its CC value and each agent's cheapest member, with no
+    kernel solve; any other by one kernel matching (``l1_*``) or one
+    threshold search that probes only levels below the limit (egalitarian;
+    the probe at its threshold matches it).  A committee whose loads admit
+    no complete assignment is skipped.  Only the winner is validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:
@@ -566,25 +568,23 @@ def exact_enumeration(
     table = _cost_table(instance.profile, psf)
     total = objective.startswith("l1_")
     fold = sum if total else max
-    seed = incumbent = None  # incumbent: (value, assignment, members)
+    seed, incumbent = None, (math.inf, None, ())  # incumbent: (value, assignment, members)
     if not general:
         seed = _cc_seed(table, k)
         incumbent = (*_match(table, seed, *_loads(instance, seed), total), seed)
-    walks = (_walk(m, s, instance.costs, instance.budget, table, [], 1, 0, None) for s in sizes)
+    root = [math.inf] * instance.profile.n
+    walks = (_walk(m, s, instance.costs, instance.budget, table, [], 1, 0, root) for s in sizes)
     for members, best in chain.from_iterable(walks):
-        value = fold(best)
-        limit = None
-        if incumbent is not None:
-            limit = incumbent[0] + (incumbent[2] is seed and members < seed)
-            if value >= limit or members == seed:
-                continue
+        limit = incumbent[0] + (incumbent[2] is seed and members < seed)
+        if fold(best) >= limit or members == seed:
+            continue
         try:
             found = _match(table, members, *_loads(instance, members), total, limit)
         except InfeasibleMatchingError:
             continue
         if found is not None:
             incumbent = (*found, members)
-    if incumbent is None:
+    if incumbent[1] is None:
         raise InfeasibleMatchingError(
             "no budget-feasible committee can host all agents"
         )

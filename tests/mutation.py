@@ -72,7 +72,21 @@ EQUIVALENT = {
     ("solvers", "targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)", "1 -> 2"):
         "uniform weights of 2 rank the alternatives as weights of 1 do",
     ("solvers", "for _ in range(64):", "64 -> 65"):
-        "Newton takes at most 11 steps for x from 1e-300 to 1e300, so the cap is never reached",
+        "lambert_w converges in at most 11 steps for x from 1e-300 up to the largest float "
+        "(at most 3 of them in the log form), so only a NaN start reaches the cap, and it "
+        "raises after 65 steps as after 64",
+    ("solvers", "if abs(residual) <= tolerance:", "<= -> <"):
+        "the two differ only where a residual equals its tolerance: never in the log form, "
+        "whose residual is a difference of two floats in [512, 1024) and so a multiple of "
+        "2**-43, which 1e-12 is not; in the product form no input of a 550,002-input sweep "
+        "(integers 1..2e5, log-uniform floats up to 2.5527e305, floats in (0, 1)) hits it, "
+        "and the results hash the same",
+    ("solvers", "limit = incumbent[0] + (incumbent[2] is seed and members < seed)", "< -> <="):
+        "they differ only at members == seed, which the next line skips whatever the limit",
+    ("solvers", "if (1 << d) - 1 >= limit:", "1 -> 2"):
+        "as (1 << d) - 2 (the 1 << d site is killed): at 2 ** d - 1 == limit the early exit "
+        "is missed, but the d cheapest alternatives make limit affordable subsets, so the "
+        "saturated count returns limit too",
     ("solvers", "best_alt = -1", "1 -> 2"):
         "best_score starts at -1 and every unpicked alternative scores at least 0, "
         "so the first one replaces best_alt",

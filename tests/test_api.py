@@ -47,6 +47,13 @@ the solvers take it from ``make_monroe`` and ``make_cc``.  So is the
 refusal of an ``Instance`` (``pass instance.profile``): the restriction
 refuses one, and the solvers get the refusal from it.
 
+The committee searches start from identity values, not ``None``:
+``_match``'s ``below`` defaults to a limit (infinity, so none), ``_walk``
+and ``_cc_seed`` carry least costs down from all-infinite lists and test
+nothing with ``is None``, and neither ``exact_enumeration`` nor
+``combined_monroe`` compares its ``limit``, ``incumbent``, ``below`` or
+``best`` with ``None``.
+
 Every name a module under ``src/prefalloc`` (``__init__`` aside, which
 re-exports) or ``tests/oracles.py`` imports at module level must be read in
 that module; ``__future__`` imports are exempt.
@@ -311,6 +318,37 @@ def test_one_instance_refusal():
         path.stem for path in PACKAGE.glob("*.py") if "pass instance.profile" in path.read_text()
     }
     assert holders == {"instances"}
+
+
+def _none_operands(function: ast.FunctionDef):
+    """``(other operand, operator)`` for each comparison with ``None`` in
+    ``function``, the operand unparsed."""
+    for sub in ast.walk(function):
+        if isinstance(sub, ast.Compare):
+            operands = [sub.left, *sub.comparators]
+            for op, left, right in zip(sub.ops, operands, operands[1:]):
+                for this, other in ((left, right), (right, left)):
+                    if isinstance(other, ast.Constant) and other.value is None:
+                        yield ast.unparse(this), type(op).__name__
+
+
+def test_committee_searches_start_from_identities():
+    # "No limit yet" is an infinite limit and "no member yet" all-infinite
+    # least costs, so no search step branches on None.
+    trees, _ = _package_trees()
+    functions = {
+        (stem, node.name): node for stem, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    match = functions["matching", "_match"].args
+    defaults = dict(zip([arg.arg for arg in match.args][::-1], match.defaults[::-1]))
+    assert "below" in defaults and ast.unparse(defaults["below"]) != "None"
+    for name in ("_walk", "_cc_seed"):
+        tests = [op for _, op in _none_operands(functions["solvers", name])]
+        assert not {"Is", "IsNot"} & set(tests), name
+    for name in ("exact_enumeration", "combined_monroe"):
+        operands = {operand for operand, _ in _none_operands(functions["solvers", name])}
+        assert not operands & {"limit", "incumbent", "below", "best"}, name
 
 
 def _unread_imports(module: ast.Module):

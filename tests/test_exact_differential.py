@@ -331,7 +331,9 @@ def test_dfs_visits_the_old_committee_order():
         visited = [
             committee
             for size in range(1, m + 1)
-            for committee in solvers._walk(m, size, costs, budget, columns, [], 1, 0, None)
+            for committee in solvers._walk(
+                m, size, costs, budget, columns, [], 1, 0, [math.inf] * 5
+            )
         ]
         assert [members for members, _ in visited] == [
             c

@@ -1,6 +1,7 @@
 """Committee-selection solvers, numeric utilities, and the enumeration oracle."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -76,6 +77,21 @@ def test_lambert_w_rejects_negative():
         lambert_w(-0.1)
 
 
+def test_lambert_w_log_form_residuals():
+    # Above about 2.55e305 the Newton slope e^w (1 + w) overflows a float, so
+    # the steps solve w + ln w = ln x instead; nor does w e^w fit a float.
+    for x in (2.5528e305, 2.6e305, 1e306, 1e308, sys.float_info.max, 10**306):
+        w = lambert_w(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-12, x
+
+
+def test_lambert_w_raises_rather_than_return_an_unconverged_value(monkeypatch):
+    # A NaN start never meets the residual bound, so the step cap is reached.
+    monkeypatch.setattr(math, "log1p", lambda x: math.nan)
+    with pytest.raises(ArithmeticError, match=r"lambert_w\(1\.0\) did not converge"):
+        lambert_w(1.0)
+
+
 def test_sampling_run_count_formula():
     assert sampling_run_count(100, 0.1, 0.9) == 1179
     assert sampling_run_count(9, 0.7, 0.5) == 81
@@ -104,6 +120,8 @@ RUN_RANGE = "epsilon and lambda must lie strictly inside (0, 1)"
         (lambda: greedy_cc_bound(5, 4, True), "committee size must be an integer, got True"),
         (lambda: lambert_w(math.inf), "lambert_w needs a finite argument, got inf"),
         (lambda: lambert_w(math.nan), "lambert_w needs a finite argument, got nan"),
+        # Before the check: OverflowError, from an int no float holds.
+        (lambda: lambert_w(10**400), f"lambert_w needs a finite argument, got {10**400}"),
         # Before the checks: ZeroDivisionError.
         (lambda: greedy_cc_bound(5, 4, 0), "committee size must be positive"),
         (lambda: cover_depth_majority(10, 0, 0.5), "committee size must be positive"),
@@ -124,6 +142,7 @@ RUN_RANGE = "epsilon and lambda must lie strictly inside (0, 1)"
     ],
     ids=[
         "runs-float", "runs-bool", "harmonic-bool", "cc-bound-bool", "w-inf", "w-nan",
+        "w-huge-int",
         "cc-bound-zero", "depth-zero", "depth-delta-one", "runs-eps-zero", "runs-eps-one",
         "runs-lambda-zero", "runs-lambda-one", "runs-lambda-high",
         "monroe-bound-m1", "monroe-bound-low", "monroe-bound-high",
