@@ -5,13 +5,12 @@ b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
 agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, one threshold search in it
 and one kernel function, :func:`_solve_bounded`: integer successive shortest
-augmenting paths with potentials on a flow network kept in arrays.  The
-search keeps the least cost level at which the columns capped there (every
-cost above it infinite) admit a matching.  The total objective's one level
-caps nothing; the egalitarian objectives' levels are the costs from a
-proven lower bound on the optimal threshold up.  The entry
-computes both proven floors (the CC floor and the load floor) and, under
-either objective, refuses a committee whose value cannot be below the
+augmenting paths with potentials, whose state is the matching.  The search
+climbs the cost levels from a proven lower bound on the optimal threshold
+and stops at the first level whose columns capped there (every cost above it
+infinite) admit a matching.  The total objective's one level caps nothing.
+The entry computes both proven floors (the CC floor and the load floor) and,
+under either objective, refuses a committee whose value cannot be below the
 caller's ``below`` before any kernel solve: the solvers' skip rules live
 here alone.
 
@@ -98,28 +97,32 @@ def _solve_bounded(
     paths with Johnson potentials: every path ends on a unit agent-sink
     edge, so each carries one unit, and ``n`` of them complete the matching.
 
-    The residual network is plain arrays: ``head[j]``, the one node agent j
-    has an edge to (its member, or the sink while unmatched);
-    ``rows[i][j]``, the cost of member i's edge to agent j, infinite while
-    the edge is missing or carries j; ``matched``, the sink's costs
-    back to the agents; ``load[i]``, the agents member i carries; and
-    ``room``, what the source's edge to the pool can still carry.  Loads are
-    enough: a member below its lower bound holds label 0 from the source's
-    first pop (key 0), and no member label is below 0, since one reached
-    through an agent carries flow back to the source at cost 0 and an
-    optimal partial flow has no negative cycle; so it takes no slack.  Lower
-    flow never falls, so the lower edge carries ``min(load, lower)`` and the
-    slack edge ``max(0, load - lower)``; a pool edge into a member with
-    equal bounds, below both, never wins either.  No load reaches ``n`` in
-    a search, so ``uppers`` alone caps the pool's edges.  A search keeps
-    ``label = dist + potential`` per node and pops ``(dist, node)`` keys,
-    packed as ``dist * size + node``; the first strict improvement of a
-    label wins, so ties go to the least key.  Nodes relax edges in the order
-    of an edge-list network: the source, lower edges by member, then the
-    pool; the pool, slack edges by member; a member, its reverse slack edge,
-    then agents by index; an agent, its one edge; the sink, matched agents
-    by index.  No node has two edges to one node, so this order moves no
-    tie, and no edge back to the source can improve its distance of 0.
+    The state is the matching and one potential per node: ``head[j]``, the
+    one node agent j has an edge to (its member, or the sink while
+    unmatched); ``rows[i][j]``, the cost of member i's edge to agent j,
+    infinite while the edge is missing or carries j; and ``load[i]``, the
+    agents member i carries.  The sink's edges go back, at cost 0, to the
+    agents with ``head[j] < sink``, and loads give the rest: a member below
+    its lower bound holds label 0 from the source's first pop (key 0), and
+    no member label is below 0, since one reached through an agent carries
+    flow back to the source at cost 0 and an optimal partial flow has no
+    negative cycle; so it takes no slack.  Lower flow never falls, so the
+    lower edge carries ``min(load, lower)``, the slack edge ``max(0, load -
+    lower)``, and the source's edge to the pool has room while
+    ``sum(max(load, lower)) < n``; a pool edge into a member with equal
+    bounds, below both, never wins either.  No load reaches ``n`` in a
+    search, so ``uppers`` alone caps the pool's edges.  A path is applied as
+    agent moves: each agent on it moves to the member before it (the last
+    one from the sink), its old edge coming back and the two loads moving
+    with it; the loads imply its source, pool and slack steps.  A search
+    keeps ``label = dist + potential`` per node and pops ``(dist, node)``
+    keys, packed as ``dist * size + node``; the first strict improvement of
+    a label wins, so ties go to the least key.  Nodes relax edges in the
+    order of an edge-list network: the source, lower edges by member, then
+    the pool; the pool, slack edges by member; a member, its reverse slack
+    edge, then agents by index; an agent, its one edge; the sink, matched
+    agents by index.  No node has two edges to one node, so this order moves
+    no tie, and no edge back to the source can improve its distance of 0.
 
     Two savings leave every label, path and potential as a search that pops
     every entry would leave them:
@@ -141,9 +144,7 @@ def _solve_bounded(
     inf = float("inf")
     agents = range(n)
     rows = [list(col) for col in columns]
-    head = [sink] * n
-    matched = [inf] * n
-    load, room = [0] * k, n - sum(lowers)
+    head, load = [sink] * n, [0] * k
     potential = [0] * size
     for _ in range(n):
         label = [inf] * size
@@ -181,12 +182,12 @@ def _solve_bounded(
             arcs, row, ends = [], (), ()
             if u == 0:
                 arcs = [2 + i for i in range(k) if load[i] < lowers[i]]
-                if room > 0:
+                if sum(map(max, load, lowers)) < n:  # the pool's room
                     arcs.append(1)
             elif u == 1:
                 arcs = [2 + i for i in range(k) if load[i] < uppers[i]]
             elif u == sink:
-                row, ends = matched, agents
+                row, ends = [0 if v < sink else inf for v in head], agents
             else:
                 row, ends = rows[u - 2], agents
                 if load[u - 2] > lowers[u - 2]:
@@ -209,23 +210,17 @@ def _solve_bounded(
         if label[sink] == inf:
             return None
         potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist
-        v = sink
-        while v:
-            u = prev[v]
-            if v == sink:
-                matched[u - agent0] = 0
-            elif agent0 <= v:  # member u now carries agent v
-                head[v - agent0] = u
-                rows[u - 2][v - agent0] = inf
-            elif agent0 <= u:  # agent u leaves member v: its edge is back
-                rows[v - 2][u - agent0] = columns[v - 2][u - agent0]
-            elif v != 1:  # from the source or the pool
-                load[v - 2] += 1
-            elif u:  # member u hands a slack unit back to the pool
-                load[u - 2] -= 1
-            else:
-                room -= 1
-            v = u
+        v = prev[sink]
+        while v:  # agent j moves from head[j] to member u; its old edge is back
+            j, u, w = v - agent0, prev[v], head[v - agent0]
+            if w < sink:
+                rows[w - 2][j] = columns[w - 2][j]
+                load[w - 2] -= 1
+            head[j], rows[u - 2][j] = u, inf
+            load[u - 2] += 1
+            v = prev[u]
+            while 0 < v < agent0:  # the pool and the member handing it a unit
+                v = prev[v]
     return [v - 2 for v in head]
 
 
@@ -259,9 +254,10 @@ def _match(
     :class:`InfeasibleMatchingError` before the load floor and any solve.
 
     One threshold search serves both objectives, one kernel solve on the
-    columns capped at each level it probes.  The total objective's one level
-    caps nothing, so its solve completes; the egalitarian search bisects the
-    costs from the floor up to ``below``, probing the least first.
+    columns capped at each level it probes, and the first level that admits
+    a matching gives the result.  The total objective's one level caps
+    nothing, so its solve completes; the egalitarian search climbs the
+    costs from the floor up to ``below``, one level at a time.
     """
     n = len(table[0])
     fold = sum if total else max
@@ -289,25 +285,20 @@ def _match(
     levels = [inf]  # the total objective's one level caps nothing
     if not total:
         levels = sorted({c for column in columns for c in column if floor <= c < below})
-    lo, hi, mid, best = 0, len(levels), 0, None
-    while lo < hi:
-        level = levels[mid]
+    for level in levels:
         capped = columns if total else [
             [c if c <= level else inf for c in column] for column in columns
         ]
         slots = _solve_bounded(capped, lowers, uppers)
-        if slots is None:
-            lo = mid + 1
-        else:
-            hi, best = mid, slots
-        mid = (lo + hi) // 2
-    if best is None:
+        if slots is not None:
+            break
+    else:
         assert not total  # uncapped, totals that pass admit a matching
         return None
-    value = fold(columns[s][j] for j, s in enumerate(best))
+    value = fold(columns[s][j] for j, s in enumerate(slots))
     if value >= below:
         return None
-    return value, Assignment([members[s] for s in best])
+    return value, Assignment([members[s] for s in slots])
 
 
 def match_cc(profile: Profile, committee: Sequence[int]) -> Assignment:
@@ -365,9 +356,9 @@ def match_egalitarian(
 
     Cost: one n x m cost table and one kernel solve per threshold probe
     (:func:`_match`): the search probes a proven floor first, which is
-    usually the threshold, so usually one solve, and otherwise bisects the
-    cost levels above it.  Load totals that admit no complete assignment
-    raise :class:`InfeasibleMatchingError` before any kernel solve.
+    usually the threshold, so usually one solve, and otherwise climbs one
+    level at a time.  Load totals that admit no complete assignment raise
+    :class:`InfeasibleMatchingError` before any kernel solve.
     """
     members = _checked_committee(profile, committee)
     bounds = _bounds(profile.n, len(members), lowers, uppers)

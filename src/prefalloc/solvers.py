@@ -97,12 +97,17 @@ def lambert_w(x: float) -> float:
 
 def sampling_run_count(k: int, epsilon: float, lambda_: float) -> int:
     """Number of sampling repetitions that make the combined solver reach its
-    ratio with probability ``lambda_``: ``ceil(-512 ln(1 - lambda) / (K eps^2))``.
+    ratio with probability ``lambda_``: ``ceil(-512 ln(1 - lambda) / (K eps^2))``,
+    positive for every valid input: where the float quotient is 0 or not
+    finite, it is taken exactly in fractions, from ``log1p(-lambda)``.
     """
     _check_positive(k)
     if not 0 < epsilon < 1 or not 0 < lambda_ < 1:
         raise ValueError("epsilon and lambda must lie strictly inside (0, 1)")
-    return math.ceil(-512.0 * math.log(1.0 - lambda_) / (k * epsilon * epsilon))
+    runs = -512.0 * math.log(1.0 - lambda_) / (k * epsilon * epsilon or math.nan)
+    if not 0 < runs < math.inf:  # NaN where eps^2 underflowed to 0
+        runs = Fraction(-512.0 * math.log1p(-lambda_)) / (k * Fraction(epsilon) ** 2)
+    return math.ceil(runs)
 
 
 def greedy_monroe_bound(n: int, m: int, k: int) -> Fraction:
@@ -537,9 +542,10 @@ def exact_enumeration(
     limit as ``below``, which refuses it by its load floor or values it: a
     CC committee by its CC value and each agent's cheapest member, with no
     kernel solve; any other by one kernel matching (``l1_*``) or one
-    threshold search that probes only levels below the limit (egalitarian;
-    the probe at its threshold matches it).  A committee whose loads admit
-    no complete assignment is skipped.  Only the winner is validated.
+    threshold search climbing from its floor through the levels below the
+    limit (egalitarian; the first feasible level is the threshold).  A
+    committee whose loads admit no complete assignment is skipped.  Only the
+    winner is validated.
     """
     start = time.perf_counter()
     if objective not in OBJECTIVES:

@@ -17,9 +17,12 @@ under a timeout of 10 s plus three times that first run.  A mutant is
 killed when they fail, timed out when they overrun, and survives when they
 pass.
 
-Survivors listed in ``EQUIVALENT`` (by module, source line and mutation)
-behave as the original does on every input, each for the reason given;
-they are counted apart from the real survivors.  This is a tool, not a
+Survivors listed in ``EQUIVALENT`` (by module, source line, mutation and
+occurrence) behave as the original does on every input, each for the
+reason given; they are counted apart from the real survivors.  A site's
+occurrence is its index, in walk order, among the sites on its line with
+the same mutation, so two such sites on one line are told apart; each
+survivor line prints it after the mutation.  This is a tool, not a
 test: pytest does not collect it, and it gates nothing.
 """
 
@@ -55,64 +58,71 @@ TESTS = {
     "cli": ["test_cli.py"],
 }
 
-# (module, stripped source line, mutation) -> why the mutant is equivalent.
+# (module, stripped source line, mutation, occurrence) -> why the mutant is equivalent.
 EQUIVALENT = {
-    ("matching", "agent0 = 2 + k", "2 -> 3"):
+    ("matching", "agent0 = 2 + k", "2 -> 3", 0):
         "an unused node before the agents shifts every agent and the sink alike, "
         "so no key moves past another",
-    ("matching", "prev = [0] * size", "0 -> 1"):
+    ("matching", "prev = [0] * size", "0 -> 1", 0):
         "prev is read only along the path to the sink, which the search sets",
     (
         "matching",
         "potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist",
         "< -> <=",
+        0,
     ):
         "a node a search leaves unlabelled is unreachable, and stays so, since an "
         "augmentation adds edges only among reached nodes; its potential is never read",
-    ("solvers", "targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)", "1 -> 2"):
+    ("solvers", "targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)", "1 -> 2", 0):
         "uniform weights of 2 rank the alternatives as weights of 1 do",
-    ("solvers", "for _ in range(64):", "64 -> 65"):
+    ("solvers", "for _ in range(64):", "64 -> 65", 0):
         "lambert_w converges in at most 11 steps for x from 1e-300 up to the largest float "
         "(at most 3 of them in the log form), so only a NaN start reaches the cap, and it "
         "raises after 65 steps as after 64",
-    ("solvers", "if abs(residual) <= tolerance:", "<= -> <"):
+    ("solvers", "if abs(residual) <= tolerance:", "<= -> <", 0):
         "the two differ only where a residual equals its tolerance: never in the log form, "
         "whose residual is a difference of two floats in [512, 1024) and so a multiple of "
         "2**-43, which 1e-12 is not; in the product form no input of a 550,002-input sweep "
         "(integers 1..2e5, log-uniform floats up to 2.5527e305, floats in (0, 1)) hits it, "
         "and the results hash the same",
-    ("solvers", "limit = incumbent[0] + (incumbent[2] is seed and members < seed)", "< -> <="):
+    (
+        "solvers", "limit = incumbent[0] + (incumbent[2] is seed and members < seed)", "< -> <=", 0
+    ):
         "they differ only at members == seed, which the next line skips whatever the limit",
-    ("solvers", "if (1 << d) - 1 >= limit:", "1 -> 2"):
-        "as (1 << d) - 2 (the 1 << d site is killed): at 2 ** d - 1 == limit the early exit "
+    ("solvers", "if (1 << d) - 1 >= limit:", "1 -> 2", 0):
+        "as (1 << d) - 2 (occurrence 1, 2 << d, is killed): at 2 ** d - 1 == limit the early exit "
         "is missed, but the d cheapest alternatives make limit affordable subsets, so the "
         "saturated count returns limit too",
-    ("solvers", "best_alt = -1", "1 -> 2"):
+    ("solvers", "best_alt = -1", "1 -> 2", 0):
         "best_score starts at -1 and every unpicked alternative scores at least 0, "
         "so the first one replaces best_alt",
-    ("solvers", "best_score = -1", "1 -> 2"):
+    ("solvers", "best_score = -1", "1 -> 2", 0):
         "the weights are nonnegative, so every unpicked alternative scores at least 0, "
         "above -2 as above -1, and the first one replaces best_alt either way",
-    ("solvers", "if count >= need:", ">= -> >"):
+    ("solvers", "if count >= need:", ">= -> >", 0):
         "at count == need the fall-through adds count * weight, which is need * weight, "
         "and leaves need at 0, so every later term adds 0 before the loop ends",
-    ("solvers", "if len(batch) >= size:", ">= -> >"):
+    ("solvers", "if len(batch) >= size:", ">= -> >", 0):
         "breaking later only appends agents that del batch[size:] drops",
     (
         "instances",
         "blocks = (rng.block(min(_BLOCK, planned - t)) for t in range(0, planned, _BLOCK))",
         "- -> +",
+        0,
     ):
         "a longer last block holds the draws the rejection fallback reads next",
-    ("rng", 'start = _packed(array("Q", (self._state, 0)) * count)', "0 -> 1"):
+    ("rng", 'start = _packed(array("Q", (self._state, 0)) * count)', "0 -> 1", 0):
         "each lane's high word is masked off after the add, and a carry into it "
         "stays inside the lane",
-    ("cli", "if min_ratio[name] is None or ratio < min_ratio[name]:", "< -> <="):
+    ("cli", "if min_ratio[name] is None or ratio < min_ratio[name]:", "< -> <=", 0):
         "a tie stores a ratio equal to the one kept; a ratio is value / oracle with "
         "both nonnegative, or 1.0, so never NaN or -0.0",
-    ("instances", "full = set(range(1, m + 1))", "1 -> 2"):
-        "every order then takes the token-by-token path, which accepts the same "
-        "orders and raises the same errors",
+    ("instances", "full = set(range(1, m + 1))", "1 -> 2", 0):
+        "with 1 left out of full, every order then takes the token-by-token path, "
+        "which accepts the same orders and raises the same errors",
+    ("instances", "full = set(range(1, m + 1))", "1 -> 2", 1):
+        "as occurrence 0: with m + 1 added to full, every order takes the "
+        "token-by-token path",
 }
 
 SWAPS = {
@@ -203,11 +213,12 @@ def score(tree_root, module):
             path.write_text(mutant(original, site))
             outcome, _ = run_tests(tree_root, files, limit)
             line = lines[site[2] - 1].strip()
-            if outcome == "survived" and (module, line, site[3]) in EQUIVALENT:
+            occurrence = sum(s[2:] == site[2:] for s in found[:i])  # same line and mutation
+            if outcome == "survived" and (module, line, site[3], occurrence) in EQUIVALENT:
                 outcome = "equivalent"
             outcomes[outcome] += 1
             if outcome == "survived":
-                survivors.append(f"    {module}.py:{site[2]}: {site[3]}: {line}")
+                survivors.append(f"    {module}.py:{site[2]}: {site[3]} #{occurrence}: {line}")
     finally:
         path.write_text(original)
     counts = " ".join(f"{key.replace(' ', '_')}={value}" for key, value in outcomes.items())

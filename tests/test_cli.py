@@ -906,6 +906,28 @@ def test_solve_combined_over_cap_runs_sampling(identical_12_8, capsys):
     assert "value=66" in stdout  # identical orders: every committee of 4 scores 66
 
 
+
+@pytest.mark.parametrize(
+    "m, k, epsilon, lambda_, cap, algorithm",
+    [
+        # 1 - lambda rounds to 1.0: the float run count was 0.
+        (6, 2, "0.5", "1e-17", "1", "combined_monroe[sample:1][no-guarantee]"),
+        # eps^2 underflows to 0: the float run count divided by zero.
+        (30, 20, "1e-200", "0.9", "5", "combined_monroe[greedy+sample:5][no-guarantee]"),
+    ],
+)
+def test_solve_combined_at_extreme_epsilon_or_lambda(
+    tmp_path, capsys, m, k, epsilon, lambda_, cap, algorithm
+):
+    path = str(tmp_path / "p.txt")
+    run_cli(capsys, "gen", "ic", "--n", "20", "--m", str(m), "--seed", "1", "--out", path)
+    code, stdout, stderr = run_cli(
+        capsys, "solve", path, "--system", "monroe", "--k", str(k), "--algorithm", "combined",
+        "--epsilon", epsilon, "--lambda", lambda_, "--seed", "0", "--enumeration-cap", cap,
+    )
+    assert code == 0 and "Traceback" not in stderr
+    assert f"algorithm={algorithm}" in stdout
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "ep.txt"
     # The child imports the package under test, installed or not.

@@ -8,7 +8,6 @@ largest edge cost of the reference's targets, and both floors at most that.
 The probe budget counts the kernel solves of each call."""
 
 import functools
-import math
 
 import prefalloc.matching as matching
 from prefalloc import (
@@ -102,7 +101,7 @@ def _sweep_cases():
 def _structured_cases():
     """Identical, two- and three-order profiles with n >= 100 under balanced
     and feasible explicit loads.  Few distinct orders make the floor miss
-    the threshold often enough that the search bisects."""
+    the threshold often."""
     rng = SplitMix64(SEED + 2)
     for case in range(10):
         case_rng = SplitMix64(derive_seed(SEED + 2, case))
@@ -257,14 +256,13 @@ def test_bottleneck_is_the_reference_threshold():
 
 
 def test_match_egalitarian_probe_budget(monkeypatch):
-    # One kernel solve per probed level: exactly one when the floor is the
-    # threshold, which holds on every identical case and every
-    # impartial-culture case under balanced loads, and at most
-    # 1 + ceil(log2 L) otherwise, with L the levels at or above the floor.
-    # Refused load totals raise before any probe; bounds of 0 and n probe
-    # nothing.
+    # One kernel solve per probed level, and the search climbs from the
+    # floor: exactly one solve per cost level in [floor, threshold], so one
+    # when the floor is the threshold, which holds on every identical case
+    # and every impartial-culture case under balanced loads.  Refused load
+    # totals raise before any probe; bounds of 0 and n probe nothing.
     probes = _recorded(monkeypatch, "_solve_bounded")
-    bisected = 0
+    climbed = 0
     for case, (kind, args) in enumerate(_cases()):
         want = _reference(case)  # its solves, when not yet cached, are not counted
         del probes[:]
@@ -284,7 +282,7 @@ def test_match_egalitarian_probe_budget(monkeypatch):
         if floor == threshold:
             assert len(probes) == 1, case
         else:
-            levels = {c for col in _costs(profile, psf, committee) for c in col if c >= floor}
-            assert 1 < len(probes) <= 1 + math.ceil(math.log2(len(levels))), case
-            bisected += 1
-    assert bisected > 0
+            levels = {c for col in _costs(profile, psf, committee) for c in col}
+            assert len(probes) == sum(floor <= c <= threshold for c in levels), case
+            climbed += 1
+    assert climbed > 0

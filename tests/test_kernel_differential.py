@@ -136,6 +136,27 @@ def test_kernel_matches_edge_list_reference():
     assert min(seen.values()) > 0, seen
 
 
+
+def test_kernel_breaks_sink_ties_as_the_reference():
+    # Two unmatched agents reach the sink at one label, from different labels
+    # in the search before: their potentials, and so their pop order, decide
+    # which one is matched.  The sink's edges go back to matched agents only;
+    # edges to the unmatched ones too would lower their potentials and hand
+    # the tie to the lower index instead.
+    a, b, c = (3, 1, 4, 2, 5, 6), (3, 4, 2, 5, 1, 6), (1, 4, 6, 2, 3, 5)
+    d, e, f = (5, 1, 2, 3, 6, 4), (5, 2, 6, 3, 1, 4), (4, 1, 2, 5, 3, 6)
+    g, h = (4, 3, 1, 5, 2), (4, 2, 5, 3, 1)
+    cases = [
+        ([a, a, b, b, c, b], (3, 4, 5), (2, 2, 2), (2, 2, 2)),
+        ([d, d, e, e, f], (1, 3, 5), (1, 1, 1), (2, 2, 2)),
+        ([g, h, g, (3, 2, 1, 4, 5)], (1, 2, 4), (1, 1, 1), (2, 2, 2)),
+    ]
+    for orders, members, lowers, uppers in cases:
+        table = matching._cost_table(Profile.from_orders(orders), ScoringFunction.borda_dec())
+        args = table, members, lowers, uppers, None
+        assert solve_bounded(*args) == solve_bounded_reference(*args), members
+
+
 def test_kernel_pops_at_most_half_the_reference(monkeypatch):
     # The kernel reads heapq.heappop at call time, so the patch counts its
     # pops as well as the reference's.

@@ -6,13 +6,18 @@ optimum of ``match_monroe_l1``, the threshold of ``match_egalitarian`` and
 the value of ``exact_enumeration``, on CC and Monroe under ``l1_dec``,
 ``min_dec`` and ``max_inc``.  (c) Duplicating every agent doubles the
 ``l1_dec`` optimum and keeps the ``min_dec`` one, on CC, and on Monroe when
-k divides n (the balanced loads then double as well).  Only values are
-compared: targets are not invariant, since the tie rule reads agent
-indices.
+k divides n (the balanced loads then double as well).  On the load
+bounds: (d) pinning both bounds at the returned matching's loads keeps
+every optimum; (e) widening every bound by one never worsens it; (f) with
+lowers 0 and uppers n - 1 the kernel runs, and the value is the CC floor
+(each agent at its best member) unless one member is every agent's best,
+where the total falls short of it.  Only values are compared: targets are
+not invariant, since the tie rule reads agent indices.
 
 The desk-scale sweep mixes impartial-culture and few-order profiles (ties
 everywhere) with balanced, CC and random explicit bounds; the matching
-slice runs the two matchers at n = 150 and 300, m = 30, k = 10.
+slice runs the two matchers at n = 150 and 300, m = 30, k = 10, and the
+bound relations also at n = 157, where k does not divide n.
 """
 
 import pytest
@@ -24,12 +29,13 @@ from prefalloc import (
     gen_impartial_culture,
     make_cc,
     make_monroe,
+    match_cc,
     match_egalitarian,
     match_monroe_l1,
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import shuffled
+from oracles import balanced_bounds, shuffled
 
 BD = ScoringFunction.borda_dec()
 BI = ScoringFunction.borda_inc()
@@ -160,3 +166,53 @@ def test_matching_slice_at_benchmark_scale(n):
     relabelled, label = _relabelled(profile, rng)
     assert _both(_permuted(profile, rng), committee) == want
     assert _both(relabelled, sorted(label[a] for a in committee)) == want
+
+
+def _bound_relations(profile, committee, bounds, name, psf, fold):
+    """Check (d) and (e) on one case and objective; return the value under
+    lowers 0 and uppers n - 1 and the CC floor (relation (f)), or None
+    where those bounds admit no complete assignment."""
+    n, k = profile.n, len(committee)
+    matcher = match_monroe_l1 if name == "l1_dec" else match_egalitarian
+    lowers, uppers = balanced_bounds(n, k) if bounds[0] is None else bounds
+    found = matcher(profile, psf, committee, lowers, uppers)
+    value = _value(profile, psf, fold, found)
+    loads = tuple(found.targets.count(a) for a in committee)
+    pinned = matcher(profile, psf, committee, loads, loads)
+    assert _value(profile, psf, fold, pinned) == value, "(d)"
+    wider = tuple(max(0, lo - 1) for lo in lowers), tuple(hi + 1 for hi in uppers)
+    widened = _value(profile, psf, fold, matcher(profile, psf, committee, *wider))
+    assert (widened <= value if name == "max_inc" else widened >= value), "(e)"
+    if n < 2 or k < 2:
+        return None
+    loose = matcher(profile, psf, committee, (0,) * k, (n - 1,) * k)
+    floor = _value(profile, psf, fold, match_cc(profile, committee))
+    return _value(profile, psf, fold, loose), floor
+
+
+def test_bound_relations_on_the_desk_sweep():
+    reached = short = 0
+    for case, profile, k, committee, bounds, _ in _desk_cases():
+        one = len(set(match_cc(profile, committee).targets)) == 1
+        for name, psf, fold in OBJECTIVES:
+            loose = _bound_relations(profile, committee, bounds, name, psf, fold)
+            if loose is None:
+                continue
+            value, floor = loose
+            if not one:
+                assert value == floor, (case, name)
+                reached += 1
+            elif name == "l1_dec":  # one agent at least must leave its best member
+                assert value < floor, case
+                short += 1
+    assert reached and short
+
+
+@pytest.mark.parametrize("n", [150, 157, 300])
+def test_bound_relations_at_benchmark_scale(n):
+    rng = SplitMix64(derive_seed(SEED, n))
+    profile = gen_impartial_culture(n, 30, derive_seed(SEED, n))
+    committee = sorted(a + 1 for a in sample_distinct(30, 10, rng))
+    for name, psf, fold in OBJECTIVES[:2]:
+        value, floor = _bound_relations(profile, committee, (None, None), name, psf, fold)
+        assert value == floor, name

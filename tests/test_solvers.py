@@ -101,6 +101,26 @@ def test_sampling_run_count_formula():
         sampling_run_count(10, 1.5, 0.9)
 
 
+@pytest.mark.parametrize("k, eps, lam", [(2, 0.5, 1e-17), (20, 1e-200, 0.9), (20, 1e-160, 0.9)])
+def test_sampling_run_count_where_the_float_quotient_fails(k, eps, lam):
+    # 1 - 1e-17 rounds to 1.0 (a float count of 0); eps^2 underflows to 0
+    # (1e-200) or the quotient overflows (1e-160).  The count is still the
+    # formula's ceiling: the least integer whose k eps^2 multiple reaches
+    # -512 ln(1 - lam).
+    count = sampling_run_count(k, eps, lam)
+    need, step = Fraction(-512 * math.log1p(-lam)), k * Fraction(eps) ** 2
+    assert type(count) is int and count >= 1
+    assert (count - 1) * step < need <= count * step
+
+
+def test_combined_samples_once_where_lambda_rounds_the_count_to_zero():
+    # Over the cap at k = 2 only sampling runs: a count of 0 left no incumbent.
+    prof = gen_impartial_culture(20, 6, 1)
+    report = combined_monroe(prof, 2, epsilon=0.5, lambda_=1e-17, seed=0, enumeration_cap=1)
+    assert report.algorithm == "combined_monroe[sample:1][no-guarantee]"
+    assert validate_assignment(make_monroe(prof, 2), BD, report.assignment) == ()
+
+
 @pytest.mark.parametrize("n, m, k", [(1, 2, 1), (7, 3, 2), (20, 9, 4), (100, 40, 10)])
 def test_greedy_cc_bound_value(n, m, k):
     want = (1 - 2 * lambert_w_bisect(k) / k) * (m - 1) * n
