@@ -5,10 +5,12 @@ b-matching on one integer cost table, column-major: ``table[a - 1][j]`` is
 agent j's cost for alternative a (:func:`_cost_table`).
 Both objectives run one entry, :func:`_match`, one threshold search in it
 and one kernel function, :func:`_solve_bounded`: integer successive shortest
-augmenting paths with potentials, whose state is the matching.  The search
-climbs the cost levels from a proven lower bound on the optimal threshold
-and stops at the first level whose columns capped there (every cost above it
-infinite) admit a matching.  The total objective's one level caps nothing.
+augmenting paths with potentials, whose state is the matching, and whose
+Dijkstra searches push an agent once per batch of pops at one distance, at
+the label the batch leaves it.  The search climbs the cost levels from a
+proven lower bound on the optimal threshold and stops at the first level
+whose columns capped there (every cost above it infinite) admit a matching.
+The total objective's one level caps nothing.
 The entry computes both proven floors (the CC floor and the load floor) and,
 under either objective, refuses a committee whose value cannot be below the
 caller's ``below`` before any kernel solve: the solvers' skip rules live
@@ -124,17 +126,28 @@ def _solve_bounded(
     agents by index.  No node has two edges to one node, so this order moves
     no tie, and no edge back to the source can improve its distance of 0.
 
-    Two savings leave every label, path and potential as a search that pops
-    every entry would leave them:
+    Three savings leave every label, path and potential as a search that
+    pushes each improvement and pops every entry would leave them.  Keys pop
+    in one total order, so dropping entries whose pops do nothing moves no
+    other pop:
 
+    - Agent pushes wait for the end of their batch.  A member's or the
+      sink's pop at distance ``d`` lowers agent labels and sets their
+      ``prev``, and adds the agents to ``pending``; just before the heap
+      would pop a key of at least ``flush = d * size + agent0``, or runs
+      empty, each pending agent is pushed once, at its final label.  No
+      agent pops in between: agent ids exceed all but the sink's and reduced
+      costs are at least 0, so every agent key is at least ``flush``, and
+      the batch's pops are the source's, the pool's and members' at ``d``.
+      Pushes of an agent's earlier labels in the batch would pop stale.
     - Once the node an agent's edge leads to has settled, popping the agent
       can improve nothing, since reduced costs are at least 0: the agent is
-      labelled but not pushed.  Keys pop in one total order, so dropping
-      entries whose pops do nothing moves no other pop.
+      labelled but not pushed when its batch ends.
     - ``live`` counts the heap entries whose pop may relax something: all
       but those of agents whose node has settled (``waiting`` counts them
-      per node).  At 0 the search stops: only members and the sink relax
-      agents, so every label is final.
+      per node).  At 0, with no agent pending, the search stops: only
+      members and the sink relax agents, so every label is final.  A search
+      with the dropped entries would stop later, after pops that do nothing.
     """
     n, k = len(columns[0]), len(columns)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -146,6 +159,7 @@ def _solve_bounded(
     rows = [list(col) for col in columns]
     head, load = [sink] * n, [0] * k
     potential = [0] * size
+    pending = set()  # a batch's improved agents; the pop that adds them sets flush
     for _ in range(n):
         label = [inf] * size
         label[0] = 0
@@ -154,7 +168,17 @@ def _solve_bounded(
         waiting = [0] * size
         heap = [0]
         live = 1
-        while live:
+        while live or pending:
+            if pending and (not heap or heap[0] >= flush):
+                for j in pending:  # each at its final label, once
+                    w = head[j]
+                    if not settled[w]:
+                        v = agent0 + j
+                        heappush(heap, (label[v] - potential[v]) * size + v)
+                        live += 1
+                        waiting[w] += 1
+                pending.clear()
+                continue
             d, u = divmod(heappop(heap), size)
             base = d + potential[u]
             if agent0 <= u < sink:
@@ -198,15 +222,13 @@ def _solve_bounded(
                     prev[v] = u
                     heappush(heap, (base - potential[v]) * size + v)
                     live += 1
-            for j in [j for j in ends if base + row[j] < label[agent0 + j]]:
+            improved = [j for j in ends if base + row[j] < label[agent0 + j]]
+            for j in improved:
                 v = agent0 + j
-                label[v] = at = base + row[j]
+                label[v] = base + row[j]
                 prev[v] = u
-                w = head[j]
-                if not settled[w]:
-                    heappush(heap, (at - potential[v]) * size + v)
-                    live += 1
-                    waiting[w] += 1
+            pending.update(improved)
+            flush = d * size + agent0
         if label[sink] == inf:
             return None
         potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist

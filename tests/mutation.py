@@ -3,15 +3,17 @@
 Run from anywhere; it mutates a copy of the tree it sits in, never the
 checkout itself::
 
-    python tests/mutation.py [--modules matching solvers]
+    python tests/mutation.py [--modules matching solvers] [--diff REV]
 
 Each module's mutation sites are listed in a fixed order (a walk of its
 syntax tree), for these operators: ``<``/``<=``, ``>``/``>=`` and
 ``==``/``!=`` swapped, ``+``/``-`` swapped (augmented assignments too),
 ``//`` to ``*``, an ``int`` constant plus 1, ``min``/``max`` swapped and
 ``sum`` to ``max``.  ``COUNT`` sites are drawn with ``SEED``, the same
-on every run; each mutant is the module's syntax tree with one site
-changed, unparsed.  First the unmutated, unparsed tree must
+on every run; with ``--diff REV``, every site instead whose line ``git diff
+REV`` adds or changes in the module's source (the checkout's working tree
+against the commit ``REV``).  Each mutant is the module's syntax tree with
+one site changed, unparsed.  First the unmutated, unparsed tree must
 pass the module's mapped test files; then each mutant runs them with ``-x``
 under a timeout of 10 s plus three times that first run.  A mutant is
 killed when they fail, timed out when they overrun, and survives when they
@@ -30,6 +32,7 @@ import argparse
 import ast
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -73,6 +76,11 @@ EQUIVALENT = {
     ):
         "a node a search leaves unlabelled is unreachable, and stays so, since an "
         "augmentation adds edges only among reached nodes; its potential is never read",
+    ("matching", "if pending and (not heap or heap[0] >= flush):", ">= -> >", 0):
+        "the one key equal to flush is agent 0's at the batch's distance d; the batch cannot "
+        "hold agent 0 then (its new key would lie below its old one, below flush), so that "
+        "entry pops before every pending agent's key either way, and a member it lowers to "
+        "distance d pops before them too",
     ("solvers", "targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)", "1 -> 2", 0):
         "uniform weights of 2 rank the alternatives as weights of 1 do",
     ("solvers", "for _ in range(64):", "64 -> 65", 0):
@@ -193,13 +201,29 @@ def run_tests(tree_root, files, timeout):
     return ("survived" if done.returncode == 0 else "killed"), time.perf_counter() - start
 
 
-def score(tree_root, module):
+def changed_lines(module, rev):
+    """The line numbers of the module's source that ``git diff rev`` adds or changes."""
+    diff = subprocess.run(
+        ["git", "diff", "-U0", rev, "--", f"src/prefalloc/{module}.py"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    lines = set()
+    for start, count in re.findall(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", diff, re.M):
+        lines.update(range(int(start), int(start) + int(count or 1)))
+    return lines
+
+
+def score(tree_root, module, rev=None):
     path = tree_root / "src" / "prefalloc" / f"{module}.py"
     files = [f"tests/{name}" for name in TESTS[module] if (tree_root / "tests" / name).exists()]
     original = path.read_text()
     lines = original.splitlines()
     found = sites(ast.parse(original))
-    chosen = sorted(random.Random(SEED).sample(range(len(found)), min(COUNT, len(found))))
+    if rev is None:
+        chosen = sorted(random.Random(SEED).sample(range(len(found)), min(COUNT, len(found))))
+    else:
+        changed = changed_lines(module, rev)
+        chosen = [i for i, site in enumerate(found) if site[2] in changed]
     outcomes = {"killed": 0, "timed out": 0, "survived": 0, "equivalent": 0}
     survivors = []
     try:
@@ -230,6 +254,9 @@ def score(tree_root, module):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--modules", nargs="+", default=list(TESTS), choices=list(TESTS))
+    parser.add_argument(
+        "--diff", metavar="REV", help="run every site on the lines git diff REV touches"
+    )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="prefalloc-mutation-") as work:
         copy = Path(work)
@@ -238,7 +265,7 @@ def main():
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         for module in args.modules:
-            score(copy, module)
+            score(copy, module, args.diff)
 
 
 if __name__ == "__main__":

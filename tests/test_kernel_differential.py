@@ -12,8 +12,13 @@ totals) and explicit bounds whose lower bounds sum to n (no slack pool);
 no ceiling, and the lowest, middle and top cost level of the committee as
 the ceiling (the reference drops the edges above it; the kernel is handed
 the columns with those costs infinite, as ``matching._match`` hands them
-to it).  Without a ceiling the kernel must also pop at most half as
-many heap entries as the reference on the benchmark's four profiles."""
+to it).  Six larger cases (``_large_cases``) make long batches of pops at
+one distance, after each of which the kernel pushes the agents the batch
+improved: n from 150 to 300 with k not dividing n, IC, identical and
+two-order profiles, balanced bounds or explicit ones with nonzero lowers,
+and no ceiling or a low or middle one.  Without a ceiling the kernel must
+also pop at most half, and push at most a third, as many heap entries as
+the reference on the benchmark's four profiles."""
 
 import heapq
 
@@ -31,6 +36,7 @@ from oracles import balanced_bounds, shuffled, solve_bounded_reference
 
 SEED = 4040
 CASES = 48
+LARGE = 6
 
 
 def solve_bounded(table, members, lowers, uppers, ceiling):
@@ -104,6 +110,32 @@ def _sample_case(j):
     return table, members, *balanced_bounds(150, 10)
 
 
+def _large_cases():
+    """Long batches: n from 150 to 300 with k not dividing n, so the pool
+    has room and member-to-pool paths run; IC, identical and two-order
+    profiles, whose equal costs make long batches at one distance and many
+    ties; balanced bounds, or explicit bounds with nonzero lowers; the
+    columns uncapped, or capped at a low or a middle level."""
+    rng = SplitMix64(SEED + 1)
+    for case in range(LARGE):
+        n, m, k = 150 + rng.randrange(150), 12 + rng.randrange(19), 3 + rng.randrange(8)
+        n += n % k == 0
+        if case % 3 < 2:  # IC, identical
+            profile = _profile(n, m, case % 3, rng)
+        else:
+            orders = [shuffled(range(1, m + 1), rng) for _ in range(2)]
+            profile = Profile.from_orders([orders[rng.randrange(2)] for _ in range(n)])
+        members = tuple(sorted(a + 1 for a in sample_distinct(m, k, rng)))
+        table = matching._cost_table(profile, _psf(m, rng))
+        bounds = balanced_bounds(n, k)
+        if case % 2:  # each profile kind once with each kind of bounds
+            lowers = [1 + rng.randrange(n // k) for _ in range(k)]
+            bounds = tuple(lowers), tuple(max(lo, n // k + 1) + rng.randrange(3) for lo in lowers)
+        levels = sorted({c for a in members for c in table[a - 1]})
+        for ceiling in None, levels[len(levels) // 4], levels[len(levels) // 2]:
+            yield table, members, *bounds, ceiling
+
+
 def _cases():
     rng = SplitMix64(SEED)
     for case in range(CASES):
@@ -118,6 +150,7 @@ def _cases():
         table, members, lowers, uppers = _sample_case(j)
         for ceiling in _ceilings(table, members)[1:3]:  # no ceiling: counted below
             yield table, members, lowers, uppers, ceiling
+    yield from _large_cases()
 
 
 def test_kernel_matches_edge_list_reference():
@@ -158,21 +191,29 @@ def test_kernel_breaks_sink_ties_as_the_reference():
 
 
 def test_kernel_pops_at_most_half_the_reference(monkeypatch):
-    # The kernel reads heapq.heappop at call time, so the patch counts its
-    # pops as well as the reference's.
-    pops = [0]
-    heappop = heapq.heappop
+    # The kernel reads heapq.heappop and heapq.heappush at call time, so the
+    # patches count its pops and pushes as well as the reference's.  Pushing
+    # each agent once per batch of member pops keeps the kernel's pushes
+    # under a third of the reference's (about a quarter).
+    counts = {"pop": 0, "push": 0}
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    def counted(heap):
-        pops[0] += 1
+    def popped(heap):
+        counts["pop"] += 1
         return heappop(heap)
 
-    monkeypatch.setattr(heapq, "heappop", counted)
+    def pushed(heap, item):
+        counts["push"] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(heapq, "heappop", popped)
+    monkeypatch.setattr(heapq, "heappush", pushed)
     for j in range(4):
         args = (*_sample_case(j), None)
-        pops[0] = 0
+        counts.update(pop=0, push=0)
         want = solve_bounded_reference(*args)
-        reference = pops[0]
-        pops[0] = 0
+        reference = dict(counts)
+        counts.update(pop=0, push=0)
         assert solve_bounded(*args) == want
-        assert 2 * pops[0] <= reference, (j, pops[0], reference)
+        assert 2 * counts["pop"] <= reference["pop"], (j, counts, reference)
+        assert 3 * counts["push"] <= reference["push"], (j, counts, reference)
