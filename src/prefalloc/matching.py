@@ -7,14 +7,15 @@ Both objectives run one entry, :func:`_match`, one threshold search in it
 and one kernel function, :func:`_solve_bounded`: integer successive shortest
 augmenting paths with potentials, whose state is the matching, and whose
 Dijkstra searches push an agent once per batch of pops at one distance, at
-the label the batch leaves it.  The search climbs the cost levels from a
-proven lower bound on the optimal threshold and stops at the first level
-whose columns capped there (every cost above it infinite) admit a matching.
-The total objective's one level caps nothing.
+the label the batch leaves it, and drain their heap.  The search climbs the
+cost levels from a proven lower bound on the optimal threshold and stops at
+the first level whose columns capped there (every cost above it infinite)
+admit a matching.  The total objective's one level caps nothing.
 The entry computes both proven floors (the CC floor and the load floor) and,
 under either objective, refuses a committee whose value cannot be below the
 caller's ``below`` before any kernel solve: the solvers' skip rules live
-here alone.
+here, except that :func:`solvers.exact_enumeration` skips a committee by
+its walk's CC value before calling the entry.
 
 Tie-breaking is deterministic: committee members are processed in ascending
 alternative order, agents in ascending index order, and the Dijkstra heap
@@ -126,10 +127,9 @@ def _solve_bounded(
     agents by index.  No node has two edges to one node, so this order moves
     no tie, and no edge back to the source can improve its distance of 0.
 
-    Three savings leave every label, path and potential as a search that
-    pushes each improvement and pops every entry would leave them.  Keys pop
-    in one total order, so dropping entries whose pops do nothing moves no
-    other pop:
+    Two savings leave every label, path and potential as a search that
+    pushes each improvement would leave them.  Keys pop in one total order,
+    so dropping entries whose pops do nothing moves no other pop:
 
     - Agent pushes wait for the end of their batch.  A member's or the
       sink's pop at distance ``d`` lowers agent labels and sets their
@@ -140,14 +140,14 @@ def _solve_bounded(
       costs are at least 0, so every agent key is at least ``flush``, and
       the batch's pops are the source's, the pool's and members' at ``d``.
       Pushes of an agent's earlier labels in the batch would pop stale.
-    - Once the node an agent's edge leads to has settled, popping the agent
-      can improve nothing, since reduced costs are at least 0: the agent is
-      labelled but not pushed when its batch ends.
-    - ``live`` counts the heap entries whose pop may relax something: all
-      but those of agents whose node has settled (``waiting`` counts them
-      per node).  At 0, with no agent pending, the search stops: only
-      members and the sink relax agents, so every label is final.  A search
-      with the dropped entries would stop later, after pops that do nothing.
+    - An agent whose edge leads to a settled node is labelled but not
+      pushed when its batch ends: its pop would improve nothing (below).
+
+    Each search runs until its heap and ``pending`` are empty, and an
+    agent's pop relaxes its one edge unchecked: reduced costs are at least
+    0, so a pop after the edge's node has settled offers it no smaller
+    label, and a stale entry pops after the fresh one, whose offer was
+    smaller, or, with none pushed, after the node settled.
     """
     n, k = len(columns[0]), len(columns)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -165,18 +165,13 @@ def _solve_bounded(
         label[0] = 0
         prev = [0] * size
         settled = [False] * size
-        waiting = [0] * size
         heap = [0]
-        live = 1
-        while live or pending:
+        while heap or pending:
             if pending and (not heap or heap[0] >= flush):
                 for j in pending:  # each at its final label, once
-                    w = head[j]
-                    if not settled[w]:
+                    if not settled[head[j]]:
                         v = agent0 + j
                         heappush(heap, (label[v] - potential[v]) * size + v)
-                        live += 1
-                        waiting[w] += 1
                 pending.clear()
                 continue
             d, u = divmod(heappop(heap), size)
@@ -184,25 +179,16 @@ def _solve_bounded(
             if agent0 <= u < sink:
                 j = u - agent0
                 v = head[j]
-                if settled[v]:
-                    continue  # left the live count when v settled
-                live -= 1
-                waiting[v] -= 1
-                if base > label[u]:
-                    continue
                 if v != sink:
                     base -= columns[v - 2][j]
                 if base < label[v]:
                     label[v] = base
                     prev[v] = u
                     heappush(heap, (base - potential[v]) * size + v)
-                    live += 1
                 continue
-            live -= 1
             if base > label[u]:
                 continue
             settled[u] = True
-            live -= waiting[u]
             arcs, row, ends = [], (), ()
             if u == 0:
                 arcs = [2 + i for i in range(k) if load[i] < lowers[i]]
@@ -221,7 +207,6 @@ def _solve_bounded(
                     label[v] = base
                     prev[v] = u
                     heappush(heap, (base - potential[v]) * size + v)
-                    live += 1
             improved = [j for j in ends if base + row[j] < label[agent0 + j]]
             for j in improved:
                 v = agent0 + j

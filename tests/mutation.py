@@ -23,9 +23,12 @@ Survivors listed in ``EQUIVALENT`` (by module, source line, mutation and
 occurrence) behave as the original does on every input, each for the
 reason given; they are counted apart from the real survivors.  A site's
 occurrence is its index, in walk order, among the sites on its line with
-the same mutation, so two such sites on one line are told apart; each
-survivor line prints it after the mutation.  This is a tool, not a
-test: pytest does not collect it, and it gates nothing.
+the same mutation, so two such sites on one line are told apart.  Each
+real survivor prints one line, ``module.py:line: mutation #occurrence:
+source``, and then each timed-out mutant prints the same line tagged
+``[timed out]``.  This is a tool, not a test: pytest does not collect it,
+and it gates nothing; ``tests/test_mutation_keys.py`` checks that every
+``EQUIVALENT`` key still names a site.
 """
 
 import argparse
@@ -66,6 +69,10 @@ EQUIVALENT = {
     ("matching", "agent0 = 2 + k", "2 -> 3", 0):
         "an unused node before the agents shifts every agent and the sink alike, "
         "so no key moves past another",
+    ("matching", "label[0] = 0", "0 -> 1", 0):
+        "no edge enters the source, so its label stays 1 and only becomes its potential: "
+        "the second search's keys all rise by 1 but the source's first, which pops first "
+        "either way, and from the third on the source's base of 1 cancels in every key",
     ("matching", "prev = [0] * size", "0 -> 1", 0):
         "prev is read only along the path to the sink, which the search sets",
     (
@@ -170,6 +177,17 @@ def sites(tree):
     return found
 
 
+def keys(source, found):
+    """``(stripped source line, mutation, occurrence)`` for each of ``found``,
+    the sites of ``source``: ``EQUIVALENT``'s key, less the module."""
+    lines = source.splitlines()
+    result = []
+    for i, site in enumerate(found):
+        occurrence = sum(s[2:] == site[2:] for s in found[:i])  # same line and mutation
+        result.append((lines[site[2] - 1].strip(), site[3], occurrence))
+    return result
+
+
 def mutant(source, site):
     """The module's source with the one ``site`` changed."""
     tree = ast.parse(source)
@@ -217,15 +235,15 @@ def score(tree_root, module, rev=None):
     path = tree_root / "src" / "prefalloc" / f"{module}.py"
     files = [f"tests/{name}" for name in TESTS[module] if (tree_root / "tests" / name).exists()]
     original = path.read_text()
-    lines = original.splitlines()
     found = sites(ast.parse(original))
+    named = keys(original, found)
     if rev is None:
         chosen = sorted(random.Random(SEED).sample(range(len(found)), min(COUNT, len(found))))
     else:
         changed = changed_lines(module, rev)
         chosen = [i for i, site in enumerate(found) if site[2] in changed]
     outcomes = {"killed": 0, "timed out": 0, "survived": 0, "equivalent": 0}
-    survivors = []
+    reported = {"survived": [], "timed out": []}
     try:
         path.write_text(ast.unparse(ast.parse(original)))
         baseline, seconds = run_tests(tree_root, files, None)
@@ -236,19 +254,20 @@ def score(tree_root, module, rev=None):
             site = found[i]
             path.write_text(mutant(original, site))
             outcome, _ = run_tests(tree_root, files, limit)
-            line = lines[site[2] - 1].strip()
-            occurrence = sum(s[2:] == site[2:] for s in found[:i])  # same line and mutation
-            if outcome == "survived" and (module, line, site[3], occurrence) in EQUIVALENT:
+            line, change, occurrence = named[i]
+            if outcome == "survived" and (module, line, change, occurrence) in EQUIVALENT:
                 outcome = "equivalent"
             outcomes[outcome] += 1
-            if outcome == "survived":
-                survivors.append(f"    {module}.py:{site[2]}: {site[3]} #{occurrence}: {line}")
+            if outcome in reported:
+                reported[outcome].append(f"{module}.py:{site[2]}: {change} #{occurrence}: {line}")
     finally:
         path.write_text(original)
     counts = " ".join(f"{key.replace(' ', '_')}={value}" for key, value in outcomes.items())
     print(f"{module}: sites={len(found)} mutants={len(chosen)} {counts}", flush=True)
-    for survivor in survivors:
-        print(survivor, flush=True)
+    for where in reported["survived"]:
+        print(f"    {where}", flush=True)
+    for where in reported["timed out"]:
+        print(f"    [timed out] {where}", flush=True)
 
 
 def main():
