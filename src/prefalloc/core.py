@@ -281,7 +281,7 @@ class Instance(_Record):
 
     ``system_tag`` records which restriction built it.  ``monroe`` instances
     carry unit costs, budget ``K`` and per-alternative capacity ``ceil(n/K)``;
-    ``cc`` instances the same with capacity ``n``.
+    ``cc`` instances the same with capacity ``n``; ``general`` ones have no ``K``.
     """
 
     __slots__ = __match_args__ = (
@@ -319,6 +319,8 @@ class Instance(_Record):
                 raise ValueError(
                     f"{system_tag} instance needs every capacity equal to {cap}"
                 )
+        elif committee_size is not None:
+            raise ValueError(f"a general instance takes no committee size, got {committee_size!r}")
         self._fill(profile, costs, capacities, budget, system_tag, committee_size)
 
 
@@ -415,11 +417,8 @@ def _checked_scores(
     violations = validate_assignment(instance, psf, assignment)
     if violations:
         raise ValidationError(violations)
-    profile = instance.profile
-    vals = psf.values(profile.m)
-    return [
-        vals[row[t - 1] - 1] for row, t in zip(profile.positions, assignment.targets)
-    ]
+    vals = psf.values(instance.profile.m)
+    return [vals[order.index(t)] for order, t in zip(instance.profile.orders, assignment.targets)]
 
 
 def metric_l1(

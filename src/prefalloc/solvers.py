@@ -159,15 +159,15 @@ def _greedy_picks(
     assigns it that batch, in ``(position, agent index)`` order.  Returns
     ``(targets, picked)``, with target 0 for agents left unassigned.
 
-    Cost: one O(n m) rank-bucket index (``buckets[a - 1][p - 1]`` lists the
-    agents ranking ``a`` at position ``p``; ``counts`` keeps how many of
-    them are unassigned), then O(len(weights)) per candidate and pick; only
-    the winning batch is read out of its buckets.
+    Cost: one O(n len(weights)) rank-bucket index (``buckets[a - 1][p - 1]``
+    lists the agents ranking ``a`` at a counted position ``p``; ``counts``
+    keeps how many are unassigned), then O(len(weights)) per candidate and
+    pick; only the winning batch is read out of its buckets.
     """
-    n, m, orders = prof.n, prof.m, prof.orders
-    buckets: list = [[[] for _ in range(m)] for _ in range(m)]
+    n, m, orders, depth = prof.n, prof.m, prof.orders, len(weights)
+    buckets: list = [[[] for _ in range(depth)] for _ in range(m)]
     for j, order in enumerate(orders):
-        for p, alt in enumerate(order):
+        for p, alt in enumerate(order[:depth]):
             buckets[alt - 1][p].append(j)
     counts = [[len(bucket) for bucket in row] for row in buckets]
     targets = [0] * n
@@ -189,14 +189,14 @@ def _greedy_picks(
                 best_alt, best_score = alt, total
         picked.append(best_alt)
         batch: list = []
-        for bucket in buckets[best_alt - 1][: len(weights)]:
+        for bucket in buckets[best_alt - 1]:
             batch.extend(j for j in bucket if targets[j] == 0)
             if len(batch) >= size:
                 break
         del batch[size:]
         for j in batch:
             targets[j] = best_alt
-            for p, a in enumerate(orders[j]):
+            for p, a in enumerate(orders[j][:depth]):
                 counts[a - 1][p] -= 1
     return targets, picked
 
@@ -341,15 +341,15 @@ def combined_monroe(
     return report
 
 
-def _greedy_cover(instance: Instance, k: int, x: int) -> Assignment:
-    """Shared cover loop on the CC ``instance``: k picks by top-x coverage
-    of unassigned agents (batches of up to n, each of the top x positions
-    counting 1); leftover agents go to their nearest pick via :func:`_match`."""
-    prof = instance.profile
+def _greedy_cover(prof: Profile, k: int, x: int) -> Assignment:
+    """Shared cover loop: k picks by top-x coverage of unassigned agents
+    (batches of up to n, each of the top x positions counting 1); each
+    leftover agent goes to the first pick in its order, its best-ranked one."""
     targets, picked = _greedy_picks(prof, [prof.n] * k, (1,) * x)
-    members = tuple(sorted(picked))
-    _, nearest = _match(_cost_table(prof, _BORDA), members, *_loads(instance, members), True)
-    return Assignment(tuple(t or s for t, s in zip(targets, nearest.targets)))
+    for j, order in enumerate(prof.orders):
+        if not targets[j]:
+            targets[j] = next(a for a in order if a in picked)
+    return Assignment(targets)
 
 
 def greedy_cc(profile: Profile, k: int) -> SolveReport:
@@ -358,14 +358,14 @@ def greedy_cc(profile: Profile, k: int) -> SolveReport:
     The cover depth is ``x = ceil(m w(k) / k)`` with w the Lambert W
     function; the total score is at least ``greedy_cc_bound(n, m, k)``.
 
-    Cost: one O(n m) rank-bucket index, then O(m x) per pick from the
+    Cost: one O(n x) rank-bucket index, then O(m x) per pick from the
     unassigned counts per (alternative, position).  Ties go to the lowest
     alternative index; leftover agents go to their best picked alternative.
     """
     start = time.perf_counter()
     instance = make_cc(profile, k)
     x = math.ceil(profile.m * lambert_w(k) / k)
-    return _borda_report(instance, _greedy_cover(instance, k, x), "greedy_cc", start)
+    return _borda_report(instance, _greedy_cover(profile, k, x), "greedy_cc", start)
 
 
 def greedy_cc_majority(
@@ -382,7 +382,7 @@ def greedy_cc_majority(
     """
     start = time.perf_counter()
     instance = make_cc(profile, k)
-    assignment = _greedy_cover(instance, k, cover_depth_majority(profile.m, k, delta))
+    assignment = _greedy_cover(profile, k, cover_depth_majority(profile.m, k, delta))
     value = metric_min_delta(instance, _BORDA, assignment, delta)
     return SolveReport(
         assignment=assignment,

@@ -354,11 +354,16 @@ def test_committee_sizes_must_be_integers(build, message):
          "monroe instance needs unit costs and budget K"),
         (lambda p: Instance(p, (1,) * 5, (6,) * 5, 3, "cc", 2),
          "cc instance needs unit costs and budget K"),
+        # A general instance enumerates every affordable committee: a size was ignored.
+        (lambda p: Instance(p, (1, 2, 3, 1, 1), (6,) * 5, 3, "general", 2),
+         "a general instance takes no committee size, got 2"),
+        (lambda p: Instance(p, (1,) * 5, (6,) * 5, 3, committee_size="abc"),
+         "a general instance takes no committee size, got 'abc'"),
     ],
     ids=[
         "no-orders", "unknown-kind", "table-missing", "table-empty", "borda-table",
         "empty-assignment", "unknown-tag", "short-costs", "long-capacities",
-        "monroe-costs", "cc-budget",
+        "monroe-costs", "cc-budget", "general-size", "general-size-text",
     ],
 )
 def test_constructors_refuse_malformed_fields(build, message):

@@ -32,6 +32,7 @@ from oracles import (
 BD = ScoringFunction.borda_dec()
 SEED = 606
 CASES = 90
+LARGE_CASES = 6
 
 
 def _table_dec(length: int, rng: SplitMix64) -> ScoringFunction:
@@ -83,9 +84,32 @@ def test_greedy_monroe_matches_sort_reference():
         assert report.algorithm == "greedy_monroe"
 
 
+def _cover_cases():
+    """The sweep's cases, then impartial-culture and tie-heavy profiles in
+    the low thousands of agents, with 40-50 alternatives."""
+    yield from _sweep_cases()
+    rng = SplitMix64(SEED + 1)
+    for case in range(LARGE_CASES):
+        n = 1000 + rng.randrange(2001)            # 1000..3000
+        m = 40 + rng.randrange(11)                # 40..50
+        case_rng = SplitMix64(derive_seed(SEED + 1, case))
+        if case % 2:
+            orders = [shuffled(range(1, m + 1), case_rng) for _ in range(n)]
+        else:
+            distinct = [shuffled(range(1, m + 1), case_rng) for _ in range(3)]
+            orders = [distinct[case_rng.randrange(3)] for _ in range(n)]
+        yield Profile.from_orders(orders), BD, case_rng
+
+
+def _leftovers(profile, targets, x):
+    """How many agents have a target below their top x: the cover's leftovers."""
+    return sum(order.index(t) >= x for order, t in zip(profile.orders, targets))
+
+
 def test_greedy_cc_matches_scan_reference():
     # The cover picks read positions only, so every case runs the solver.
-    for profile, _psf, rng in _sweep_cases():
+    leftovers = 0
+    for profile, _psf, rng in _cover_cases():
         k = 1 + rng.randrange(min(10, profile.m))
         report = greedy_cc(profile, k)
         x = math.ceil(profile.m * lambert_w(k) / k)
@@ -94,10 +118,13 @@ def test_greedy_cc_matches_scan_reference():
         assert report.assignment.targets == targets, (profile.n, profile.m, k)
         assert report.value == value
         assert report.algorithm == "greedy_cc"
+        leftovers += _leftovers(profile, targets, x)
+    assert leftovers > 0
 
 
 def test_greedy_cc_majority_matches_scan_reference():
-    for profile, _psf, rng in _sweep_cases():
+    leftovers = 0
+    for profile, _psf, rng in _cover_cases():
         k = 1 + rng.randrange(min(10, profile.m))
         delta = (1 + rng.randrange(9)) / 10       # 0.1..0.9
         report = greedy_cc_majority(profile, k, delta)
@@ -107,3 +134,5 @@ def test_greedy_cc_majority_matches_scan_reference():
         assert report.assignment.targets == targets, (profile.n, profile.m, k)
         assert report.value == value
         assert report.algorithm == "greedy_cc_majority"
+        leftovers += _leftovers(profile, targets, x)
+    assert leftovers > 0

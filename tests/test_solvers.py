@@ -28,6 +28,7 @@ from prefalloc import (
     make_cc,
     make_monroe,
     maxcover_cc_baseline,
+    metric_extreme,
     metric_l1,
     metric_min_delta,
     sample_once_monroe,
@@ -509,6 +510,26 @@ def test_majority_formula_bound_when_depth_divides_exactly():
     k, delta = 2, math.exp(-1)  # x = 5 exactly
     report = greedy_cc_majority(prof, k, delta)
     assert report.value >= (1 + math.log(delta) / k) * (prof.m - 1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: greedy_monroe(p, 5),
+        lambda p: greedy_cc(p, 5),
+        lambda p: greedy_cc_majority(p, 5, 0.3),
+        lambda p: metric_l1(make_cc(p, 3), BD, Assignment((1, 2, 3) * 20)),
+        lambda p: metric_extreme(make_cc(p, 3), BI, Assignment((1, 2, 3) * 20), "max"),
+        lambda p: metric_min_delta(make_cc(p, 3), BD, Assignment((1, 2, 3) * 20), 0.3),
+    ],
+    ids=["greedy_monroe", "greedy_cc", "greedy_cc_majority", "l1", "extreme", "min_delta"],
+)
+def test_greedy_solvers_and_metrics_read_only_the_orders(run):
+    # The rank table is n x m; the greedy solvers and the metrics need only
+    # the orders, and the cost tables that read the rank table stay unbuilt.
+    prof = gen_impartial_culture(60, 12, 8)
+    run(prof)
+    assert prof._positions is None
 
 
 # ------------------------------------------------------------- maxcover
