@@ -7,10 +7,15 @@ Both objectives run one entry, :func:`_match`, one threshold search in it
 and one kernel function, :func:`_solve_bounded`: integer successive shortest
 augmenting paths with potentials, whose state is the matching, and whose
 Dijkstra searches push an agent once per batch of pops at one distance, at
-the label the batch leaves it, and drain their heap.  The search climbs the
-cost levels from a proven lower bound on the optimal threshold and stops at
-the first level whose columns capped there (every cost above it infinite)
-admit a matching.  The total objective's one level caps nothing.
+the label the batch leaves it, and drain their heap.  Agent labels and costs
+sit in lanes of Python integers, each the fewest bytes that keep twice
+``(k + 2) * top + 1``, the stand-in for infinity, below a guard bit, since
+every label a pop reads lies in ``[0, k * top]`` (``top``: the largest
+finite cost); so a member's pop tests all its agent edges in a few
+big-integer operations.  The search climbs the cost levels from a proven
+lower bound on the optimal threshold and stops at the first level whose
+columns capped there (every cost above it infinite) admit a matching.  The
+total objective's one level caps nothing.
 The entry computes both proven floors (the CC floor and the load floor) and,
 under either objective, refuses a committee whose value cannot be below the
 caller's ``below`` before any kernel solve: the solvers' skip rules live
@@ -25,7 +30,10 @@ breaks distance ties toward the lowest node id.
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from collections.abc import Sequence
+from itertools import compress
 
 from .core import Assignment, Profile, ScoringFunction, _balanced_loads, _integers
 
@@ -84,6 +92,26 @@ def _cost_table(profile: Profile, psf: ScoringFunction) -> list[tuple[int, ...]]
     return [tuple([costs[p - 1] for p in ranks]) for ranks in zip(*profile.positions)]
 
 
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}  # unsigned, by item size
+
+
+def _packed(lanes: Sequence[int], width: int) -> int:
+    """The integer whose little-endian ``width``-byte lanes are ``lanes``."""
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in lanes), "little")
+
+
+def _lanes(packed: int, n: int, width: int) -> Sequence[int]:
+    """The ``n`` lanes of ``packed``, as :func:`_packed` takes them, through
+    an ``array`` up to 8 bytes wide, else a slice of bytes at a time."""
+    raw = packed.to_bytes(n * width, "little")
+    if width not in _TYPECODES:
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    words = array(_TYPECODES[width], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _solve_bounded(
     columns: Sequence[Sequence[float]], lowers: tuple[int, ...], uppers: tuple[int, ...]
 ) -> list[int] | None:
@@ -102,7 +130,7 @@ def _solve_bounded(
 
     The state is the matching and one potential per node: ``head[j]``, the
     one node agent j has an edge to (its member, or the sink while
-    unmatched); ``rows[i][j]``, the cost of member i's edge to agent j,
+    unmatched); lane j of ``rows[i]``, the cost of member i's edge to agent j,
     infinite while the edge is missing or carries j; and ``load[i]``, the
     agents member i carries.  The sink's edges go back, at cost 0, to the
     agents with ``head[j] < sink``, and loads give the rest: a member below
@@ -127,19 +155,32 @@ def _solve_bounded(
     agents by index.  No node has two edges to one node, so this order moves
     no tie, and no edge back to the source can improve its distance of 0.
 
+    Agent j's label, ``prev`` node and ``pending`` bit, and its cost in each
+    member's row and the sink's (0 once matched), sit in lane j of packed
+    integers, so a member's or the sink's pop at label ``base`` tests every
+    agent edge at once (SWAR, SIMD within a register): a lane of
+    ``(labels | guards) - (base * ones + row) - ones`` keeps its top (guard)
+    bit just where the offer is below the label.  Popped labels lie in
+    ``[0, k * top]``, ``top`` the largest finite cost: none is below 0
+    (above), and a simple residual path has at most ``k`` edges of positive
+    cost, one out of each member.  So ``stop = (k + 2) * top + 1`` stands
+    for infinity (a finite offer is at most ``(k + 1) * top``), and no lane
+    borrows from the next while lanes are the fewest whole bytes that keep
+    ``2 * stop`` and every node id below the guard bit, widened to an
+    ``array`` item size up to 8 bytes.
+
     Two savings leave every label, path and potential as a search that
     pushes each improvement would leave them.  Keys pop in one total order,
     so dropping entries whose pops do nothing moves no other pop:
 
     - Agent pushes wait for the end of their batch.  A member's or the
-      sink's pop at distance ``d`` lowers agent labels and sets their
-      ``prev``, and adds the agents to ``pending``; just before the heap
-      would pop a key of at least ``flush = d * size + agent0``, or runs
-      empty, each pending agent is pushed once, at its final label.  No
-      agent pops in between: agent ids exceed all but the sink's and reduced
-      costs are at least 0, so every agent key is at least ``flush``, and
-      the batch's pops are the source's, the pool's and members' at ``d``.
-      Pushes of an agent's earlier labels in the batch would pop stale.
+      sink's pop at distance ``d`` adds the agents it improves to
+      ``pending``; just before the heap would pop a key of at least ``flush
+      = d * size + agent0``, or runs empty, each pending agent is pushed
+      once, at its final label.  No agent pops in between: agent ids exceed
+      all but the sink's and reduced costs are at least 0, so every agent
+      key is at least ``flush``; the batch's pops are the source's, the
+      pool's and members' at ``d``, and earlier pushes would pop stale.
     - An agent whose edge leads to a settled node is labelled but not
       pushed when its batch ends: its pop would improve nothing (below).
 
@@ -155,24 +196,33 @@ def _solve_bounded(
     sink = agent0 + n
     size = sink + 1
     inf = float("inf")
+    top = max([c for column in columns for c in column if c < inf], default=0)
+    stop = (k + 2) * top + 1
+    need = (max(2 * stop, sink).bit_length() + 8) // 8  # bytes, a guard bit above both
+    width = next(b for b in (1, 2, 4, 8, need) if b >= need)
+    bits = 8 * width
+    ones = _packed([1] * n, width)
+    guards = ones << (bits - 1)
+    rows = [_packed([min(c, stop) for c in column], width) for column in columns]
+    unmatched = stop * ones  # the sink's row
     agents = range(n)
-    rows = [list(col) for col in columns]
     head, load = [sink] * n, [0] * k
     potential = [0] * size
-    pending = set()  # a batch's improved agents; the pop that adds them sets flush
     for _ in range(n):
-        label = [inf] * size
+        label = [stop] * size  # agents' labels and prev nodes: in lanes until the end
         label[0] = 0
         prev = [0] * size
+        labels, prevs, pending = stop * ones, 0, 0
         settled = [False] * size
         heap = [0]
         while heap or pending:
             if pending and (not heap or heap[0] >= flush):
-                for j in pending:  # each at its final label, once
+                at = _lanes(labels, n, width)
+                for j in compress(agents, _lanes(pending, n, width)):  # each once
                     if not settled[head[j]]:
                         v = agent0 + j
-                        heappush(heap, (label[v] - potential[v]) * size + v)
-                pending.clear()
+                        heappush(heap, (at[j] - potential[v]) * size + v)
+                pending = 0
                 continue
             d, u = divmod(heappop(heap), size)
             base = d + potential[u]
@@ -189,41 +239,43 @@ def _solve_bounded(
             if base > label[u]:
                 continue
             settled[u] = True
-            arcs, row, ends = [], (), ()
+            arcs = []
             if u == 0:
                 arcs = [2 + i for i in range(k) if load[i] < lowers[i]]
                 if sum(map(max, load, lowers)) < n:  # the pool's room
                     arcs.append(1)
             elif u == 1:
                 arcs = [2 + i for i in range(k) if load[i] < uppers[i]]
-            elif u == sink:
-                row, ends = [0 if v < sink else inf for v in head], agents
-            else:
-                row, ends = rows[u - 2], agents
-                if load[u - 2] > lowers[u - 2]:
+            else:  # every agent edge at once
+                offer = base * ones + (unmatched if u == sink else rows[u - 2])
+                better = ((labels | guards) - offer - ones) & guards
+                low = better - (better >> (bits - 1))  # the improved lanes, guards cleared
+                labels ^= (labels ^ offer) & low
+                prevs ^= (prevs ^ u * ones) & low
+                pending |= better
+                if u < sink and load[u - 2] > lowers[u - 2]:
                     arcs = [1]
             for v in arcs:  # zero-cost edges out of the source, the pool or a member
                 if base < label[v]:
                     label[v] = base
                     prev[v] = u
                     heappush(heap, (base - potential[v]) * size + v)
-            improved = [j for j in ends if base + row[j] < label[agent0 + j]]
-            for j in improved:
-                v = agent0 + j
-                label[v] = base + row[j]
-                prev[v] = u
-            pending.update(improved)
             flush = d * size + agent0
-        if label[sink] == inf:
+        if label[sink] == stop:
             return None
-        potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist
+        label[agent0:sink] = _lanes(labels, n, width)
+        prev[agent0:sink] = _lanes(prevs, n, width)
+        potential = [at if at < stop else p for p, at in zip(potential, label)]  # += dist
         v = prev[sink]
         while v:  # agent j moves from head[j] to member u; its old edge is back
             j, u, w = v - agent0, prev[v], head[v - agent0]
             if w < sink:
-                rows[w - 2][j] = columns[w - 2][j]
+                rows[w - 2] += (columns[w - 2][j] - stop) << bits * j
                 load[w - 2] -= 1
-            head[j], rows[u - 2][j] = u, inf
+            else:
+                unmatched -= stop << bits * j
+            head[j] = u
+            rows[u - 2] += (stop - columns[u - 2][j]) << bits * j
             load[u - 2] += 1
             v = prev[u]
             while 0 < v < agent0:  # the pool and the member handing it a unit

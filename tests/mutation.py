@@ -6,13 +6,16 @@ checkout itself::
     python tests/mutation.py [--modules matching solvers] [--diff REV]
 
 Each module's mutation sites are listed in a fixed order (a walk of its
-syntax tree), for these operators: ``<``/``<=``, ``>``/``>=`` and
-``==``/``!=`` swapped, ``+``/``-`` swapped (augmented assignments too),
-``//`` to ``*``, an ``int`` constant plus 1, ``min``/``max`` swapped and
-``sum`` to ``max``.  ``COUNT`` sites are drawn with ``SEED``, the same
-on every run; with ``--diff REV``, every site instead whose line ``git diff
-REV`` adds or changes in the module's source (the checkout's working tree
-against the commit ``REV``).  Each mutant is the module's syntax tree with
+syntax tree), for these operators: ``<``/``<=``, ``>``/``>=``,
+``==``/``!=``, ``in``/``not in`` and ``is``/``is not`` swapped;
+``+``/``-``, ``&``/``|`` and ``<<``/``>>`` swapped and ``^`` to ``|``
+(augmented assignments too); ``//`` to ``*``; ``and``/``or`` swapped; a
+``not`` dropped; an ``int`` constant plus 1; ``min``/``max`` swapped and
+``sum`` to ``max``.  Annotations are not evaluated, so no site lies in one.
+``COUNT`` sites are drawn with ``SEED``, the same on every run; with
+``--diff REV``, every site instead whose line ``git diff REV`` adds or
+changes in the module's source (the checkout's working tree against the
+commit ``REV``).  Each mutant is the module's syntax tree with
 one site changed, unparsed.  First the unmutated, unparsed tree must
 pass the module's mapped test files; then each mutant runs them with ``-x``
 under a timeout of 10 s plus three times that first run.  A mutant is
@@ -77,12 +80,26 @@ EQUIVALENT = {
         "prev is read only along the path to the sink, which the search sets",
     (
         "matching",
-        "potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist",
+        "potential = [at if at < stop else p for p, at in zip(potential, label)]  # += dist",
         "< -> <=",
         0,
     ):
         "a node a search leaves unlabelled is unreachable, and stays so, since an "
         "augmentation adds edges only among reached nodes; its potential is never read",
+    ("matching", "stop = (k + 2) * top + 1", "1 -> 2", 0):
+        "a stop one larger still exceeds every finite offer, at most (k + 1) * top, and the "
+        "lanes it picks, the same or wider, keep every offer below their guard bit",
+    (
+        "matching",
+        "top = max([c for column in columns for c in column if c < inf], default=0)",
+        "0 -> 1",
+        0,
+    ):
+        "only columns without a finite cost reach the default, and then every lane is "
+        "infinite, so no offer wins whatever stop is and the first search fails either way",
+    ("matching", "labels, prevs, pending = stop * ones, 0, 0", "0 -> 1", 0):
+        "an agent's prev lane is read only on the path to the sink, and the pop that last "
+        "improved the agent wrote the whole lane",
     ("matching", "if pending and (not heap or heap[0] >= flush):", ">= -> >", 0):
         "the one key equal to flush is agent 0's at the batch's distance d; the batch cannot "
         "hold agent 0 then (its new key would lie below its old one, below flush), so that "
@@ -142,12 +159,18 @@ EQUIVALENT = {
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
+    ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.FloorDiv: ast.Mult,
+    ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitOr,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.And: ast.Or, ast.Or: ast.And,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
-    ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.FloorDiv: "//", ast.Mult: "*",
+    ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
+    ast.Add: "+", ast.Sub: "-", ast.FloorDiv: "//", ast.Mult: "*",
+    ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^", ast.LShift: "<<", ast.RShift: ">>",
+    ast.And: "and", ast.Or: "or",
 }
 CALLS = {"min": "max", "max": "min", "sum": "max"}
 
@@ -156,17 +179,28 @@ def sites(tree):
     """``(node index, slot, lineno, description)`` for each site, in walk order.
 
     ``slot`` names what changes: an index into a comparison's ``ops``, or
-    ``"op"``, ``"value"`` or ``"func"``."""
+    ``"op"``, ``"not"``, ``"value"`` or ``"func"``."""
+    annotations = {
+        id(sub)
+        for node in ast.walk(tree)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if note is not None
+        for sub in ast.walk(note)
+    }
     found = []
     for index, node in enumerate(ast.walk(tree)):
+        if id(node) in annotations:
+            continue
         if isinstance(node, ast.Compare):
             for slot, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     change = f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"
                     found.append((index, slot, node.lineno, change))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
             change = f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[SWAPS[type(node.op)]]}"
             found.append((index, "op", node.lineno, change))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            found.append((index, "not", node.lineno, "not -> (dropped)"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((index, "value", node.lineno, f"{node.value} -> {node.value + 1}"))
         elif (
@@ -199,6 +233,8 @@ def mutant(source, site):
         node.value += 1
     elif slot == "func":
         node.func.id = CALLS[node.func.id]
+    elif slot == "not":  # not not x: the operand's truth value
+        node.operand = ast.UnaryOp(ast.Not(), node.operand)
     else:
         node.ops[slot] = SWAPS[type(node.ops[slot])]()
     return ast.unparse(tree)

@@ -11,9 +11,10 @@ enumeration loop (a fresh matching, validation and re-score for every
 committee), the egalitarian binary threshold search (one cold kernel solve
 per probe) and the combined solver's sampling loop (a fresh draw, public
 ``match_monroe_l1`` call and instance per run), and the flow kernel itself
-as a network of edge records (``solve_bounded_reference``).  Most of them do
-use a flow kernel; the differential tests hold the solvers to them at sizes
-brute force cannot reach.  The feasibility check that counts loads in
+as a network of edge records (``solve_bounded_reference``) and as the list
+scan its packed agent lanes replaced (``solve_bounded_scan``).  Most of
+them do use a flow kernel; the differential tests hold the solvers to them
+at sizes brute force cannot reach.  The feasibility check that counts loads in
 one pass replaced is ``validate_assignment_reference``.  The file ends with
 the samplers that block draws and a sparse swap map replaced: ``shuffled``
 and ``sample_distinct_reference`` call ``randrange`` once per position of a
@@ -405,6 +406,94 @@ def solve_bounded_reference(
             if v >= agent0 and cap == 0:
                 targets[v - agent0] = alt
     return tuple(targets)
+
+
+def solve_bounded_scan(columns, lowers, uppers):
+    """The flow kernel before its agent edges were packed into lanes:
+    ``matching._solve_bounded``'s searches, state and tie rule, with each
+    member's and the sink's pop testing its agent edges one at a time in a
+    list, and agent labels kept in the node list.  It reads ``heapq`` at
+    call time, as the kernel does, so a patch counts both."""
+    n, k = len(columns[0]), len(columns)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    agent0 = 2 + k
+    sink = agent0 + n
+    size = sink + 1
+    inf = float("inf")
+    agents = range(n)
+    rows = [list(col) for col in columns]
+    head, load = [sink] * n, [0] * k
+    potential = [0] * size
+    pending = set()  # a batch's improved agents; the pop that adds them sets flush
+    for _ in range(n):
+        label = [inf] * size
+        label[0] = 0
+        prev = [0] * size
+        settled = [False] * size
+        heap = [0]
+        while heap or pending:
+            if pending and (not heap or heap[0] >= flush):
+                for j in pending:  # each at its final label, once
+                    if not settled[head[j]]:
+                        v = agent0 + j
+                        heappush(heap, (label[v] - potential[v]) * size + v)
+                pending.clear()
+                continue
+            d, u = divmod(heappop(heap), size)
+            base = d + potential[u]
+            if agent0 <= u < sink:
+                j = u - agent0
+                v = head[j]
+                if v != sink:
+                    base -= columns[v - 2][j]
+                if base < label[v]:
+                    label[v] = base
+                    prev[v] = u
+                    heappush(heap, (base - potential[v]) * size + v)
+                continue
+            if base > label[u]:
+                continue
+            settled[u] = True
+            arcs, row, ends = [], (), ()
+            if u == 0:
+                arcs = [2 + i for i in range(k) if load[i] < lowers[i]]
+                if sum(map(max, load, lowers)) < n:  # the pool's room
+                    arcs.append(1)
+            elif u == 1:
+                arcs = [2 + i for i in range(k) if load[i] < uppers[i]]
+            elif u == sink:
+                row, ends = [0 if v < sink else inf for v in head], agents
+            else:
+                row, ends = rows[u - 2], agents
+                if load[u - 2] > lowers[u - 2]:
+                    arcs = [1]
+            for v in arcs:  # zero-cost edges out of the source, the pool or a member
+                if base < label[v]:
+                    label[v] = base
+                    prev[v] = u
+                    heappush(heap, (base - potential[v]) * size + v)
+            improved = [j for j in ends if base + row[j] < label[agent0 + j]]
+            for j in improved:
+                v = agent0 + j
+                label[v] = base + row[j]
+                prev[v] = u
+            pending.update(improved)
+            flush = d * size + agent0
+        if label[sink] == inf:
+            return None
+        potential = [at if at < inf else p for p, at in zip(potential, label)]  # += dist
+        v = prev[sink]
+        while v:  # agent j moves from head[j] to member u; its old edge is back
+            j, u, w = v - agent0, prev[v], head[v - agent0]
+            if w < sink:
+                rows[w - 2][j] = columns[w - 2][j]
+                load[w - 2] -= 1
+            head[j], rows[u - 2][j] = u, inf
+            load[u - 2] += 1
+            v = prev[u]
+            while 0 < v < agent0:  # the pool and the member handing it a unit
+                v = prev[v]
+    return [v - 2 for v in head]
 
 
 def match_egalitarian_reference(profile, psf, committee, lowers=None, uppers=None):

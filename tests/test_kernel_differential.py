@@ -18,7 +18,17 @@ improved: n from 150 to 300 with k not dividing n, IC, identical and
 two-order profiles, balanced bounds or explicit ones with nonzero lowers,
 and no ceiling or a low or middle one.  Without a ceiling the kernel must
 also pop at most half, and push at most a third, as many heap entries as
-the reference on the benchmark's four profiles."""
+the reference on the benchmark's four profiles, and exactly as many as the
+list scan.
+
+At n from 300 to 1000, where the reference is too slow, the kernel must
+return what the list scan its packed agent lanes replaced
+(``oracles.solve_bounded_scan``) returns, on IC, identical and two-order
+profiles, balanced and explicit bounds, and columns capped at or just
+below the egalitarian threshold.  Tables whose costs need lanes of 1, 2,
+4, 8 and 9 bytes (Borda, a steep table, entries near 2**20, 2**40 and past
+2**64) are held to the reference, and a column capped to all-infinite
+serves no agent."""
 
 import heapq
 
@@ -32,7 +42,7 @@ from prefalloc import (
 )
 from prefalloc.rng import SplitMix64, derive_seed, sample_distinct
 
-from oracles import balanced_bounds, shuffled, solve_bounded_reference
+from oracles import balanced_bounds, shuffled, solve_bounded_reference, solve_bounded_scan
 
 SEED = 4040
 CASES = 48
@@ -71,6 +81,11 @@ def _profile(n, m, kind, rng):
         return gen_identical(n, m)
     distinct = [shuffled(range(1, m + 1), rng) for _ in range(2 + rng.randrange(3))]
     return Profile.from_orders([distinct[rng.randrange(len(distinct))] for _ in range(n)])
+
+
+def _two_orders(n, m, rng):
+    orders = [shuffled(range(1, m + 1), rng) for _ in range(2)]
+    return Profile.from_orders([orders[rng.randrange(2)] for _ in range(n)])
 
 
 def _psf(m, rng):
@@ -120,11 +135,7 @@ def _large_cases():
     for case in range(LARGE):
         n, m, k = 150 + rng.randrange(150), 12 + rng.randrange(19), 3 + rng.randrange(8)
         n += n % k == 0
-        if case % 3 < 2:  # IC, identical
-            profile = _profile(n, m, case % 3, rng)
-        else:
-            orders = [shuffled(range(1, m + 1), rng) for _ in range(2)]
-            profile = Profile.from_orders([orders[rng.randrange(2)] for _ in range(n)])
+        profile = _profile(n, m, case % 3, rng) if case % 3 < 2 else _two_orders(n, m, rng)
         members = tuple(sorted(a + 1 for a in sample_distinct(m, k, rng)))
         table = matching._cost_table(profile, _psf(m, rng))
         bounds = balanced_bounds(n, k)
@@ -192,9 +203,10 @@ def test_kernel_breaks_sink_ties_as_the_reference():
 
 def test_kernel_pops_at_most_half_the_reference(monkeypatch):
     # The kernel reads heapq.heappop and heapq.heappush at call time, so the
-    # patches count its pops and pushes as well as the reference's.  Pushing
-    # each agent once per batch of member pops keeps the kernel's pushes
-    # under a third of the reference's (about a quarter).
+    # patches count its pops and pushes as well as the reference's and the
+    # list scan's.  Pushing each agent once per batch of member pops keeps
+    # the kernel's pushes under a third of the reference's (about a
+    # quarter), and the packed lanes push and pop just what the scan does.
     counts = {"pop": 0, "push": 0}
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -214,6 +226,102 @@ def test_kernel_pops_at_most_half_the_reference(monkeypatch):
         want = solve_bounded_reference(*args)
         reference = dict(counts)
         counts.update(pop=0, push=0)
+        solve_bounded_scan([args[0][a - 1] for a in args[1]], *args[2:4])
+        scan = dict(counts)
+        counts.update(pop=0, push=0)
         assert solve_bounded(*args) == want
         assert 2 * counts["pop"] <= reference["pop"], (j, counts, reference)
         assert 3 * counts["push"] <= reference["push"], (j, counts, reference)
+        assert counts == scan, (j, counts, scan)  # the lanes move no heap entry
+
+
+def _scale_cases():
+    """n from 300 to 1000, k not dividing n: IC, identical and two-order
+    profiles; balanced bounds or explicit bounds with nonzero lowers; the
+    columns uncapped, capped at the egalitarian threshold (the probe that
+    succeeds), or capped one level below it (a probe that fails)."""
+    rng = SplitMix64(SEED + 2)
+    psfs = ScoringFunction.borda_dec(), ScoringFunction.borda_inc()
+    # (profile kind, n, m, k, explicit bounds, levels below the threshold or None)
+    shapes = [
+        (0, 1000, 30, 7, False, None), (1, 500, 20, 7, True, None), (2, 400, 25, 6, False, 0),
+        (0, 301, 30, 4, False, 1), (0, 450, 30, 9, True, 0), (0, 550, 40, 8, True, 1),
+    ]
+    for kind, n, m, k, explicit, drop in shapes:
+        profile = _profile(n, m, kind, rng) if kind < 2 else _two_orders(n, m, rng)
+        members = tuple(sorted(a + 1 for a in sample_distinct(m, k, rng)))
+        table = matching._cost_table(profile, psfs[rng.randrange(2)])
+        lowers, uppers = balanced_bounds(n, k)
+        if explicit:
+            lowers = tuple(1 + rng.randrange(n // k) for _ in range(k))
+            uppers = tuple(max(lo, n // k + 1) + rng.randrange(3) for lo in lowers)
+        columns = [table[a - 1] for a in members]
+        if drop is not None:
+            threshold, _ = matching._match(table, members, lowers, uppers, False)
+            levels = sorted({c for column in columns for c in column if c <= threshold})
+            level = levels[-1 - drop]
+            columns = [[c if c <= level else float("inf") for c in col] for col in columns]
+        yield columns, lowers, uppers
+
+
+def test_kernel_matches_list_scan_at_scale():
+    # The packed lanes hold each member's agent scan; the list scan they
+    # replaced tests one edge at a time, and both must leave the same
+    # matching, or both none, at sizes the edge-list reference is too slow for.
+    seen = {"targets": 0, "none": 0}
+    for case, (columns, lowers, uppers) in enumerate(_scale_cases()):
+        got = matching._solve_bounded(columns, lowers, uppers)
+        assert got == solve_bounded_scan(columns, lowers, uppers), case
+        seen["none" if got is None else "targets"] += 1
+    assert seen == {"targets": 4, "none": 2}, seen
+
+
+def test_kernel_lane_widths_match_edge_list_reference(monkeypatch):
+    # Each table, uncapped, needs its own lane width: 1 and 2 bytes for
+    # Borda and the steep table, 3 bytes rounded up to 4 for the steep table
+    # at m = 30, 4 and 6 (rounded up to 8) for entries near 2**20 and 2**40,
+    # and 9, read back a slice at a time, for entries past 2**64.  Two cases
+    # leave 2 * stop within a factor 1.25 of the guard bit, so the least
+    # width is the only one that passes.
+    widths = []
+    packed = matching._packed
+    monkeypatch.setattr(
+        matching, "_packed", lambda lanes, width: packed(lanes, widths.append(width) or width)
+    )
+    rng = SplitMix64(SEED + 3)
+    steep = ScoringFunction.from_table_inc([p**3 for p in range(30)])
+    tables = [  # (psf, n, m, k, width); m = 14 leaves 2 * stop just below a guard bit
+        (ScoringFunction.borda_inc(), 20, 5, 2, 1),
+        (ScoringFunction.borda_dec(), 40, 14, 2, 1),
+        (ScoringFunction.borda_dec(), 40, 12, 4, 2),
+        (steep, 30, 14, 4, 2),
+        (steep, 30, 30, 5, 4),
+    ]
+    for scale, width in (2**20, 4), (2**40, 8), (2**64, 9):
+        psf = ScoringFunction.from_table_inc([p and scale + p * p for p in range(8)])
+        tables.append((psf, 24, 8, 3, width))
+    for psf, n, m, k, width in tables:
+        profile = _profile(n, m, 0, rng)
+        members = tuple(sorted(a + 1 for a in sample_distinct(m, k, rng)))
+        table = matching._cost_table(profile, psf)
+        for ceiling in _ceilings(table, members)[:3]:  # capped, the lanes may narrow
+            widths.clear()
+            args = table, members, *balanced_bounds(n, k), ceiling
+            assert solve_bounded(*args) == solve_bounded_reference(*args), (width, ceiling)
+            assert ceiling is not None or set(widths) == {width}, widths
+
+
+def test_kernel_refuses_a_column_capped_to_all_infinite():
+    # A member with no agent edge left serves nobody: with a lower bound the
+    # search cannot complete, and without one the others carry every agent
+    # as they would alone.  With every column infinite there is no finite
+    # cost at all.
+    profile = gen_impartial_culture(30, 8, 5)
+    table = matching._cost_table(profile, ScoringFunction.borda_dec())
+    members, inf = (2, 5, 7), float("inf")
+    columns = [table[1], [inf] * 30, table[6]]
+    assert matching._solve_bounded(columns, (10, 10, 10), (10, 10, 10)) is None
+    assert matching._solve_bounded([[inf] * 30] * 3, (0, 0, 0), (30, 30, 30)) is None
+    slots = matching._solve_bounded(columns, (0, 0, 0), (15, 15, 15))
+    alone = solve_bounded_reference(table, (2, 7), (0, 0), (15, 15), None)
+    assert tuple(members[s] for s in slots) == alone
